@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Exact volumes of every polytope family member, with their cone relations.
 
-Pass --k4 to include the 14- and 15-dimensional bodies (minutes of DP).
+Pass --k4 to include the 10- to 15-dimensional bodies (a few seconds of DP).
 """
 
 import sys

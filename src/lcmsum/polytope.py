@@ -2,23 +2,32 @@
 
 A polytope here is {t in [0, inf)^dim : sum_{j in A_i} t_j <= 1} for a
 family of 0/1 constraint sets A_i.  Its volume is recovered exactly from
-lattice-point counts of integer dilates: the counting function is a
+lattice-point counts of integer dilates: the counting function E(n) is a
 quasi-polynomial whose every-period restriction is a true polynomial of
 degree dim with leading coefficient vol * period**dim / dim!, so the dim-th
 finite difference of counts sampled along one residue class hands back the
 volume as an exact rational.
 
+The samples sit on both sides of 0.  Ehrhart-Macdonald reciprocity gives
+E(-n) = (-1)**dim * #interior(n-dilate), and the interior points of the
+n-dilate (t >= 1, every constraint sum <= n - 1) become, under t = s + 1,
+the lattice points of the same polytope with budget n - 1 - |A_i| on
+constraint i.  Splitting the dim + 3 samples of a period between negative
+and positive dilates roughly halves the largest budget the counts need.
+
 Counts come from a budget dynamic program: the state is the tuple of
-per-constraint partial sums, one array axis per constraint, and adding a
-coordinate that feeds constraints S is a prefix sum along the diagonal
-direction chi_S.  Arrays hold residues modulo int32-safe primes and the
-exact counts are recovered by CRT, since counts overflow 64 bits well
-before the needed dilates.
+per-constraint partial sums, one array axis per constraint, each axis as
+long as its largest budget, and adding a coordinate that feeds constraints
+S is a prefix sum along the diagonal direction chi_S.  A finished axis is
+prefix-summed once more and cut down to the budgets sampled on it.  Arrays
+hold residues modulo int32-safe primes and the exact counts are recovered
+by CRT, since counts overflow 64 bits well before the needed dilates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -35,8 +44,13 @@ KINDS = ("D", "D_star", "D_star2", "D_star3", "T")
 #: dimension cap for the Ehrhart route
 MAX_DIM = 16
 
-#: cap on the DP state table (entries = (N+1)**constraint_count)
-STATE_BUDGET = 300_000_000
+#: cap, in bytes, on the DP's working memory: the state table plus the
+#: temporaries of retiring an axis, checked before anything is allocated
+STATE_BUDGET = 2**30
+
+#: bytes per DP state at the peak of an axis retirement: the int32 table
+#: and the int32 slice of sampled budgets taken from it
+BYTES_PER_STATE = 4 + 4
 
 #: candidate quasi-polynomial periods, tried in order.  Vertex coordinates
 #: solve 0/1 subsystems of size <= 4 whose determinants are at most 3, so
@@ -68,17 +82,33 @@ class HyperbolicPolytope:
 
 @dataclass(frozen=True)
 class EhrhartSamples:
-    """Counts L(0), L(P), ..., sampled on one residue class of a candidate period."""
+    """Counts sampled on one residue class of a candidate period P.
+
+    `counts` are the closed counts L(0), L(P), ...; `interior_counts` are the
+    interior point counts of the `interior_dilates` P, 2P, ..., which by
+    reciprocity are (-1)**dim times the counting function at -P, -2P, ...
+    """
 
     period: int
     counts: tuple[int, ...]
     stabilized: bool
+    interior_dilates: tuple[int, ...] = ()
+    interior_counts: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.counts[0] != 1:
             raise ValueError("L(0) must be 1")
         if any(b < a for a, b in zip(self.counts, self.counts[1:])):
             raise ValueError("counts must be non-decreasing")
+        if len(self.interior_dilates) != len(self.interior_counts):
+            raise ValueError("one interior count per interior dilate")
+        if any(b <= a for a, b in zip((0,) + self.interior_dilates,
+                                      self.interior_dilates)):
+            raise ValueError("interior dilates must be positive and increasing")
+        if any(c < 0 for c in self.interior_counts):
+            raise ValueError("interior counts must be non-negative")
+        if any(b < a for a, b in zip(self.interior_counts, self.interior_counts[1:])):
+            raise ValueError("interior counts must be non-decreasing")
 
 
 def build_polytope(kind: str, k: int) -> HyperbolicPolytope:
@@ -156,31 +186,31 @@ def _crt_primes(cap: int, bound: int) -> list[int]:
 
 
 def _counts_mod(
-    memberships: Sequence[tuple[int, ...]], ns: Sequence[int], m: int
+    memberships: Sequence[tuple[int, ...]],
+    budgets: Sequence[tuple[int, ...]],
+    m: int,
 ) -> list[int]:
-    """Counts modulo m at every dilate in ns (all axes live at max(ns)+1)."""
-    nc = max(max(s) for s in memberships) + 1
-    nmax = max(ns)
-    sample = sorted(set(ns))
-    sample_pos = {n: i for i, n in enumerate(sample)}
-    arr = np.zeros((nmax + 1,) * nc, dtype=np.int32)
+    """Counts modulo m for each budget vector (one non-negative budget per axis).
+
+    Axis c is as long as its largest budget and keeps, once retired, only the
+    budgets sampled on it; a budget vector is read at its per-axis positions.
+    """
+    nc = len(budgets[0])
+    sample = [sorted({b[c] for b in budgets}) for c in range(nc)]
+    arr = np.zeros(tuple(s[-1] + 1 for s in sample), dtype=np.int32)
     arr[(0,) * nc] = 1
 
     done: set[int] = set()
     retired: set[int] = set()
 
     def retire(ax: int) -> None:
-        # prefix-sum the completed axis, then keep only the sampled dilates
+        # prefix-sum the completed axis in place, then keep only the sampled
+        # budgets; like a diagonal pass this adds at most one axis length of
+        # residues, which the prime cap keeps below 2**31
         nonlocal arr
-        for idx in range(1, arr.shape[ax]):
-            dst = [slice(None)] * nc
-            src = [slice(None)] * nc
-            dst[ax], src[ax] = idx, idx - 1
-            arr[tuple(dst)] += arr[tuple(src)]
-            arr[tuple(dst)] %= m
-        sel = [slice(None)] * nc
-        sel[ax] = np.array(sample, dtype=np.intp)
-        arr = arr[tuple(sel)].copy()
+        np.cumsum(arr, axis=ax, out=arr)
+        arr = arr.take(sample[ax], axis=ax)
+        arr %= m
         retired.add(ax)
 
     while len(done) < len(memberships):
@@ -218,41 +248,67 @@ def _counts_mod(
         if ax not in retired:
             retire(ax)
 
-    return [int(arr[(sample_pos[n],) * nc]) for n in ns]
+    pos = [{n: i for i, n in enumerate(s)} for s in sample]
+    return [int(arr[tuple(pos[c][n] for c, n in enumerate(b))]) for b in budgets]
 
 
-def lattice_counts(p: HyperbolicPolytope, ns: Sequence[int]) -> list[int]:
-    """Exact lattice point counts of the ns-dilates, one DP shared by all."""
-    if any(n < 0 for n in ns):
-        raise ValueError("dilates must be non-negative")
-    if p.dim == 0:
-        return [1 for _ in ns]
-    if len(p.constraints) > 4:
-        raise ValueError("at most 4 constraints supported")
-    nmax = max(ns)
-    states = (nmax + 1) ** len(p.constraints)
-    if states > STATE_BUDGET:
+def _budgets(
+    p: HyperbolicPolytope, ns: Sequence[int], interior: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """Per-constraint budget vectors: n on every constraint for a closed
+    count, n - 1 - |A_i| on constraint i for an interior count (t = s + 1)."""
+    return ([(n,) * len(p.constraints) for n in ns]
+            + [tuple(n - 1 - len(a) for a in p.constraints) for n in interior])
+
+
+def _budget_counts(
+    p: HyperbolicPolytope, budgets: Sequence[tuple[int, ...]]
+) -> list[int]:
+    """Exact counts of {s >= 0 : sum over A_i <= b_i} for each budget vector b."""
+    live = sorted({b for b in budgets if min(b) >= 0})  # a negative budget counts 0
+    if not live:
+        return [0] * len(budgets)
+    tops = [max(b[c] for b in live) for c in range(len(p.constraints))]
+    states = math.prod(t + 1 for t in tops)
+    if states * BYTES_PER_STATE > STATE_BUDGET:
         raise ResourceLimitError(
-            f"DP state table of {states} entries exceeds budget {STATE_BUDGET}")
+            f"DP state table of {states} entries needs {states * BYTES_PER_STATE} "
+            f"bytes with temporaries, over the budget of {STATE_BUDGET}")
     memberships = tuple(
         tuple(c for c, a in enumerate(p.constraints) if j in a)
         for j in range(p.dim)
     )
-    # residues stay below cap*(nmax+1) during a prefix pass; keep that in int32
-    cap = (2**31 - 1) // (nmax + 1) - 1
-    bound = (nmax + 1) ** p.dim
+    # residues stay below cap*(longest axis) during a prefix pass; keep that
+    # in int32.  Coordinate j is at most the smallest budget it feeds.
+    cap = (2**31 - 1) // (max(tops) + 1) - 1
+    bound = math.prod(min(tops[c] for c in axes) + 1 for axes in memberships)
     primes = _crt_primes(cap, bound)
-    residues = [_counts_mod(memberships, ns, m) for m in primes]
+    residues = [_counts_mod(memberships, live, m) for m in primes]
 
-    out = []
-    for i in range(len(ns)):
+    exact = {}
+    for i, b in enumerate(live):
         x, mod = 0, 1
         for m, res in zip(primes, residues):
             inv = pow(mod % m, -1, m)
             x += mod * ((res[i] - x) % m * inv % m)
             mod *= m
-        out.append(x % mod)
-    return out
+        exact[b] = x % mod
+    return [exact.get(b, 0) for b in budgets]
+
+
+def lattice_counts(
+    p: HyperbolicPolytope, ns: Sequence[int], interior: Sequence[int] = ()
+) -> list[int]:
+    """Exact lattice point counts of the ns-dilates, then the interior point
+    counts (t >= 1, every constraint sum <= n - 1) of the `interior` dilates,
+    in that order, from one DP per CRT prime shared by all."""
+    if any(n < 0 for n in (*ns, *interior)):
+        raise ValueError("dilates must be non-negative")
+    if p.dim == 0:
+        return [1 for _ in (*ns, *interior)]
+    if len(p.constraints) > 4:
+        raise ValueError("at most 4 constraints supported")
+    return _budget_counts(p, _budgets(p, ns, interior))
 
 
 def lattice_count(p: HyperbolicPolytope, n: int) -> int:
@@ -264,33 +320,55 @@ def lattice_count(p: HyperbolicPolytope, n: int) -> int:
 # Volume extraction
 # ---------------------------------------------------------------------------
 
+def _sample_window(p: HyperbolicPolytope, period: int) -> tuple[list[int], list[int]]:
+    """Closed dilates 0, P, ..., bP and interior dilates P, ..., aP, a + b = dim + 2.
+
+    Together they are the dim + 3 equally spaced samples -aP..bP of the
+    counting function; a is chosen to minimise the largest per-constraint
+    budget, max(bP, aP - 1 - min |A_i|), preferring fewer interior samples.
+    """
+    last = p.dim + 2
+    smallest = min(len(a) for a in p.constraints)
+    a = min(range(last + 1), key=lambda a: (
+        max((last - a) * period, a * period - 1 - smallest), a))
+    return ([j * period for j in range(last - a + 1)],
+            [j * period for j in range(1, a + 1)])
+
+
 def ehrhart_data(p: HyperbolicPolytope) -> tuple[Fraction, EhrhartSamples]:
     """Exact volume plus the count samples that certified it.
 
-    For each candidate period P the counts at 0, P, ..., (dim+2)P give three
-    sliding windows of dim-th finite differences; the candidate is accepted
-    only if all three agree (the shifted windows are the cross-validation),
-    and then vol = diff / (dim! * P**dim), extracted in exact rationals.
+    For each candidate period P the counting function at -aP, ..., bP
+    (a + b = dim + 2, see `_sample_window`) gives three sliding windows of
+    dim-th finite differences; the values at negative dilates are interior
+    counts by reciprocity.  The candidate is accepted only if all three
+    windows agree (the shifted windows are the cross-validation), and then
+    vol = diff / (dim! * P**dim), extracted in exact rationals.
     """
     v = p.dim
     if v == 0:
         return Fraction(1), EhrhartSamples(1, (1,), True)
+    sign = (-1) ** v
     last = None
     for period in PERIOD_CANDIDATES:
-        ns = [j * period for j in range(v + 3)]
-        counts = lattice_counts(p, ns)
+        ns, inner = _sample_window(p, period)
+        counts = lattice_counts(p, ns, interior=inner)
+        samples = EhrhartSamples(period, tuple(counts[:len(ns)]), False,
+                                 tuple(inner), tuple(counts[len(ns):]))
+        points = ([(-n, Fraction(sign * c)) for n, c in
+                   zip(reversed(inner), reversed(samples.interior_counts))]
+                  + [(n, Fraction(c)) for n, c in zip(ns, samples.counts)])
         try:
             # raises if the sliding-window differences disagree
-            vol = leading_coeff_by_differences(
-                [(n, Fraction(c)) for n, c in zip(ns, counts)], v)
+            vol = leading_coeff_by_differences(points, v)
         except ValueError:
-            last = EhrhartSamples(period, tuple(counts), False)
+            last = samples
             continue
         if vol <= 0:
             raise PeriodDetectionError(
                 f"degenerate leading coefficient {vol} at period {period}",
-                samples=EhrhartSamples(period, tuple(counts), False))
-        return vol, EhrhartSamples(period, tuple(counts), True)
+                samples=samples)
+        return vol, replace(samples, stabilized=True)
     raise PeriodDetectionError(
         f"no candidate period in {PERIOD_CANDIDATES} stabilized", samples=last)
 

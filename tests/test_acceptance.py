@@ -2,8 +2,8 @@
 
 Each test prints a single PASS line on success (run with -s or check the
 captured output); any failure is an assertion with the offending values.
-The k = 4 volumes take minutes on first computation and are cached for the
-whole session.
+The k = 4 volumes take a few seconds on first computation and are cached
+for the whole session.
 """
 
 import math

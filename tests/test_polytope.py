@@ -4,9 +4,11 @@ from itertools import product
 
 import pytest
 
-from lcmsum import reference
-from lcmsum.errors import ResourceLimitError
+from lcmsum import polytope, reference
+from lcmsum.errors import PeriodDetectionError, ResourceLimitError
 from lcmsum.polytope import (
+    BYTES_PER_STATE,
+    STATE_BUDGET,
     EhrhartSamples,
     HyperbolicPolytope,
     build_polytope,
@@ -21,10 +23,13 @@ from lcmsum.polytope import (
 )
 
 
-def brute_lattice_count(p: HyperbolicPolytope, n: int) -> int:
+def brute_lattice_count(p: HyperbolicPolytope, n: int, interior: bool = False) -> int:
+    """Points t >= 0 with every constraint sum <= n; with `interior`, points
+    strictly inside the n-dilate: t >= 1 and every constraint sum <= n - 1."""
+    lo, hi = (1, n - 1) if interior else (0, n)
     count = 0
-    for t in product(range(n + 1), repeat=p.dim):
-        if all(sum(t[j] for j in a) <= n for a in p.constraints):
+    for t in product(range(lo, hi + 1), repeat=p.dim):
+        if all(sum(t[j] for j in a) <= hi for a in p.constraints):
             count += 1
     return count
 
@@ -100,6 +105,73 @@ def test_lattice_count_against_enumeration():
             assert lattice_count(p, n) == brute_lattice_count(p, n), (kind, k, n)
 
 
+def test_interior_counts_against_enumeration():
+    ns = list(range(6))
+    for kind, k in ALL_KINDS_K:
+        p = build_polytope(kind, k)
+        if p.dim > 7:
+            continue
+        closed = [brute_lattice_count(p, n) for n in ns]
+        inner = [brute_lattice_count(p, n, interior=True) for n in ns]
+        assert lattice_counts(p, [], interior=ns) == inner, (kind, k)
+        assert lattice_counts(p, ns, interior=ns) == closed + inner, (kind, k)
+
+
+def test_reciprocity_matches_closed_fit():
+    # the polynomial through the closed samples at 0, P, ..., dim*P, taken at
+    # -jP, is (-1)**dim times the interior count of the jP-dilate
+    p = build_polytope("D", 3)
+    period, d = ehrhart_data(p)[1].period, p.dim
+    ys = lattice_counts(p, [i * period for i in range(d + 1)])
+
+    def fit(x):
+        total = Fraction(0)
+        for i, y in enumerate(ys):
+            term = Fraction(y)
+            for j in range(d + 1):
+                if j != i:
+                    term *= Fraction(x - j, i - j)
+            total += term
+        return total
+
+    js = range(1, 7)
+    inner = lattice_counts(p, [], interior=[j * period for j in js])
+    assert inner[-1] > 0
+    assert [(-1) ** d * c for c in inner] == [fit(-j) for j in js]
+
+
+def test_accepted_periods_k3():
+    # D and D_star have period-2 counts, so the period-1 candidate must fail
+    got = {kind: ehrhart_data(build_polytope(kind, 3))[1].period
+           for kind in ("D", "D_star", "T")}
+    assert got == {"D": 2, "D_star": 2, "T": 1}
+
+
+def test_period_detection_error_carries_both_halves(monkeypatch):
+    monkeypatch.setattr(polytope, "PERIOD_CANDIDATES", (1,))
+    with pytest.raises(PeriodDetectionError) as info:
+        ehrhart_data(build_polytope("D", 3))
+    samples = info.value.samples
+    assert samples.period == 1 and not samples.stabilized
+    assert len(samples.counts) + len(samples.interior_counts) == 7 + 3
+    assert samples.interior_dilates == tuple(range(1, len(samples.interior_counts) + 1))
+
+
+def test_k4_sample_plan_halves_the_largest_budget():
+    # plan only, no DP: D_4 at period 6 needed dilate 102 with closed samples
+    p = build_polytope("D", 4)
+    ns, inner = polytope._sample_window(p, 6)
+    assert len(ns) + len(inner) == p.dim + 3
+    assert max(ns) <= 48
+    budgets = polytope._budgets(p, ns, inner)
+    assert max(max(b) for b in budgets) <= 48
+    assert 49 ** len(p.constraints) * BYTES_PER_STATE <= STATE_BUDGET
+
+
+def test_lattice_counts_empty():
+    assert lattice_counts(build_polytope("D", 3), []) == []
+
+
 def test_lattice_counts_batch_consistency():
     p = build_polytope("D", 3)
     ns = [0, 3, 1, 3, 7]
@@ -167,6 +239,23 @@ def test_ehrhart_samples_invariants():
         EhrhartSamples(1, (2, 3), True)
     with pytest.raises(ValueError):
         EhrhartSamples(1, (1, 0), True)
+
+
+def test_ehrhart_samples_interior_invariants():
+    _, samples = ehrhart_data(build_polytope("D", 3))
+    m = len(samples.interior_counts)
+    assert m > 0
+    assert samples.interior_dilates == tuple(samples.period * j for j in range(1, m + 1))
+    assert len(samples.counts) + m == 7 + 3
+    assert list(samples.interior_counts) == sorted(samples.interior_counts)
+    with pytest.raises(ValueError):
+        EhrhartSamples(1, (1, 2), True, (1, 2), (1, 0))
+    with pytest.raises(ValueError):
+        EhrhartSamples(1, (1, 2), True, (1,), (-1,))
+    with pytest.raises(ValueError):
+        EhrhartSamples(1, (1, 2), True, (1,), ())
+    with pytest.raises(ValueError):
+        EhrhartSamples(1, (1, 2), True, (2, 1), (0, 0))
 
 
 def test_volume_invariant_under_coordinate_permutation():
