@@ -9,7 +9,8 @@ Library layout:
                 lattice-point counting
 * `eulerprod`   certified Euler products with zeta-factorization acceleration
 * `oracle`      exact brute-force sums and the assembled leading constants
-* `cli`         the `lcmsum` command with a full `verify` battery
+* `checks`      the `verify` battery: one ordered table of checks
+* `cli`         the `lcmsum` command; `verify` runs and renders the battery
 """
 
 from .coprimality import (

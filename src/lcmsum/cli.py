@@ -1,5 +1,11 @@
 """Command-line interface.
 
+Each subcommand declares exactly the flags it reads, so argparse rejects
+any other flag with exit status 2.  All take `--out FILE` and all but
+`verify` take `--k`.  `--budget` limits tuple evaluations for `brute`,
+search nodes for `gwise` and wall seconds for `verify` (the battery of
+`lcmsum.checks`); no other subcommand takes it.
+
 Every computational subcommand prints byte-identical output for fixed
 flags.  The one documented exception is the runtime_ms field of `verify`
 report rows, which records wall time.  The LCMSUM_THREADS environment
@@ -19,65 +25,29 @@ import json
 import math
 import os
 import sys
-import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
-from . import reference
-from .coprimality import (
-    build_coprimality_graph,
-    edge_count_formula,
-    graph_dump,
-    independent_set_counts,
-    local_factor_poly,
-    local_factor_poly_by_edge_subsets,
-    stirling_ism_counts,
-)
+from .checks import FIELDS, run_checks
+from .coprimality import (build_coprimality_graph, graph_dump,
+                          independent_set_counts, local_factor_poly,
+                          stirling_ism_counts)
 from .errors import ResourceLimitError
-from .eulerprod import (
-    coprime_density,
-    count_density_poly,
-    euler_product,
-    lcm_count_density,
-    series_identity_check,
-)
+from .eulerprod import euler_product, series_identity_check
 from .exactmath import BoundedReal
-from .oracle import (
-    brute_recip_lcm_sum,
-    brute_recip_lcm_sum_coprime,
-    convergence_report,
-    fast_recip_lcm_sum2,
-    gwise_constrained_sum,
-    lcm_multiplicity,
-    lcm_multiplicity_sum,
-    leading_constants,
-    sum_report,
-)
-from .polytope import (
-    KINDS,
-    build_polytope,
-    export_ieqs,
-    ieqs_rows,
-    volume_of,
-    volume_relations_check,
-)
+from .oracle import (GWISE_NODE_BUDGET, TUPLE_BUDGET, convergence_report,
+                     lcm_multiplicity, leading_constants, sum_report,
+                     theta_exponents)
+from .polytope import KINDS, build_polytope, export_ieqs, volume_of
 
 DEFAULT_DIGITS = 10
 
 
 def fraction_decimal(f: Fraction, digits: int) -> str:
     """Exact decimal rendering of a rational, rounded to `digits` places."""
-    scaled = f * 10**digits
-    n = scaled.numerator // scaled.denominator
-    if 2 * (scaled - n) >= 1:
-        n += 1
+    n = math.floor(f * 10**digits + Fraction(1, 2))  # halves round up
     sign = "-" if n < 0 else ""
-    n = abs(n)
-    whole, frac = divmod(n, 10**digits)
-    if digits == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    whole, frac = divmod(abs(n), 10**digits)
+    return f"{sign}{whole}" + (f".{frac:0{digits}d}" if digits else "")
 
 
 def fmt_rational(f: Fraction) -> str:
@@ -89,414 +59,202 @@ def fmt_bounded(b: BoundedReal, digits: int) -> str:
             f"+- {fraction_decimal(b.abs_error, digits + 4)}")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
-# ---------------------------------------------------------------------------
-# Plain subcommands
-# ---------------------------------------------------------------------------
+# Subcommands: each returns (text to emit, exit status).
 
-def cmd_graph(args) -> int:
-    _emit(graph_dump(build_coprimality_graph(args.k)), args.out)
-    return 0
+def cmd_graph(args):
+    return graph_dump(build_coprimality_graph(args.k)), 0
 
 
-def cmd_qpoly(args) -> int:
+def cmd_qpoly(args):
     coeffs = local_factor_poly(build_coprimality_graph(args.k))
-    _emit("coeffs=" + ",".join(str(c) for c in coeffs) + "\n", args.out)
-    return 0
+    return "coeffs=" + ",".join(str(c) for c in coeffs) + "\n", 0
 
 
-def cmd_ism(args) -> int:
+def cmd_ism(args):
     enum = independent_set_counts(build_coprimality_graph(args.k))
     stir = stirling_ism_counts(args.k)
-    text = (
-        "enumerated=" + ",".join(map(str, enum)) + "\n"
-        "stirling=" + ",".join(map(str, stir)) + "\n"
-        "agree=" + ("yes" if enum == stir else "no") + "\n"
-    )
-    _emit(text, args.out)
-    return 0 if enum == stir else 1
+    return (f"enumerated={','.join(map(str, enum))}\n"
+            f"stirling={','.join(map(str, stir))}\n"
+            f"agree={'yes' if enum == stir else 'no'}\n"), 0 if enum == stir else 1
 
 
-def cmd_volume(args) -> int:
-    _emit(fmt_rational(volume_of(args.kind, args.k)) + "\n", args.out)
-    return 0
+def cmd_volume(args):
+    return fmt_rational(volume_of(args.kind, args.k)) + "\n", 0
 
 
-def cmd_export_ieqs(args) -> int:
-    _emit(export_ieqs(build_polytope(args.kind, args.k)), args.out)
-    return 0
+def cmd_export_ieqs(args):
+    return export_ieqs(build_polytope(args.kind, args.k)), 0
 
 
-def cmd_rho(args) -> int:
+def cmd_rho(args):
     res = euler_product(local_factor_poly(build_coprimality_graph(args.k)))
-    text = (
+    return (
         f"value={fraction_decimal(res.value.value, args.digits)}\n"
         f"abs_error={fraction_decimal(res.value.abs_error, args.digits + 4)}\n"
         f"primes_used={res.primes_used}\n"
         f"acceleration_order={res.acceleration_order}\n"
-    )
-    _emit(text, args.out)
-    return 0
+    ), 0
 
 
-def cmd_constants(args) -> int:
-    lc = leading_constants(args.k)
-    d = args.digits
-    lines = [
-        f"k={args.k}",
-        f"density={fmt_bounded(lc.density, d)}",
-        f"vol_D={fmt_rational(lc.vol_d)}",
-        f"vol_D_star={fmt_rational(lc.vol_d_star)}",
-        f"vol_D_star2={fmt_rational(lc.vol_d_star2)}",
-        f"c={fmt_bounded(lc.c, d)}",
-        f"c2={fmt_bounded(lc.c2, d)}",
-        f"c3={fmt_bounded(lc.c3, d)}",
-    ]
+def cmd_constants(args):
+    lc, d = leading_constants(args.k), args.digits
+    lines = [f"k={args.k}", f"density={fmt_bounded(lc.density, d)}",
+             f"vol_D={fmt_rational(lc.vol_d)}",
+             f"vol_D_star={fmt_rational(lc.vol_d_star)}",
+             f"vol_D_star2={fmt_rational(lc.vol_d_star2)}",
+             f"c={fmt_bounded(lc.c, d)}", f"c2={fmt_bounded(lc.c2, d)}",
+             f"c3={fmt_bounded(lc.c3, d)}"]
     if lc.theta1 is not None:
         lines += [f"theta1={lc.theta1!r}", f"theta2={lc.theta2!r}",
                   f"theta3={lc.theta3!r}"]
     else:
         lines.append("theta=n/a (power-saving exponents are stated for k >= 3;"
                      " the k=2 error term is of a different shape)")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_theta(args) -> int:
+def cmd_theta(args):
     if args.k == 2:
-        _emit("k=2: no power-saving exponent is reported; the k=2 error term"
-              " is of a different shape\n", args.out)
-        return 0
-    from .oracle import theta_exponents
-
+        return ("k=2: no power-saving exponent is reported; the k=2 error term"
+                " is of a different shape\n"), 0
     t1, t2, t3 = theta_exponents(args.k)
-    _emit(f"theta1={t1!r}\ntheta2={t2!r}\ntheta3={t3!r}\n", args.out)
-    return 0
+    return f"theta1={t1!r}\ntheta2={t2!r}\ntheta3={t3!r}\n", 0
 
 
-def cmd_brute(args) -> int:
-    budget = args.budget or 10**8
-    s = sum_report("S", args.k, args.x, budget=budget)
-    u = sum_report("U", args.k, args.x, budget=budget)
-    v = sum_report("V", args.k, args.x, budget=budget)
-    text = (
+def cmd_brute(args):
+    s, u, v = (sum_report(kind, args.k, args.x, budget=args.budget)
+               for kind in "SUV")
+    return (
         f"recip_lcm_sum={fmt_rational(s.value)}\n"
         f"recip_lcm_sum_coprime={fmt_rational(u.value)}\n"
         f"prod_over_lcm_sum={fmt_rational(v.value)}\n"
         f"tuples={s.tuple_count} coprime_tuples={u.tuple_count}\n"
-    )
-    _emit(text, args.out)
-    return 0
+    ), 0
 
 
-def cmd_gwise(args) -> int:
-    plain = sum_report("gwise", args.k, args.x)
-    pinned = sum_report("gwise", args.k, args.x, fix_last_to_one=True)
-    text = (
+def cmd_gwise(args):
+    plain, pinned = (sum_report("gwise", args.k, args.x, fix_last_to_one=fix,
+                                node_budget=args.budget)
+                     for fix in (False, True))
+    return (
         f"constrained_sum={fmt_rational(plain.value)}\n"
         f"constrained_sum_gcd1={fmt_rational(pinned.value)}\n"
         f"tuples={plain.tuple_count} gcd1_tuples={pinned.tuple_count}\n"
-    )
-    _emit(text, args.out)
-    return 0
+    ), 0
 
 
-def cmd_alpha(args) -> int:
+def cmd_alpha(args):
     lines = [f"alpha({args.k},{n})={lcm_multiplicity(args.k, n)}"
              for n in range(1, args.x + 1)]
     rep = sum_report("alpha", args.k, args.x)
     lines.append(f"alpha_sum={fmt_rational(rep.value)}")
     lines.append(f"tuples_with_lcm_le_x={rep.tuple_count}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_identity(args) -> int:
-    n = args.x if args.x else 30
-    ok = series_identity_check(args.k, n)
-    _emit(f"series_identity(k={args.k},N={n})={'pass' if ok else 'FAIL'}\n",
-          args.out)
-    return 0 if ok else 1
+def cmd_identity(args):
+    ok = series_identity_check(args.k, args.x)
+    return (f"series_identity(k={args.k},N={args.x})="
+            f"{'pass' if ok else 'FAIL'}\n"), 0 if ok else 1
 
 
-def cmd_report(args) -> int:
-    xs = [int(t) for t in str(args.x).split(",")] if args.x else [10, 100, 1000]
-    rows = convergence_report(args.k, xs)
+def cmd_report(args):
     header = ["x", "sum", "sum_over_logpow", "c", "ratio_to_c", "flagged"]
-    table = []
-    for r in rows:
-        table.append([
-            str(r.x),
-            fmt_rational(r.sum_value),
-            "" if r.log_power_ratio is None else f"{r.log_power_ratio:.6f}",
-            f"{r.c_value:.6f}",
-            "" if r.ratio_to_c is None else f"{r.ratio_to_c:.6f}",
-            "yes" if r.flagged else "no",
-        ])
+    table = [[
+        str(r.x),
+        fmt_rational(r.sum_value),
+        "" if r.log_power_ratio is None else f"{r.log_power_ratio:.6f}",
+        f"{r.c_value:.6f}",
+        "" if r.ratio_to_c is None else f"{r.ratio_to_c:.6f}",
+        "yes" if r.flagged else "no",
+    ] for r in convergence_report(args.k, args.x)]
     if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(header)
-        w.writerows(table)
-        _emit(buf.getvalue(), args.out)
-    else:
-        widths = [max(len(h), *(len(row[i]) for row in table))
-                  for i, h in enumerate(header)]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-        for row in table:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return _csv(header, table), 0
+    widths = [max(len(h), *(len(row[i]) for row in table))
+              for i, h in enumerate(header)]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+             for row in [header, *table]]
+    return "\n".join(lines) + "\n", 0
 
 
-# ---------------------------------------------------------------------------
-# Verification battery
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CheckResult:
-    check_name: str
-    status: str          # pass / fail / skip
-    expected: str
-    actual: str
-    tolerance: str
-    runtime_ms: int
-
-
-def _checks() -> list[tuple[str, Callable[[], tuple[bool, str, str, str]]]]:
-    """(name, thunk) pairs; thunks return (ok, expected, actual, tolerance)."""
-
-    def edge_counts():
-        built = [len(build_coprimality_graph(k).edges) for k in (2, 3, 4)]
-        formula = [edge_count_formula(k) for k in (2, 3, 4)]
-        return built == formula == [1, 9, 55], str([1, 9, 55]), str(built), "exact"
-
-    def edge_set_k3():
-        got = frozenset(build_coprimality_graph(3).edges)
-        return (got == reference.EDGES_K3, str(sorted(reference.EDGES_K3)),
-                str(sorted(got)), "exact")
-
-    def ism_stirling():
-        ok = all(
-            independent_set_counts(build_coprimality_graph(k))
-            == stirling_ism_counts(k)
-            for k in (2, 3, 4)
-        )
-        return ok, "enumerated == stirling for k=2,3,4", str(ok), "exact"
-
-    def ism_k3():
-        got = independent_set_counts(build_coprimality_graph(3))
-        return got == reference.ISM_K3, str(reference.ISM_K3), str(got), "exact"
-
-    def qpoly_triple():
-        for k in (2, 3):
-            g = build_coprimality_graph(k)
-            a = local_factor_poly(g)
-            b = local_factor_poly_by_edge_subsets(g)
-            c = count_density_poly(k)
-            if not (a == b == c == reference.LOCAL_POLY[k]):
-                return False, str(reference.LOCAL_POLY[k]), f"{a} / {b} / {c}", "exact"
-        g4 = local_factor_poly(build_coprimality_graph(4))
-        ok = g4 == count_density_poly(4) == reference.LOCAL_POLY[4]
-        return ok, str(reference.LOCAL_POLY[4]), str(g4), "exact"
-
-    def series_identities():
-        ok = all(series_identity_check(k, 30) for k in (2, 3, 4))
-        return ok, "identities hold to degree 30 for k=2,3,4", str(ok), "exact"
-
-    def volumes_k_le_3():
-        bad = []
-        for (kind, k), want in sorted(reference.VOLUMES.items()):
-            if k >= 4:
-                continue
-            got = volume_of(kind, k)
-            if got != want:
-                bad.append((kind, k, str(got)))
-        return not bad, "published volumes, k<=3", str(bad or "all match"), "exact"
-
-    def volumes_k4():
-        bad = []
-        for (kind, k), want in sorted(reference.VOLUMES.items()):
-            if k != 4:
-                continue
-            got = volume_of(kind, k)
-            if got != want:
-                bad.append((kind, k, str(got)))
-        return not bad, "published volumes, k=4", str(bad or "all match"), "exact"
-
-    def volume_relations():
-        reports = [volume_relations_check(k) for k in (2, 3, 4)]
-        ok = all(r.ok for r in reports)
-        detail = "; ".join(
-            f"k={r.k}:" + ("ok" if r.ok else str(r.failures())) for r in reports)
-        return ok, "cone relations for k=2,3,4", detail, "exact"
-
-    def ieqs_goldens():
-        bad = []
-        for (kind, k), want in sorted(reference.IEQS.items()):
-            got = ieqs_rows(build_polytope(kind, k))
-            if got != want:
-                bad.append((kind, k))
-        return not bad, "worksheet matrices row-for-row", str(bad or "all match"), "exact"
-
-    def rho_g2():
-        val = coprime_density(build_coprimality_graph(2))
-        diff = abs(float(val.value) - 6 / math.pi**2)
-        return diff <= 1e-10, "6/pi^2", f"{float(val.value)!r} (diff {diff:.2e})", "1e-10"
-
-    def rho_g3():
-        val = coprime_density(build_coprimality_graph(3))
-        diff = abs(float(val.value) - reference.RHO_K3)
-        ok = diff <= 5e-8 and val.abs_error <= Fraction(5, 10**9)
-        return ok, f"{reference.RHO_K3} within 5e-8, certified 5e-9", \
-            f"{float(val.value)!r} +- {float(val.abs_error):.1e}", "5e-8 / 5e-9"
-
-    def rho_vs_count_route():
-        for k in (2, 3, 4):
-            a = coprime_density(build_coprimality_graph(k))
-            b = lcm_count_density(k)
-            if not a.intersects(b):
-                return False, "two routes intersect", f"k={k}: {a!r} vs {b!r}", "combined bounds"
-        return True, "two routes intersect for k=2,3,4", "all intersect", "combined bounds"
-
-    def decomposition_battery():
-        for x in range(1, 201):
-            if gwise_constrained_sum(2, x) != brute_recip_lcm_sum(2, x):
-                return False, "equal sums", f"k=2 x={x} plain", "exact"
-            if gwise_constrained_sum(2, x, True) != brute_recip_lcm_sum_coprime(2, x):
-                return False, "equal sums", f"k=2 x={x} gcd1", "exact"
-        for x in range(1, 31):
-            if gwise_constrained_sum(3, x) != brute_recip_lcm_sum(3, x):
-                return False, "equal sums", f"k=3 x={x} plain", "exact"
-            if gwise_constrained_sum(3, x, True) != brute_recip_lcm_sum_coprime(3, x):
-                return False, "equal sums", f"k=3 x={x} gcd1", "exact"
-        return True, "constrained == brute (k=2 x<=200, k=3 x<=30)", "all equal", "exact"
-
-    def alpha_battery():
-        for k in (2, 3):
-            for n in range(1, 201):
-                divs = [d for d in range(1, n + 1) if n % d == 0]
-                count = 0
-                from itertools import product as iproduct
-                for t in iproduct(divs, repeat=k):
-                    if math.lcm(*t) == n:
-                        count += 1
-                if count != lcm_multiplicity(k, n):
-                    return False, "formula == brute count", f"k={k} n={n}", "exact"
-            s = brute_recip_lcm_sum(k, 60)
-            if lcm_multiplicity_sum(k, 60) > s:
-                return False, "alpha_sum <= recip sum", f"k={k}", "exact"
-        return True, "multiplicity formula vs brute, n<=200", "all equal", "exact"
-
-    def fast_route_k2():
-        for x in list(range(1, 101)) + [250, 500, 1000]:
-            if fast_recip_lcm_sum2(x) != brute_recip_lcm_sum(2, x):
-                return False, "fast == brute", f"x={x}", "exact"
-        return True, "totient route == brute (x<=100 dense, spot to 1000)", "all equal", "exact"
-
-    def constants_battery():
-        lc2 = leading_constants(2)
-        lc3 = leading_constants(3)
-        lc4 = leading_constants(4)
-        checks = []
-        checks.append(abs(float(lc3.c.value) - reference.C_K3) <= 5e-8)
-        checks.append(abs(float(lc2.c.value) - 2 / math.pi**2) <= 1e-10)
-        checks.append(lc3.c2.value / lc3.c.value == 7)
-        checks.append(lc2.c.strictly_greater(lc3.c) and lc3.c.strictly_greater(lc4.c))
-        checks.append(lc3.theta1 == Fraction(1, 14) and lc3.theta2 == Fraction(3, 40))
-        ok = all(checks)
-        return ok, "constants: values, ratios, ordering, exponents", str(checks), "see docs"
-
-    return [
-        ("edge-count-formula", edge_counts),
-        ("edge-set-k3", edge_set_k3),
-        ("ism-vs-stirling", ism_stirling),
-        ("ism-k3-values", ism_k3),
-        ("local-poly-triple-route", qpoly_triple),
-        ("series-identities", series_identities),
-        ("volumes-k-le-3", volumes_k_le_3),
-        ("volume-relations", volume_relations),
-        ("worksheet-ieqs", ieqs_goldens),
-        ("density-k2", rho_g2),
-        ("density-k3", rho_g3),
-        ("density-two-routes", rho_vs_count_route),
-        ("decomposition-identity", decomposition_battery),
-        ("lcm-multiplicity", alpha_battery),
-        ("fast-k2-route", fast_route_k2),
-        ("volumes-k4", volumes_k4),
-        ("leading-constants", constants_battery),
-    ]
-
-
-def cmd_verify(args) -> int:
-    budget = args.budget  # wall seconds; None = unlimited
-    started = time.monotonic()
-    results: list[CheckResult] = []
-    exceeded = False
-    for name, thunk in _checks():
-        if budget is not None and time.monotonic() - started > budget:
-            results.append(CheckResult(name, "skip", "", "wall budget exceeded", "", 0))
-            exceeded = True
-            continue
-        t0 = time.monotonic()
-        try:
-            ok, expected, actual, tol = thunk()
-            status = "pass" if ok else "fail"
-        except ResourceLimitError as exc:
-            status, expected, actual, tol = "skip", "", f"resource limit: {exc}", ""
-            exceeded = True
-        except Exception as exc:  # a failing check must not kill the report
-            status, expected, actual, tol = "fail", "", f"{type(exc).__name__}: {exc}", ""
-        ms = int((time.monotonic() - t0) * 1000)
-        results.append(CheckResult(name, status, expected, actual, tol, ms))
-
-    n_fail = sum(r.status == "fail" for r in results)
-    n_pass = sum(r.status == "pass" for r in results)
+def cmd_verify(args):
+    rows, exceeded = run_checks(args.budget)
+    statuses = [row[1] for row in rows]
+    n_pass, n_fail = statuses.count("pass"), statuses.count("fail")
     if args.format == "json":
-        text = json.dumps([r.__dict__ for r in results], indent=2) + "\n"
+        text = json.dumps([dict(zip(FIELDS, row)) for row in rows], indent=2) + "\n"
     elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["check_name", "status", "expected", "actual", "tolerance",
-                    "runtime_ms"])
-        for r in results:
-            w.writerow([r.check_name, r.status, r.expected, r.actual,
-                        r.tolerance, r.runtime_ms])
-        text = buf.getvalue()
+        text = _csv(FIELDS, rows)
     else:
         lines = []
-        for r in results:
-            lines.append(f"[{r.status.upper():4s}] {r.check_name} ({r.runtime_ms} ms)")
-            if r.status == "fail":
-                lines.append(f"    expected: {r.expected}")
-                lines.append(f"    actual:   {r.actual}")
+        for name, status, expected, actual, _, ms in rows:
+            lines.append(f"[{status.upper():4s}] {name} ({ms} ms)")
+            if status == "fail":
+                lines += [f"    expected: {expected}", f"    actual:   {actual}"]
         lines.append(f"{n_pass} passed, {n_fail} failed, "
-                     f"{len(results) - n_pass - n_fail} skipped")
+                     f"{len(rows) - n_pass - n_fail} skipped")
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    if exceeded:
-        return 3
-    return 0 if n_fail == 0 else 1
+    return text, 3 if exceeded else (1 if n_fail else 0)
 
 
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
+# Parser: each subcommand declares exactly the flags its cmd_* reads.
 
-def _threads_from_env() -> int:
+def _digits(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(t) for t in text.split(",")]
+
+
+K = {"--k": dict(type=int, default=3)}
+KIND = {"--kind": dict(choices=KINDS, default="D")}
+DIGITS = {"--digits": dict(type=_digits, default=DEFAULT_DIGITS)}
+X10 = {"--x": dict(type=int, default=10)}
+
+#: subcommand -> (handler, {flag: add_argument keywords}); all take --out
+COMMANDS = {
+    "graph": (cmd_graph, K),
+    "qpoly": (cmd_qpoly, K),
+    "ism": (cmd_ism, K),
+    "volume": (cmd_volume, K | KIND),
+    "export-ieqs": (cmd_export_ieqs, K | KIND),
+    "rho": (cmd_rho, K | DIGITS),
+    "constants": (cmd_constants, K | DIGITS),
+    "theta": (cmd_theta, K),
+    "brute": (cmd_brute, K | X10 | {"--budget": dict(
+        type=int, default=TUPLE_BUDGET, help="limit in tuple evaluations")}),
+    "gwise": (cmd_gwise, K | X10 | {"--budget": dict(
+        type=int, default=GWISE_NODE_BUDGET, help="limit in search nodes")}),
+    "alpha": (cmd_alpha, K | X10),
+    "identity": (cmd_identity, K | {"--x": dict(type=int, default=30,
+                                                help="series truncation degree")}),
+    "verify": (cmd_verify, {"--format": dict(choices=("text", "csv", "json"),
+                                             default="text"),
+                            "--budget": dict(type=int, help="limit in wall seconds"),
+                            "--suite": dict(choices=("all",), default="all")}),
+    "report": (cmd_report, K | {"--x": dict(type=_int_list, default="10,100,1000"),
+                                "--format": dict(choices=("text", "csv"), default="text")}),
+}
+
+
+def _threads_from_env() -> None:
     raw = os.environ.get("LCMSUM_THREADS", "1")
     try:
-        n = int(raw)
+        int(raw)
     except ValueError:
         raise SystemExit(f"LCMSUM_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -506,39 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
                     " Euler products, oracles, and a verification battery",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **flags):
+    for name, (fn, flags) in COMMANDS.items():
         sp = sub.add_parser(name)
-        if flags.get("k", True):
-            sp.add_argument("--k", type=int, default=3)
-        if flags.get("x"):
-            sp.add_argument("--x", type=str if flags.get("xlist") else int,
-                            default=flags.get("xdefault"))
-        if flags.get("kind"):
-            sp.add_argument("--kind", choices=KINDS, default="D")
-        sp.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
-        sp.add_argument("--format", choices=("text", "csv", "json"),
-                        default="text")
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--budget", type=int, default=None)
+        for flag, spec in flags.items():
+            sp.add_argument(flag, **spec)
+        sp.add_argument("--out", default=None,
+                        help="write to this file instead of stdout")
         sp.set_defaults(fn=fn)
-        return sp
-
-    add("graph", cmd_graph)
-    add("qpoly", cmd_qpoly)
-    add("ism", cmd_ism)
-    add("volume", cmd_volume, kind=True)
-    add("export-ieqs", cmd_export_ieqs, kind=True)
-    add("rho", cmd_rho)
-    add("constants", cmd_constants)
-    add("theta", cmd_theta)
-    add("brute", cmd_brute, x=True, xdefault=10)
-    add("gwise", cmd_gwise, x=True, xdefault=10)
-    add("alpha", cmd_alpha, x=True, xdefault=10)
-    add("identity", cmd_identity, x=True, xdefault=30)
-    sp = add("verify", cmd_verify, k=False)
-    sp.add_argument("--suite", choices=("all",), default="all")
-    add("report", cmd_report, x=True, xlist=True, xdefault="10,100,1000")
     return p
 
 
@@ -546,13 +278,19 @@ def main(argv=None) -> int:
     _threads_from_env()
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        text, code = args.fn(args)
     except ResourceLimitError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -175,15 +175,6 @@ def stirling_ism_counts(k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 def _one_minus_x_power(n: int) -> list[int]:
     return [(-1) ** i * math.comb(n, i) for i in range(n + 1)]
 

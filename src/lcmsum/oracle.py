@@ -296,8 +296,13 @@ class SumReport:
 
 
 def sum_report(kind: str, k: int, x: int, fix_last_to_one: bool = False,
-               budget: int = TUPLE_BUDGET) -> SumReport:
-    """Evaluate one of the named sums together with its tuple count."""
+               budget: int = TUPLE_BUDGET,
+               node_budget: int = GWISE_NODE_BUDGET) -> SumReport:
+    """Evaluate one of the named sums together with its tuple count.
+
+    `budget` caps the raw tuples of the brute kinds (S, U, V) and
+    `node_budget` the search nodes of the gwise kind.
+    """
     if kind == "S":
         return SumReport("S", k, x, brute_recip_lcm_sum(k, x, budget), x**k)
     if kind == "V":
@@ -314,8 +319,7 @@ def sum_report(kind: str, k: int, x: int, fix_last_to_one: bool = False,
                 count += w
         return SumReport("U", k, x, Fraction(num, big), count)
     if kind == "gwise":
-        value, leaves = _gwise_with_count(k, x, fix_last_to_one,
-                                          GWISE_NODE_BUDGET)
+        value, leaves = _gwise_with_count(k, x, fix_last_to_one, node_budget)
         return SumReport("gwise", k, x, value, leaves)
     if kind == "alpha":
         tables = shared_sieve(max(100, x))

@@ -1,10 +1,11 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from lcmsum.cli import fraction_decimal, main
+from lcmsum.cli import COMMANDS, fraction_decimal, main
 from fractions import Fraction
 
 
@@ -141,6 +142,121 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert path.read_text() == "1/6\n"
 
 
+def test_brute_budget_zero_is_a_budget(capsys):
+    # zero must reach the command, not fall back to the default budget
+    assert main(["brute", "--k", "2", "--x", "6", "--budget", "0"]) == 3
+
+
+def test_identity_x_zero_is_a_usage_error(capsys):
+    # zero must reach the command, not fall back to the default degree
+    assert main(["identity", "--k", "2", "--x", "0"]) == 2
+
+
+def test_brute_budget_counts_tuples(capsys):
+    assert main(["brute", "--k", "2", "--x", "6", "--budget", "35"]) == 3
+    code, out = run_cli(capsys, "brute", "--k", "2", "--x", "6",
+                        "--budget", "36")
+    assert code == 0 and "tuples=36" in out
+
+
+def test_gwise_budget_counts_nodes(capsys):
+    assert main(["gwise", "--k", "3", "--x", "10", "--budget", "10"]) == 3
+    assert main(["gwise", "--k", "3", "--x", "10"]) == 0
+
+
+@pytest.mark.parametrize("argv", [["rho", "--digits", "-1"],
+                                  ["constants", "--digits", "-2"]])
+def test_negative_digits_rejected_at_parse_time(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_verify_suite_all_runs_the_whole_table(capsys):
+    from lcmsum.checks import CHECKS
+
+    code, out = run_cli(capsys, "verify", "--suite", "all", "--budget", "0",
+                        "--format", "json")
+    assert code == 3
+    assert [r["check_name"] for r in json.loads(out)] == [n for n, _ in CHECKS]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "cheap"])
+    assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# every (subcommand, flag) pair is honoured or rejected with exit 2
+# ---------------------------------------------------------------------------
+
+FLAGS = ("--k", "--x", "--kind", "--digits", "--format", "--out", "--budget",
+         "--suite")
+#: a value each flag would accept where it is declared
+ACCEPTED = {"--k": "2", "--x": "5", "--kind": "T", "--digits": "3",
+            "--format": "csv", "--budget": "5",
+            "--suite": "all"}
+#: cheap flags every invocation below starts from; a subcommand missing
+#: here fails the test until its flags are covered
+BASE = {"graph": ["--k", "2"], "qpoly": ["--k", "2"], "ism": ["--k", "2"],
+        "volume": ["--k", "2"], "export-ieqs": ["--k", "3"],
+        "rho": ["--k", "2"], "constants": ["--k", "2"], "theta": [],
+        "brute": ["--k", "2", "--x", "6"], "gwise": ["--k", "2", "--x", "6"],
+        "alpha": ["--k", "2", "--x", "4"],
+        "identity": ["--k", "2", "--x", "12"], "verify": [],
+        "report": ["--k", "2", "--x", "1,10"]}
+#: honoured pairs: two values of the flag that must change code or stdout
+VARY = {
+    ("graph", "--k"): ("2", "3"), ("qpoly", "--k"): ("2", "3"),
+    ("ism", "--k"): ("2", "3"), ("volume", "--k"): ("2", "3"),
+    ("export-ieqs", "--k"): ("3", "4"), ("rho", "--k"): ("2", "3"),
+    ("constants", "--k"): ("2", "3"), ("theta", "--k"): ("3", "4"),
+    ("brute", "--k"): ("2", "3"), ("gwise", "--k"): ("2", "3"),
+    ("alpha", "--k"): ("2", "3"), ("identity", "--k"): ("2", "3"),
+    ("report", "--k"): ("2", "3"),
+    ("brute", "--x"): ("5", "6"), ("gwise", "--x"): ("5", "6"),
+    ("alpha", "--x"): ("4", "5"), ("identity", "--x"): ("12", "13"),
+    ("report", "--x"): ("1,10", "1,100"),
+    ("volume", "--kind"): ("D", "T"), ("export-ieqs", "--kind"): ("D_star", "D_star3"),
+    ("rho", "--digits"): ("3", "5"), ("constants", "--digits"): ("3", "5"),
+    ("report", "--format"): ("text", "csv"), ("verify", "--format"): ("text", "json"),
+    ("brute", "--budget"): ("35", "36"), ("gwise", "--budget"): ("10", "50000000"),
+    ("verify", "--budget"): ("0", "1000"),
+}
+HONOURED = set(VARY) | {(c, "--out") for c in COMMANDS} | {("verify", "--suite")}
+
+
+def _mask_ms(text):
+    return re.sub(r"\(\d+ ms\)", "(# ms)", text)
+
+
+@pytest.mark.parametrize("flag", FLAGS)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_flag_is_honoured_or_rejected(command, flag, tmp_path,
+                                            monkeypatch, capsys):
+    import lcmsum.checks as checks
+
+    # two cheap checks stand in for the battery so verify runs in ms
+    monkeypatch.setattr(checks, "CHECKS", checks.CHECKS[:2])
+    argv = [command, *BASE[command]]
+    if (command, flag) not in HONOURED:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, ACCEPTED[flag]])
+        assert exc.value.code == 2
+        return
+    if flag in ("--out", "--suite"):
+        plain = run_cli(capsys, *argv)
+    if flag == "--out":
+        path = tmp_path / "out.txt"
+        code, out = run_cli(capsys, *argv, "--out", str(path))
+        assert (code, out) == (plain[0], "")
+        assert _mask_ms(path.read_text()) == _mask_ms(plain[1])
+    elif flag == "--suite":
+        code, out = run_cli(capsys, *argv, "--suite", "all")
+        assert (code, _mask_ms(out)) == (plain[0], _mask_ms(plain[1]))
+    else:
+        a, b = VARY[(command, flag)]
+        assert run_cli(capsys, *argv, flag, a) != run_cli(capsys, *argv, flag, b)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["volume", "--kind", "NOT_A_KIND"])
@@ -192,9 +308,9 @@ def test_verify_battery_globals_resolve():
     import builtins
     import dis
 
-    import lcmsum.cli as cli
+    from lcmsum.checks import CHECKS
 
-    for name, thunk in cli._checks():
+    for name, thunk in CHECKS:
         for ins in dis.get_instructions(thunk):
             if ins.opname == "LOAD_GLOBAL":
                 g = ins.argval
