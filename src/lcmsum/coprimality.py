@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import ResourceLimitError
-from .exactmath import stirling2
+from .exactmath import factoring_limit, shared_sieve, stirling2
 
 #: subset enumeration of independent sets is refused above this many vertices
 MAX_ISM_VERTICES = 24
@@ -175,8 +175,14 @@ def stirling_ism_counts(k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _one_minus_x_power(n: int) -> list[int]:
-    return [(-1) ** i * math.comb(n, i) for i in range(n + 1)]
+def expand_one_minus_x(weights: Sequence[int], n: int) -> list[int]:
+    """Coefficients (c_0..c_n) of sum_m w_m x^m (1-x)^(n-m), in exact integers."""
+    acc = [0] * (n + 1)
+    for m, w in enumerate(weights):
+        if w:
+            for i in range(n - m + 1):
+                acc[m + i] += (-1) ** i * math.comb(n - m, i) * w
+    return acc
 
 
 def local_factor_poly(g: Graph) -> tuple[int, ...]:
@@ -187,15 +193,7 @@ def local_factor_poly(g: Graph) -> tuple[int, ...]:
     graph imposes at the prime p; c_0 = 1, c_1 = 0, c_2 = -|E| always hold
     and are asserted.
     """
-    ism = independent_set_counts(g)
-    v = g.v
-    acc = [0] * (v + 1)
-    for m, im in enumerate(ism):
-        if im == 0:
-            continue
-        term = _one_minus_x_power(v - m)
-        for i, t in enumerate(term):
-            acc[m + i] += im * t
+    acc = expand_one_minus_x(independent_set_counts(g), g.v)
     _check_local_poly(acc, g.edge_count)
     return tuple(acc)
 
@@ -256,12 +254,14 @@ def decompose_tuple(k: int, n: Sequence[int]) -> tuple[int, ...]:
     clear bits: max(0, min over set bits - max over clear bits).  The parts
     reconstruct each n_i as the product over the matching constraint set,
     multiply to lcm(n), and share no prime across any edge of the graph.
+    Entries up to 2**40 are factored over the shared sieve tables.
     """
     if len(n) != k:
         raise ValueError(f"expected a {k}-tuple")
     if any(x < 1 for x in n):
         raise ValueError("entries must be positive")
-    factored = [_factor_small(x) for x in n]
+    tables = shared_sieve(factoring_limit(max(n, default=1)))
+    factored = [dict(tables.factor(x)) for x in n]
     primes = sorted(set().union(*[set(f) for f in factored]))
     parts = [1] * (2**k - 1)
     for p in primes:
@@ -273,19 +273,6 @@ def decompose_tuple(k: int, n: Sequence[int]) -> tuple[int, ...]:
             if lo > hi:
                 parts[j - 1] *= p ** (lo - hi)
     return tuple(parts)
-
-
-def _factor_small(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def is_gwise_coprime(g: Graph, a: Sequence[int]) -> bool:

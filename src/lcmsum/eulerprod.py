@@ -28,7 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .coprimality import Graph, local_factor_poly, stirling_ism_counts
+from .coprimality import (Graph, expand_one_minus_x, local_factor_poly,
+                          stirling_ism_counts)
 from .errors import PrecisionError
 from .exactmath import (
     BoundedReal,
@@ -309,13 +310,9 @@ def count_density_poly(k: int) -> tuple[int, ...]:
     if k < 2:
         raise ValueError("k must be at least 2")
     v = 2**k - 1
-    acc = [0] * (v + 1)
-    for m in range(1, k + 1):
-        w = stirling2(k, m) * math.factorial(m)
-        binom = [(-1) ** i * math.comb(v - m, i) for i in range(v - m + 1)]
-        for i, t in enumerate(binom):
-            acc[m - 1 + i] += w * t
-    return tuple(acc)
+    # index m - 1 carries S(k,m) m!, so the expansion has degree v - 1
+    weights = [stirling2(k, m + 1) * math.factorial(m + 1) for m in range(k)]
+    return (*expand_one_minus_x(weights, v - 1), 0)
 
 
 def lcm_count_density(k: int, target_error=DEFAULT_TARGET, **kwargs) -> BoundedReal:
@@ -349,23 +346,15 @@ def series_identity_mismatch(k: int, n: int) -> tuple[str, int] | None:
 
     v = 2**k - 1
     series = [(nu + 1) ** k - nu**k for nu in range(n + 1)]
-    binom = [(-1) ** i * math.comb(v, i) for i in range(v + 1)]
     prod = [0] * (n + 1)
-    for i, t in enumerate(binom):
+    for i, t in enumerate(expand_one_minus_x([1], v)):
         for nu, s in enumerate(series[: n + 1 - i]):
             prod[i + nu] += t * s
     for a in range(n + 1):
         if prod[a] != q[a]:
             return ("count-series", a)
 
-    ism = stirling_ism_counts(k)
-    alt = [0] * (n + 1)
-    for m, im in enumerate(ism):
-        if im == 0:
-            continue
-        binom = [(-1) ** i * math.comb(v - m, i) for i in range(v - m + 1)]
-        for i, t in enumerate(binom):
-            alt[m + i] += im * t
+    alt = expand_one_minus_x(stirling_ism_counts(k), v) + [0] * (n - v)
     for a in range(n + 1):
         if alt[a] != q[a]:
             return ("independent-set", a)

@@ -374,6 +374,22 @@ def shared_sieve(limit: int = DEFAULT_SIEVE_LIMIT) -> SieveTables:
     return sieve(limit)
 
 
+#: the largest limit `factoring_limit` returns; its tables factor n <= 2**40
+MAX_FACTORING_LIMIT = 1 << 20
+
+
+def factoring_limit(n: int) -> int:
+    """Sieve limit whose tables factor every integer up to n.
+
+    The smallest power of two from 128 up with limit**2 >= n, capped at
+    MAX_FACTORING_LIMIT (past which `SieveTables.factor` refuses).  Powers
+    of two keep callers that factor a whole range on one or two
+    `shared_sieve` entries.
+    """
+    # 1 << isqrt(n - 1).bit_length() is the least power of two p with p * p >= n
+    return min(MAX_FACTORING_LIMIT, max(128, 1 << math.isqrt(n - 1).bit_length()))
+
+
 # ---------------------------------------------------------------------------
 # Combinatorial helpers
 # ---------------------------------------------------------------------------

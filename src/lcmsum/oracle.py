@@ -6,10 +6,14 @@ The sums treated here, for tuples (n_1..n_k) of positive integers up to x:
     coprime variant    same, restricted to gcd(n_1..n_k) = 1
     product-over-lcm   sum (n_1*...*n_k)/lcm(n_1..n_k)
 
-All oracle values are exact rationals.  Internally each sum accumulates an
-integer numerator over the fixed denominator lcm(1..x): every tuple lcm
-divides it, so a single big integer add per tuple replaces rational
-normalization.  Sorted-tuple symmetry cuts the work by about k!.
+All oracle values are exact rationals.  One brute pass visits each sorted
+tuple once (symmetry cuts the work by about k!) and accumulates all three
+sums plus the raw and gcd-1 tuple counts; the reciprocal sums as integer
+numerators over the fixed denominator lcm(1..x), which every tuple lcm
+divides, so a single big integer add per tuple replaces rational
+normalization.  The pass is cached on (k, x), so asking for the three sums
+at one x costs one pass; each public brute function checks its tuple
+budget before the cache.
 
 `leading_constants` assembles the top-coefficient data of the three sums:
 c = density * vol(D), the coprime constant (2**k - 1) c, the product-sum
@@ -18,23 +22,27 @@ constant density * vol(D_star2), and the exact power-saving exponents.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .coprimality import build_coprimality_graph
 from .errors import InvariantViolation, ResourceLimitError
 from .eulerprod import coprime_density
-from .exactmath import BoundedReal, SurdRatio, shared_sieve
+from .exactmath import BoundedReal, SurdRatio, factoring_limit, shared_sieve
 from .polytope import volume_of
 
 #: brute sums refuse more than this many raw tuple evaluations
 TUPLE_BUDGET = 10**8
+
+#: (k, x) brute passes kept: enough for a k=2 sweep to x=200 plus a k=3
+#: sweep to x=30, so the gcd-1 sweep after the plain one is all cache hits
+BRUTE_CACHE_SIZE = 256
 
 #: constrained-tuple search refuses more than this many tree nodes
 GWISE_NODE_BUDGET = 5 * 10**7
@@ -46,10 +54,7 @@ FAST_S2_MAX = 10**7
 
 @lru_cache(maxsize=32)
 def _lcm_upto(x: int) -> int:
-    out = 1
-    for n in range(2, x + 1):
-        out = math.lcm(out, n)
-    return out
+    return math.lcm(*range(1, x + 1))
 
 
 def _perm_count(t: Sequence[int]) -> int:
@@ -73,34 +78,50 @@ def _check_budget(k: int, x: int, budget: int) -> None:
             f"x**k = {x**k} exceeds the tuple budget {budget}")
 
 
+class _BrutePass(NamedTuple):
+    recip: Fraction          # sum 1/lcm over all tuples
+    recip_coprime: Fraction  # the same over the gcd-1 tuples
+    prod_over_lcm: Fraction  # sum prod/lcm over all tuples
+    tuples: int              # x**k, summed from the permutation weights
+    coprime_tuples: int      # tuples with gcd 1
+
+
+@lru_cache(maxsize=BRUTE_CACHE_SIZE)
+def _brute_pass(k: int, x: int) -> _BrutePass:
+    """All three brute sums and both tuple counts from one visit of each
+    sorted tuple, each weighted by its number of orderings."""
+    big = _lcm_upto(x)
+    recip = coprime = prod = tuples = coprime_tuples = 0
+    for t in itertools.combinations_with_replacement(range(1, x + 1), k):
+        w = _perm_count(t)
+        lcm = math.lcm(*t)
+        term = w * (big // lcm)
+        recip += term
+        tuples += w
+        if math.gcd(*t) == 1:
+            coprime += term
+            coprime_tuples += w
+        prod += w * (math.prod(t) // lcm)
+    return _BrutePass(Fraction(recip, big), Fraction(coprime, big),
+                      Fraction(prod), tuples, coprime_tuples)
+
+
 def brute_recip_lcm_sum(k: int, x: int, budget: int = TUPLE_BUDGET) -> Fraction:
     """sum over all k-tuples <= x of 1/lcm, exact."""
     _check_budget(k, x, budget)
-    big = _lcm_upto(x)
-    num = 0
-    for t in combinations_with_replacement(range(1, x + 1), k):
-        num += _perm_count(t) * (big // math.lcm(*t))
-    return Fraction(num, big)
+    return _brute_pass(k, x).recip
 
 
 def brute_recip_lcm_sum_coprime(k: int, x: int, budget: int = TUPLE_BUDGET) -> Fraction:
     """Same sum restricted to tuples with overall gcd 1, exact."""
     _check_budget(k, x, budget)
-    big = _lcm_upto(x)
-    num = 0
-    for t in combinations_with_replacement(range(1, x + 1), k):
-        if math.gcd(*t) == 1:
-            num += _perm_count(t) * (big // math.lcm(*t))
-    return Fraction(num, big)
+    return _brute_pass(k, x).recip_coprime
 
 
 def brute_prod_over_lcm_sum(k: int, x: int, budget: int = TUPLE_BUDGET) -> Fraction:
     """sum over all k-tuples <= x of (n_1*...*n_k)/lcm; integer-valued."""
     _check_budget(k, x, budget)
-    total = 0
-    for t in combinations_with_replacement(range(1, x + 1), k):
-        total += _perm_count(t) * (math.prod(t) // math.lcm(*t))
-    return Fraction(total)
+    return _brute_pass(k, x).prod_over_lcm
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +218,12 @@ def _gwise_with_count(
     big = _lcm_upto(x)
     order = sorted(range(1, v + 1),
                    key=lambda j: (-j.bit_count(), j))
-    adj = g.adjacency
-    cons = g.constraints
+    # per position: the constraints the label enters, its graph neighbours
+    # assigned earlier in the order, and whether it is the pinned top label
+    touching = [[i for i in range(k) if j in g.constraints[i]] for j in order]
+    earlier = [[l for l in order[:pos] if g.adjacency[j] >> l & 1]
+               for pos, j in enumerate(order)]
+    pinned = [fix_last_to_one and j == v for j in order]
     values = [1] * (v + 1)  # 1-indexed by label
     prods = [1] * k
     nodes = 0
@@ -216,19 +241,18 @@ def _gwise_with_count(
             leaves += 1
             return
         j = order[pos]
-        touching = [i for i in range(k) if j in cons[i]]
-        cap = min(x // prods[i] for i in touching)
-        top = 1 if (fix_last_to_one and j == v) else cap
-        neighbors = [l for l in range(1, v + 1)
-                     if adj[j] >> l & 1 and values[l] > 1]
+        cons = touching[pos]
+        top = 1 if pinned[pos] else min(x // prods[i] for i in cons)
+        # a part must be coprime to every neighbour's part, so to their product
+        fixed = math.prod(values[l] for l in earlier[pos])
         for a in range(1, top + 1):
-            if a > 1 and any(math.gcd(a, values[l]) != 1 for l in neighbors):
+            if fixed > 1 and math.gcd(a, fixed) != 1:
                 continue
             values[j] = a
-            for i in touching:
+            for i in cons:
                 prods[i] *= a
             dfs(pos + 1, denom * a)
-            for i in touching:
+            for i in cons:
                 prods[i] //= a
             values[j] = 1
 
@@ -245,24 +269,31 @@ def lcm_multiplicity(k: int, n: int, tables=None) -> int:
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
     if tables is None:
-        tables = shared_sieve(max(100, min(n, 10**6)))
+        tables = shared_sieve(factoring_limit(n))
     out = 1
     for _, e in tables.factor(n):
         out *= (e + 1) ** k - e**k
     return out
 
 
-def lcm_multiplicity_sum(k: int, x: int, tables=None) -> Fraction:
-    """sum_{n<=x} (tuples with lcm n)/n, exact; a lower bound for the full sum."""
+def _alpha_sum(k: int, x: int, tables=None) -> tuple[Fraction, int]:
+    # sum_{n<=x} alpha(k, n)/n and sum_{n<=x} alpha(k, n) from one loop
     if x < 1:
         raise ValueError("x must be positive")
     if tables is None:
-        tables = shared_sieve(max(100, x))
+        tables = shared_sieve(factoring_limit(x))
     big = _lcm_upto(x)
-    num = 0
+    num = count = 0
     for n in range(1, x + 1):
-        num += lcm_multiplicity(k, n, tables) * (big // n)
-    return Fraction(num, big)
+        alpha = lcm_multiplicity(k, n, tables)
+        num += alpha * (big // n)
+        count += alpha
+    return Fraction(num, big), count
+
+
+def lcm_multiplicity_sum(k: int, x: int, tables=None) -> Fraction:
+    """sum_{n<=x} (tuples with lcm n)/n, exact; a lower bound for the full sum."""
+    return _alpha_sum(k, x, tables)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -303,29 +334,19 @@ def sum_report(kind: str, k: int, x: int, fix_last_to_one: bool = False,
     `budget` caps the raw tuples of the brute kinds (S, U, V) and
     `node_budget` the search nodes of the gwise kind.
     """
-    if kind == "S":
-        return SumReport("S", k, x, brute_recip_lcm_sum(k, x, budget), x**k)
-    if kind == "V":
-        return SumReport("V", k, x, brute_prod_over_lcm_sum(k, x, budget), x**k)
-    if kind == "U":
+    if kind in ("S", "U", "V"):
         _check_budget(k, x, budget)
-        big = _lcm_upto(x)
-        num = 0
-        count = 0
-        for t in combinations_with_replacement(range(1, x + 1), k):
-            if math.gcd(*t) == 1:
-                w = _perm_count(t)
-                num += w * (big // math.lcm(*t))
-                count += w
-        return SumReport("U", k, x, Fraction(num, big), count)
+        brute = _brute_pass(k, x)
+        if kind == "U":
+            return SumReport("U", k, x, brute.recip_coprime, brute.coprime_tuples)
+        value = brute.recip if kind == "S" else brute.prod_over_lcm
+        return SumReport(kind, k, x, value, brute.tuples)
     if kind == "gwise":
         value, leaves = _gwise_with_count(k, x, fix_last_to_one, node_budget)
         return SumReport("gwise", k, x, value, leaves)
     if kind == "alpha":
-        tables = shared_sieve(max(100, x))
-        count = sum(lcm_multiplicity(k, n, tables) for n in range(1, x + 1))
-        return SumReport("alpha", k, x, lcm_multiplicity_sum(k, x, tables),
-                         count)
+        value, count = _alpha_sum(k, x)
+        return SumReport("alpha", k, x, value, count)
     raise ValueError(f"kind must be one of {SUM_KINDS}")
 
 

@@ -92,8 +92,12 @@ def test_theta_command_k2_nota(capsys):
 
 
 def test_brute_and_gwise_commands(capsys):
+    from lcmsum import oracle
+
+    oracle._brute_pass.cache_clear()
     code, bout = run_cli(capsys, "brute", "--k", "2", "--x", "6")
     assert code == 0
+    assert oracle._brute_pass.cache_info().misses == 1  # one pass, three sums
     code, gout = run_cli(capsys, "gwise", "--k", "2", "--x", "6")
     assert code == 0
     brute = dict(line.split("=", 1) for line in bout.splitlines()
@@ -114,6 +118,16 @@ def test_alpha_command(capsys):
     assert "alpha_sum=19/4" in out
     # 1 + 3 + 3 + 5 tuples with lcm <= 4
     assert out.strip().endswith("tuples_with_lcm_le_x=12")
+
+
+def test_alpha_command_builds_one_sieve(capsys):
+    # every n <= 200 is factored over the one table whose limit**2 covers 200
+    from lcmsum.exactmath import shared_sieve
+
+    shared_sieve.cache_clear()
+    code, _ = run_cli(capsys, "alpha", "--k", "2", "--x", "200")
+    assert code == 0
+    assert shared_sieve.cache_info().misses <= 1
 
 
 def test_identity_command(capsys):

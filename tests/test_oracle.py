@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from lcmsum import oracle
 from lcmsum.errors import ResourceLimitError
 from lcmsum.exactmath import BoundedReal
 from lcmsum.oracle import (
@@ -59,6 +60,11 @@ def test_brute_sums_against_raw_enumeration():
             k, x, lambda t: Fraction(1, math.lcm(*t)) if math.gcd(*t) == 1 else 0)
         assert brute_prod_over_lcm_sum(k, x) == raw_sum(
             k, x, lambda t: Fraction(math.prod(t), math.lcm(*t)))
+        # the pass's counts: every raw tuple once, then the gcd-1 ones
+        brute = oracle._brute_pass(k, x)
+        assert brute.tuples == x**k == raw_sum(k, x, lambda t: 1)
+        assert brute.coprime_tuples == raw_sum(
+            k, x, lambda t: 1 if math.gcd(*t) == 1 else 0)
 
 
 def test_brute_order_relations():
@@ -73,6 +79,17 @@ def test_brute_order_relations():
 def test_brute_budget_guard():
     with pytest.raises(ResourceLimitError):
         brute_recip_lcm_sum(3, 10**4)
+
+
+def test_brute_budget_guard_holds_for_a_cached_pass():
+    # the budget is checked before the cache, so a pass computed under the
+    # default budget is still refused under a smaller one
+    brute_recip_lcm_sum(3, 10)
+    for brute in (brute_recip_lcm_sum, brute_recip_lcm_sum_coprime,
+                  brute_prod_over_lcm_sum):
+        with pytest.raises(ResourceLimitError):
+            brute(3, 10, budget=999)
+    assert brute_recip_lcm_sum(3, 10, budget=1000) == brute_recip_lcm_sum(3, 10)
 
 
 # ---------------------------------------------------------------------------
