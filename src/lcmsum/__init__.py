@@ -8,7 +8,9 @@ Library layout:
 * `polytope`    exact volumes of the hyperbolic-constraint polytopes via
                 lattice-point counting
 * `eulerprod`   certified Euler products with zeta-factorization acceleration
-* `oracle`      exact brute-force sums and the assembled leading constants
+* `oracle`      exact brute-force, constrained and lcm-multiplicity sums,
+                each also with its tuple count, and the assembled leading
+                constants
 * `checks`      the `verify` battery: one ordered table of checks
 * `cli`         the `lcmsum` command; `verify` runs and renders the battery
 """
@@ -49,22 +51,22 @@ from .exactmath import (
     leading_coeff_by_differences,
     sieve,
     stirling2,
-    valuation,
     zeta_value,
 )
 from .oracle import (
     LeadingConstants,
-    SumReport,
     brute_prod_over_lcm_sum,
     brute_recip_lcm_sum,
     brute_recip_lcm_sum_coprime,
+    brute_sums,
     convergence_report,
     fast_recip_lcm_sum2,
     gwise_constrained_sum,
+    gwise_sum_with_count,
     lcm_multiplicity,
     lcm_multiplicity_sum,
+    lcm_multiplicity_table,
     leading_constants,
-    sum_report,
     theta_exponents,
 )
 from .polytope import (

@@ -34,9 +34,9 @@ from .coprimality import (build_coprimality_graph, graph_dump,
 from .errors import ResourceLimitError
 from .eulerprod import euler_product, series_identity_check
 from .exactmath import BoundedReal
-from .oracle import (GWISE_NODE_BUDGET, TUPLE_BUDGET, convergence_report,
-                     lcm_multiplicity, leading_constants, sum_report,
-                     theta_exponents)
+from .oracle import (GWISE_NODE_BUDGET, TUPLE_BUDGET, brute_sums,
+                     convergence_report, gwise_sum_with_count,
+                     lcm_multiplicity_table, leading_constants, theta_exponents)
 from .polytope import KINDS, build_polytope, export_ieqs, volume_of
 
 DEFAULT_DIGITS = 10
@@ -130,33 +130,31 @@ def cmd_theta(args):
 
 
 def cmd_brute(args):
-    s, u, v = (sum_report(kind, args.k, args.x, budget=args.budget)
-               for kind in "SUV")
+    b = brute_sums(args.k, args.x, args.budget)
     return (
-        f"recip_lcm_sum={fmt_rational(s.value)}\n"
-        f"recip_lcm_sum_coprime={fmt_rational(u.value)}\n"
-        f"prod_over_lcm_sum={fmt_rational(v.value)}\n"
-        f"tuples={s.tuple_count} coprime_tuples={u.tuple_count}\n"
+        f"recip_lcm_sum={fmt_rational(b.recip)}\n"
+        f"recip_lcm_sum_coprime={fmt_rational(b.recip_coprime)}\n"
+        f"prod_over_lcm_sum={fmt_rational(b.prod_over_lcm)}\n"
+        f"tuples={b.tuples} coprime_tuples={b.coprime_tuples}\n"
     ), 0
 
 
 def cmd_gwise(args):
-    plain, pinned = (sum_report("gwise", args.k, args.x, fix_last_to_one=fix,
-                                node_budget=args.budget)
-                     for fix in (False, True))
+    (plain, leaves), (pinned, pinned_leaves) = (
+        gwise_sum_with_count(args.k, args.x, fix, args.budget)
+        for fix in (False, True))
     return (
-        f"constrained_sum={fmt_rational(plain.value)}\n"
-        f"constrained_sum_gcd1={fmt_rational(pinned.value)}\n"
-        f"tuples={plain.tuple_count} gcd1_tuples={pinned.tuple_count}\n"
+        f"constrained_sum={fmt_rational(plain)}\n"
+        f"constrained_sum_gcd1={fmt_rational(pinned)}\n"
+        f"tuples={leaves} gcd1_tuples={pinned_leaves}\n"
     ), 0
 
 
 def cmd_alpha(args):
-    lines = [f"alpha({args.k},{n})={lcm_multiplicity(args.k, n)}"
-             for n in range(1, args.x + 1)]
-    rep = sum_report("alpha", args.k, args.x)
-    lines.append(f"alpha_sum={fmt_rational(rep.value)}")
-    lines.append(f"tuples_with_lcm_le_x={rep.tuple_count}")
+    alphas, total = lcm_multiplicity_table(args.k, args.x)
+    lines = [f"alpha({args.k},{n})={a}" for n, a in enumerate(alphas, start=1)]
+    lines.append(f"alpha_sum={fmt_rational(total)}")
+    lines.append(f"tuples_with_lcm_le_x={sum(alphas)}")
     return "\n".join(lines) + "\n", 0
 
 

@@ -204,15 +204,6 @@ def local_factor_poly_by_edge_subsets(g: Graph) -> tuple[int, ...]:
     sum over F subseteq E of (-1)^|F| x^(number of vertices F touches);
     exponential in |E|, kept as an independent verification route.
     """
-    return _edge_subset_poly(g, signed=True)
-
-
-def unsigned_edge_subset_poly(g: Graph) -> tuple[int, ...]:
-    """Unsigned variant: coefficient a counts edge subsets touching a vertices."""
-    return _edge_subset_poly(g, signed=False)
-
-
-def _edge_subset_poly(g: Graph, signed: bool) -> tuple[int, ...]:
     e = g.edge_count
     if e > MAX_EDGE_SUBSET_EDGES:
         raise ResourceLimitError(
@@ -225,10 +216,8 @@ def _edge_subset_poly(g: Graph, signed: bool) -> tuple[int, ...]:
     for s in range(1, 1 << e):
         low = s & -s
         cover[s] = cover[s ^ low] | masks[low.bit_length() - 1]
-        sign = -1 if (signed and s.bit_count() & 1) else 1
-        coeffs[cover[s].bit_count()] += sign
-    if signed:
-        _check_local_poly(coeffs, e)
+        coeffs[cover[s].bit_count()] += -1 if s.bit_count() & 1 else 1
+    _check_local_poly(coeffs, e)
     return tuple(coeffs)
 
 

@@ -33,7 +33,7 @@ from .coprimality import (Graph, expand_one_minus_x, local_factor_poly,
 from .errors import PrecisionError
 from .exactmath import (
     BoundedReal,
-    DEFAULT_BITS,
+    CERTIFIED_BITS,
     shared_sieve,
     stirling2,
     zeta_value,
@@ -151,14 +151,15 @@ class EulerProductResult:
     tail_bound: Fraction
 
 
-def _coeff_bound(coeffs: Sequence[int], b: dict[int, int], radius: Fraction,
-                 bits: int) -> Fraction | None:
+def _coeff_bound(coeffs: Sequence[int], b: dict[int, int],
+                 radius: Fraction) -> Fraction | None:
     """Upper bound for max |R| on the circle |x| = radius, or None if huge.
 
     Triangle inequality per factor: |Q| <= sum |c_a| r^a, |1-x^j| within
     [1 - r^j, 1 + r^j].  Rejects radii at which the bound exceeds 2**24
     (a tighter radius will be tried instead).
     """
+    bits = CERTIFIED_BITS
     acc = BoundedReal.exact(sum(abs(c) * radius**a for a, c in enumerate(coeffs)), bits)
     for j, bj in b.items():
         rj = radius**j
@@ -178,7 +179,6 @@ def euler_product(
     target_error=DEFAULT_TARGET,
     order: int = DEFAULT_ORDER,
     prime_cutoff: int | None = None,
-    bits: int = DEFAULT_BITS + 32,
 ) -> EulerProductResult:
     """prod over primes of Q(1/p) for an integer polynomial Q, certified.
 
@@ -186,13 +186,14 @@ def euler_product(
     the cutoff (the enclosure of each local factor must be positive), and
     past the cutoff positivity follows from the remainder bound.  Raises
     PrecisionError if the final enclosure is wider than target_error.
-    Results are cached (the computation is pure).
+    Enclosures carry CERTIFIED_BITS, the precision of the zeta values they
+    use.  Results are cached (the computation is pure).
     """
     target = Fraction(target_error)
     if target <= 0:
         raise ValueError("target_error must be positive")
     return _euler_product_cached(
-        tuple(int(c) for c in coeffs), target, order, prime_cutoff, bits)
+        tuple(int(c) for c in coeffs), target, order, prime_cutoff)
 
 
 @lru_cache(maxsize=64)
@@ -201,8 +202,8 @@ def _euler_product_cached(
     target: Fraction,
     order: int,
     prime_cutoff: int | None,
-    bits: int,
 ) -> EulerProductResult:
+    bits = CERTIFIED_BITS
     if all(c == 0 for c in coeffs[1:]):
         if coeffs[0] != 1:
             raise ValueError("polynomial must have constant term 1")
@@ -214,7 +215,7 @@ def _euler_product_cached(
 
     radius = bound = None
     for r in RADIUS_LADDER:
-        m = _coeff_bound(coeffs, b, r, bits)
+        m = _coeff_bound(coeffs, b, r)
         if m is not None:
             radius, bound = r, m
             break
@@ -261,7 +262,7 @@ def _euler_product_cached(
         ztarget = target / (16 * nfac * max(1, abs(bj)))
         # snap to a power of two so repeated evaluations share the zeta cache
         ztarget = Fraction(1, 2 ** (1 - math.floor(math.log2(ztarget))))
-        excess = zeta_value(j, ztarget, bits=bits)
+        excess = zeta_value(j, ztarget)
         for p in primes:
             pj = p**j
             excess = excess * BoundedReal(
@@ -290,10 +291,9 @@ def _as_coeffs(g_or_coeffs: PolyLike) -> tuple[int, ...]:
     return tuple(int(c) for c in g_or_coeffs)
 
 
-def coprime_density(g_or_coeffs: PolyLike, target_error=DEFAULT_TARGET,
-                    **kwargs) -> BoundedReal:
+def coprime_density(g_or_coeffs: PolyLike, target_error=DEFAULT_TARGET) -> BoundedReal:
     """Density constant of graph-wise coprime tuples: prod_p Q(1/p), certified."""
-    return euler_product(_as_coeffs(g_or_coeffs), target_error, **kwargs).value
+    return euler_product(_as_coeffs(g_or_coeffs), target_error).value
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +315,7 @@ def count_density_poly(k: int) -> tuple[int, ...]:
     return (*expand_one_minus_x(weights, v - 1), 0)
 
 
-def lcm_count_density(k: int, target_error=DEFAULT_TARGET, **kwargs) -> BoundedReal:
+def lcm_count_density(k: int, target_error=DEFAULT_TARGET) -> BoundedReal:
     """The density constant evaluated from the tuple-count local factors.
 
     Must agree with coprime_density of the k-input graph within combined
@@ -323,7 +323,7 @@ def lcm_count_density(k: int, target_error=DEFAULT_TARGET, **kwargs) -> BoundedR
     """
     if not (2 <= k <= 4):
         raise ValueError("k must be between 2 and 4")
-    return euler_product(count_density_poly(k), target_error, **kwargs).value
+    return euler_product(count_density_poly(k), target_error).value
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +346,7 @@ def series_identity_mismatch(k: int, n: int) -> tuple[str, int] | None:
 
     v = 2**k - 1
     series = [(nu + 1) ** k - nu**k for nu in range(n + 1)]
-    prod = [0] * (n + 1)
-    for i, t in enumerate(expand_one_minus_x([1], v)):
-        for nu, s in enumerate(series[: n + 1 - i]):
-            prod[i + nu] += t * s
+    prod = _series_mul(expand_one_minus_x([1], v), series, n)
     for a in range(n + 1):
         if prod[a] != q[a]:
             return ("count-series", a)

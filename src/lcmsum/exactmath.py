@@ -6,8 +6,8 @@ Everything downstream leans on four guarantees provided here:
 * `BoundedReal` is a two-sided dyadic enclosure: the true quantity always
   lies in [lo, hi], and every operation rounds outward, so bounds are
   worst-case rather than statistical;
-* sieve tables (primes, Mobius values, smallest prime factors) are exact for
-  every integer up to their limit and support factoring up to limit**2;
+* sieve tables (primes, smallest prime factors) are exact for every integer
+  up to their limit and support factoring and primality up to limit**2;
 * zeta values come with a certified absolute error from a bracketed
   integral tail bound.
 """
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +28,9 @@ ExactRational = Fraction
 
 #: default working precision (fractional bits) for BoundedReal enclosures
 DEFAULT_BITS = 128
+
+#: working precision of zeta values and of the Euler products built on them
+CERTIFIED_BITS = DEFAULT_BITS + 32
 
 #: hard ceiling on sieve size (the limit**2 trial-division fallback covers the rest)
 MAX_SIEVE_LIMIT = 10**8
@@ -226,14 +229,11 @@ class SurdRatio:
     def __post_init__(self):
         if self.root <= 0:
             raise ValueError("root must be positive")
-        r, q = self.root, Fraction(1)
-        d = 2
-        while d * d <= r:
-            while r % (d * d) == 0:
-                r //= d * d
-                q /= d
-            d += 1
-        object.__setattr__(self, "rational", self.rational * q)
+        r = q = 1
+        for p, e in shared_sieve(factoring_limit(self.root)).factor(self.root):
+            r *= p ** (e % 2)
+            q *= p ** (e // 2)
+        object.__setattr__(self, "rational", self.rational / q)
         object.__setattr__(self, "root", r)
 
     @property
@@ -270,66 +270,58 @@ class SurdRatio:
 
 @dataclass(frozen=True)
 class SieveTables:
-    """Primes, Mobius values, and smallest prime factors up to `limit`.
+    """Primes and smallest prime factors up to `limit`.
 
-    `mobius[n]` and `smallest_prime_factor[n]` are valid for 1 <= n <= limit;
-    `factor` handles any n <= limit**2 by trial division over the sieved
-    primes.
+    `smallest_prime_factor[n]` is valid for 1 <= n <= limit; `factor` and
+    `is_prime` handle any n <= limit**2, by trial division over the sieved
+    primes while n is above the limit.
     """
 
     limit: int
     primes: np.ndarray
-    mobius: np.ndarray
     smallest_prime_factor: np.ndarray
 
-    def is_prime(self, n: int) -> bool:
-        if n < 2:
-            return False
-        if n <= self.limit:
-            return int(self.smallest_prime_factor[n]) == n
-        return self.factor(n) == [(n, 1)]
+    def _walk(self, n: int) -> Iterator[int]:
+        if n > self.limit * self.limit:
+            raise ResourceLimitError(
+                f"cannot factor {n} with sieve limit {self.limit}"
+            )
+        return map(int, self.primes)
 
-    def _trial_primes(self, n: int) -> Iterable[int]:
-        root = math.isqrt(n)
-        for p in self.primes:
-            p = int(p)
-            if p > root:
-                return
-            yield p
+    def _least_factor(self, n: int, walk: Iterator[int]) -> int:
+        # least prime factor of n > 1, none of whose prime factors precede
+        # the walk's position; past the limit, trial division stops at
+        # the square root of n
+        if n <= self.limit:
+            return int(self.smallest_prime_factor[n])
+        for p in walk:
+            if p * p > n:
+                break
+            if n % p == 0:
+                return p
+        return n
+
+    def is_prime(self, n: int) -> bool:
+        return n > 1 and self._least_factor(n, self._walk(n)) == n
 
     def factor(self, n: int) -> list[tuple[int, int]]:
         """Prime factorization of n as sorted (p, exponent) pairs."""
         if n < 1:
             raise ValueError("n must be positive")
-        if n > self.limit * self.limit:
-            raise ResourceLimitError(
-                f"cannot factor {n} with sieve limit {self.limit}"
-            )
+        walk = self._walk(n)
         out: list[tuple[int, int]] = []
-        if n <= self.limit:
-            spf = self.smallest_prime_factor
-            while n > 1:
-                p = int(spf[n])
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out.append((p, e))
-            return out
-        for p in self._trial_primes(n):
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out.append((p, e))
-        if n > 1:
-            out.append((n, 1))
+        while n > 1:
+            p = self._least_factor(n, walk)
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
         return out
 
 
 def sieve(limit: int) -> SieveTables:
-    """Build prime/Mobius/smallest-factor tables for all n <= limit."""
+    """Build prime and smallest-factor tables for all n <= limit."""
     if limit < 2:
         raise ValueError("limit must be at least 2")
     if limit > MAX_SIEVE_LIMIT:
@@ -346,30 +338,11 @@ def sieve(limit: int) -> SieveTables:
     spf[1] = 1
     primes = np.nonzero(spf == np.arange(limit + 1, dtype=np.int64))[0]
     primes = primes[primes >= 2]
-
-    # Mobius: flip sign per prime p <= sqrt(limit), kill square multiples,
-    # then one more flip where a prime factor > sqrt(limit) remains.
-    mob = np.ones(limit + 1, dtype=np.int8)
-    mob[0] = 0
-    accounted = np.ones(limit + 1, dtype=np.int64)
-    idx = np.arange(limit + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == p:
-            mob[p::p] *= -1
-            mob[p * p :: p * p] = 0
-            accounted[p::p] *= p
-    mob[accounted != idx] *= -1
-    mob[0] = 0
-    return SieveTables(limit=limit, primes=primes, mobius=mob,
-                       smallest_prime_factor=spf)
-
-
-#: default table size for callers that do not state their own needs
-DEFAULT_SIEVE_LIMIT = 10**7
+    return SieveTables(limit=limit, primes=primes, smallest_prime_factor=spf)
 
 
 @lru_cache(maxsize=6)
-def shared_sieve(limit: int = DEFAULT_SIEVE_LIMIT) -> SieveTables:
+def shared_sieve(limit: int) -> SieveTables:
     """Process-wide cached tables for callers that do not manage their own."""
     return sieve(limit)
 
@@ -412,26 +385,13 @@ def stirling2(k: int, m: int) -> int:
     return _stirling_row(k)[m]
 
 
-def valuation(n: int, p: int) -> int:
-    """Largest e with p**e dividing n (n >= 1, p >= 2)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
 # ---------------------------------------------------------------------------
 # Certified zeta values
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _zeta_cached(j: int, num: int, den: int, bits: int) -> BoundedReal:
-    target = Fraction(num, den)
+def _zeta_cached(j: int, target: Fraction) -> BoundedReal:
+    bits = CERTIFIED_BITS
     # bracket the tail: integral bounds give
     #   sum_{n>N} n^-j  in  [ (N+1)^(1-j), N^(1-j) ] / (j-1)
     # so the bracket width shrinks like N^-j; grow N until it fits.
@@ -456,23 +416,23 @@ def _zeta_cached(j: int, num: int, den: int, bits: int) -> BoundedReal:
     if out.abs_error > target:
         raise PrecisionError(
             f"zeta({j}): achieved {float(out.abs_error):.2e} > target "
-            f"{float(target):.2e}; raise working precision",
+            f"{float(target):.2e} at {bits} bits",
             achieved=out.abs_error)
     return out
 
 
-def zeta_value(j: int, target_error, bits: int = DEFAULT_BITS) -> BoundedReal:
+def zeta_value(j: int, target_error) -> BoundedReal:
     """zeta(j) for integer j >= 2 with certified absolute error <= target_error.
 
-    Partial sum of n^-j plus a two-sided integral tail bound N^(1-j)/(j-1);
-    the returned enclosure is rigorous, not heuristic.
+    Partial sum of n^-j plus a two-sided integral tail bound N^(1-j)/(j-1),
+    at CERTIFIED_BITS; the returned enclosure is rigorous, not heuristic.
     """
     if j < 2:
         raise ValueError("j must be at least 2")
     t = Fraction(target_error)
     if t <= 0:
         raise ValueError("target_error must be positive")
-    return _zeta_cached(j, t.numerator, t.denominator, bits)
+    return _zeta_cached(j, t)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,13 @@ sums plus the raw and gcd-1 tuple counts; the reciprocal sums as integer
 numerators over the fixed denominator lcm(1..x), which every tuple lcm
 divides, so a single big integer add per tuple replaces rational
 normalization.  The pass is cached on (k, x), so asking for the three sums
-at one x costs one pass; each public brute function checks its tuple
-budget before the cache.
+at one x costs one pass; `brute_sums`, through which every brute function
+reads it, checks the tuple budget before the cache.
+
+Each route also has an entry that returns its count beside its value:
+`brute_sums` (the three sums, the raw and gcd-1 tuple counts),
+`gwise_sum_with_count` (the sum and the search leaves) and
+`lcm_multiplicity_table` (alpha(k, n) for n <= x and their weighted sum).
 
 `leading_constants` assembles the top-coefficient data of the three sums:
 c = density * vol(D), the coprime constant (2**k - 1) c, the product-sum
@@ -51,6 +56,9 @@ GWISE_NODE_BUDGET = 5 * 10**7
 FAST_S2_EXACT_LIMIT = 10**4
 FAST_S2_MAX = 10**7
 
+#: fractional bits of the totient-formula enclosures past the exact limit
+FAST_S2_BITS = 96
+
 
 @lru_cache(maxsize=32)
 def _lcm_upto(x: int) -> int:
@@ -78,7 +86,7 @@ def _check_budget(k: int, x: int, budget: int) -> None:
             f"x**k = {x**k} exceeds the tuple budget {budget}")
 
 
-class _BrutePass(NamedTuple):
+class BruteSums(NamedTuple):
     recip: Fraction          # sum 1/lcm over all tuples
     recip_coprime: Fraction  # the same over the gcd-1 tuples
     prod_over_lcm: Fraction  # sum prod/lcm over all tuples
@@ -87,7 +95,7 @@ class _BrutePass(NamedTuple):
 
 
 @lru_cache(maxsize=BRUTE_CACHE_SIZE)
-def _brute_pass(k: int, x: int) -> _BrutePass:
+def _brute_pass(k: int, x: int) -> BruteSums:
     """All three brute sums and both tuple counts from one visit of each
     sorted tuple, each weighted by its number of orderings."""
     big = _lcm_upto(x)
@@ -102,26 +110,30 @@ def _brute_pass(k: int, x: int) -> _BrutePass:
             coprime += term
             coprime_tuples += w
         prod += w * (math.prod(t) // lcm)
-    return _BrutePass(Fraction(recip, big), Fraction(coprime, big),
-                      Fraction(prod), tuples, coprime_tuples)
+    return BruteSums(Fraction(recip, big), Fraction(coprime, big),
+                     Fraction(prod), tuples, coprime_tuples)
+
+
+def brute_sums(k: int, x: int, budget: int = TUPLE_BUDGET) -> BruteSums:
+    """The three brute sums over k-tuples <= x and their two tuple counts,
+    exact; refuses past `budget` raw tuples even when the pass is cached."""
+    _check_budget(k, x, budget)
+    return _brute_pass(k, x)
 
 
 def brute_recip_lcm_sum(k: int, x: int, budget: int = TUPLE_BUDGET) -> Fraction:
     """sum over all k-tuples <= x of 1/lcm, exact."""
-    _check_budget(k, x, budget)
-    return _brute_pass(k, x).recip
+    return brute_sums(k, x, budget).recip
 
 
 def brute_recip_lcm_sum_coprime(k: int, x: int, budget: int = TUPLE_BUDGET) -> Fraction:
     """Same sum restricted to tuples with overall gcd 1, exact."""
-    _check_budget(k, x, budget)
-    return _brute_pass(k, x).recip_coprime
+    return brute_sums(k, x, budget).recip_coprime
 
 
 def brute_prod_over_lcm_sum(k: int, x: int, budget: int = TUPLE_BUDGET) -> Fraction:
     """sum over all k-tuples <= x of (n_1*...*n_k)/lcm; integer-valued."""
-    _check_budget(k, x, budget)
-    return _brute_pass(k, x).prod_over_lcm
+    return brute_sums(k, x, budget).prod_over_lcm
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +148,7 @@ def _phi_sieve(x: int) -> np.ndarray:
     return phi
 
 
-def fast_recip_lcm_sum2(x: int, bits: int = 96):
+def fast_recip_lcm_sum2(x: int):
     """The k=2 reciprocal-lcm sum via sum_d phi(d)/d^2 * H(x//d)^2.
 
     Writing each pair through its gcd d turns the double sum into a single
@@ -159,6 +171,7 @@ def fast_recip_lcm_sum2(x: int, bits: int = 96):
             num += int(phi[d]) * ((big // d) * harm[x // d]) ** 2
         return Fraction(num, big**4)
 
+    bits = FAST_S2_BITS
     one = 1 << bits
     # descending harmonic enclosure: H(x//d) shrinks as d grows
     h_lo = 0
@@ -203,12 +216,16 @@ def gwise_constrained_sum(
     Equals the brute k-fold sums bit-exactly: that equality is the
     decomposition identity the whole construction rests on.
     """
-    return _gwise_with_count(k, x, fix_last_to_one, node_budget)[0]
+    return gwise_sum_with_count(k, x, fix_last_to_one, node_budget)[0]
 
 
-def _gwise_with_count(
-    k: int, x: int, fix_last_to_one: bool, node_budget: int
+def gwise_sum_with_count(
+    k: int, x: int, fix_last_to_one: bool = False,
+    node_budget: int = GWISE_NODE_BUDGET,
 ) -> tuple[Fraction, int]:
+    """`gwise_constrained_sum` and the number of tuples it summed (the
+    search leaves), which the decomposition bijection makes equal to the
+    brute tuple count (with fix_last_to_one, the gcd-1 count)."""
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
     if x < 1:
@@ -264,90 +281,33 @@ def _gwise_with_count(
 # lcm multiplicities
 # ---------------------------------------------------------------------------
 
-def lcm_multiplicity(k: int, n: int, tables=None) -> int:
+def lcm_multiplicity(k: int, n: int) -> int:
     """Number of k-tuples with lcm exactly n: prod over p^e || n of ((e+1)^k - e^k)."""
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
-    if tables is None:
-        tables = shared_sieve(factoring_limit(n))
     out = 1
-    for _, e in tables.factor(n):
+    for _, e in shared_sieve(factoring_limit(n)).factor(n):
         out *= (e + 1) ** k - e**k
     return out
 
 
-def _alpha_sum(k: int, x: int, tables=None) -> tuple[Fraction, int]:
-    # sum_{n<=x} alpha(k, n)/n and sum_{n<=x} alpha(k, n) from one loop
+def lcm_multiplicity_table(k: int, x: int) -> tuple[list[int], Fraction]:
+    """alpha(k, n) for n = 1..x and sum_{n<=x} alpha(k, n)/n, each alpha
+    evaluated once.
+
+    The alphas sum to the number of k-tuples with lcm <= x.
+    """
     if x < 1:
         raise ValueError("x must be positive")
-    if tables is None:
-        tables = shared_sieve(factoring_limit(x))
     big = _lcm_upto(x)
-    num = count = 0
-    for n in range(1, x + 1):
-        alpha = lcm_multiplicity(k, n, tables)
-        num += alpha * (big // n)
-        count += alpha
-    return Fraction(num, big), count
+    alphas = [lcm_multiplicity(k, n) for n in range(1, x + 1)]
+    num = sum(a * (big // n) for n, a in enumerate(alphas, start=1))
+    return alphas, Fraction(num, big)
 
 
-def lcm_multiplicity_sum(k: int, x: int, tables=None) -> Fraction:
+def lcm_multiplicity_sum(k: int, x: int) -> Fraction:
     """sum_{n<=x} (tuples with lcm n)/n, exact; a lower bound for the full sum."""
-    return _alpha_sum(k, x, tables)[0]
-
-
-# ---------------------------------------------------------------------------
-# Uniform sum reports
-# ---------------------------------------------------------------------------
-
-SUM_KINDS = ("S", "U", "V", "gwise", "alpha")
-
-
-@dataclass(frozen=True)
-class SumReport:
-    """One evaluated sum with the number of tuples it ranged over.
-
-    kind: S = reciprocal-lcm sum, U = its gcd-1 restriction, V = the
-    product-over-lcm sum, gwise = the constrained coprime-part route,
-    alpha = the lcm-multiplicity partial sum.  tuple_count is the number
-    of contributing tuples (for alpha, the tuples with lcm <= x).
-    """
-
-    kind: str
-    k: int
-    x: int
-    value: Fraction
-    tuple_count: int
-
-    def __post_init__(self):
-        if self.kind not in SUM_KINDS:
-            raise ValueError(f"kind must be one of {SUM_KINDS}")
-        if self.x >= 1 and self.value <= 0:
-            raise ValueError("sums over a non-empty range are positive")
-
-
-def sum_report(kind: str, k: int, x: int, fix_last_to_one: bool = False,
-               budget: int = TUPLE_BUDGET,
-               node_budget: int = GWISE_NODE_BUDGET) -> SumReport:
-    """Evaluate one of the named sums together with its tuple count.
-
-    `budget` caps the raw tuples of the brute kinds (S, U, V) and
-    `node_budget` the search nodes of the gwise kind.
-    """
-    if kind in ("S", "U", "V"):
-        _check_budget(k, x, budget)
-        brute = _brute_pass(k, x)
-        if kind == "U":
-            return SumReport("U", k, x, brute.recip_coprime, brute.coprime_tuples)
-        value = brute.recip if kind == "S" else brute.prod_over_lcm
-        return SumReport(kind, k, x, value, brute.tuples)
-    if kind == "gwise":
-        value, leaves = _gwise_with_count(k, x, fix_last_to_one, node_budget)
-        return SumReport("gwise", k, x, value, leaves)
-    if kind == "alpha":
-        value, count = _alpha_sum(k, x)
-        return SumReport("alpha", k, x, value, count)
-    raise ValueError(f"kind must be one of {SUM_KINDS}")
+    return lcm_multiplicity_table(k, x)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,8 @@ import numpy as np
 
 from .coprimality import constraint_family
 from .errors import PeriodDetectionError, ResourceLimitError
-from .exactmath import leading_coeff_by_differences
+from .exactmath import (factoring_limit, leading_coeff_by_differences,
+                        shared_sieve)
 
 #: supported polytope families
 KINDS = ("D", "D_star", "D_star2", "D_star3", "T")
@@ -150,34 +151,11 @@ def build_polytope(kind: str, k: int) -> HyperbolicPolytope:
 # Lattice counting
 # ---------------------------------------------------------------------------
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for p in small:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in small:  # deterministic for n < 3.3e24
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _crt_primes(cap: int, bound: int) -> list[int]:
+    is_prime = shared_sieve(factoring_limit(cap)).is_prime
     primes, prod, n = [], 1, cap
     while prod <= bound:
-        while not _is_prime(n):
+        while not is_prime(n):
             n -= 1
         primes.append(n)
         prod *= n

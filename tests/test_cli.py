@@ -130,6 +130,22 @@ def test_alpha_command_builds_one_sieve(capsys):
     assert shared_sieve.cache_info().misses <= 1
 
 
+def test_alpha_command_evaluates_each_alpha_once(monkeypatch, capsys):
+    from lcmsum import oracle
+
+    calls = []
+    original = oracle.lcm_multiplicity
+
+    def counted(k, n):
+        calls.append(n)
+        return original(k, n)
+
+    monkeypatch.setattr(oracle, "lcm_multiplicity", counted)
+    code, out = run_cli(capsys, "alpha", "--k", "2", "--x", "200")
+    assert code == 0 and "alpha(2,200)=" in out
+    assert sorted(calls) == list(range(1, 201))
+
+
 def test_identity_command(capsys):
     code, out = run_cli(capsys, "identity", "--k", "2", "--x", "12")
     assert code == 0 and "pass" in out

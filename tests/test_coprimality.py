@@ -18,7 +18,6 @@ from lcmsum.coprimality import (
     local_factor_poly,
     local_factor_poly_by_edge_subsets,
     stirling_ism_counts,
-    unsigned_edge_subset_poly,
 )
 from lcmsum.errors import ResourceLimitError
 
@@ -167,13 +166,6 @@ def test_local_poly_two_routes_agree_on_random_graphs():
         edges = frozenset(pairs[: rng.randint(0, min(16, len(pairs)))])
         g = Graph(v, edges)
         assert local_factor_poly(g) == local_factor_poly_by_edge_subsets(g)
-
-
-def test_unsigned_poly_low_coefficients():
-    # one value per edge count: a_0 = 1, a_1 = 0, a_2 = |E|
-    for g in (triangle(), build_coprimality_graph(3)):
-        plus = unsigned_edge_subset_poly(g)
-        assert plus[0] == 1 and plus[1] == 0 and plus[2] == g.edge_count
 
 
 def test_edge_subset_budget_guard():

@@ -8,10 +8,10 @@ from lcmsum.errors import PrecisionError, ResourceLimitError
 from lcmsum.exactmath import (
     BoundedReal,
     SurdRatio,
+    factoring_limit,
     leading_coeff_by_differences,
     sieve,
     stirling2,
-    valuation,
     zeta_value,
 )
 
@@ -20,42 +20,8 @@ from lcmsum.exactmath import (
 # sieve tables
 # ---------------------------------------------------------------------------
 
-def mobius_brute(n):
-    out, m = 1, n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            m //= d
-            if m % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if m > 1:
-        out = -out
-    return out if n > 1 else 1
-
-
 def test_sieve_first_primes():
     assert list(sieve(10).primes) == [2, 3, 5, 7]
-
-
-def test_sieve_mobius_examples():
-    assert sieve(10).mobius[6] == 1
-    assert sieve(30).mobius[12] == 0
-
-
-def test_sieve_mobius_against_brute():
-    t = sieve(500)
-    for n in range(1, 501):
-        assert t.mobius[n] == mobius_brute(n), n
-
-
-def test_mobius_divisor_sum_identity():
-    # sum over d | n of mu(d) vanishes except at n = 1
-    t = sieve(1000)
-    for n in range(1, 1001):
-        s = sum(int(t.mobius[d]) for d in range(1, n + 1) if n % d == 0)
-        assert s == (1 if n == 1 else 0), n
 
 
 def test_smallest_prime_factor_full_factorization():
@@ -72,6 +38,25 @@ def test_factor_beyond_limit_uses_trial_division():
     assert t.factor(9999) == [(3, 2), (11, 1), (101, 1)]
     with pytest.raises(ResourceLimitError):
         t.factor(100**2 + 1_000_000)
+
+
+@pytest.mark.parametrize("top", [44_000_000, 1_073_741_822])
+def test_is_prime_and_factor_agree_with_sympy_past_the_limit(top):
+    # windows below a small and a large CRT prime cap, on the table the
+    # CRT search uses
+    sympy = pytest.importorskip("sympy")
+    t = sieve(factoring_limit(top))
+    assert t.limit < top - 3000
+    for n in range(top - 3000, top + 1):
+        assert t.is_prime(n) == sympy.isprime(n), n
+    for n in range(top - 300, top + 1):
+        assert t.factor(n) == sorted(sympy.factorint(n).items()), n
+    q = int(t.primes[-1])
+    for n in (q * q, q * int(t.primes[-2]), 2 * q):
+        assert t.factor(n) == sorted(sympy.factorint(n).items()), n
+        assert not t.is_prime(n)
+    with pytest.raises(ResourceLimitError):
+        t.is_prime(t.limit**2 + 1)
 
 
 def test_sieve_limit_budget():
@@ -122,18 +107,6 @@ def test_stirling_recurrence():
     for k in range(1, 12):
         for m in range(1, k + 1):
             assert stirling2(k, m) == m * stirling2(k - 1, m) + stirling2(k - 1, m - 1)
-
-
-# ---------------------------------------------------------------------------
-# valuation
-# ---------------------------------------------------------------------------
-
-def test_valuation():
-    assert valuation(12, 2) == 2
-    assert valuation(12, 5) == 0
-    assert valuation(2**20 * 3, 2) == 20
-    with pytest.raises(ValueError):
-        valuation(0, 2)
 
 
 # ---------------------------------------------------------------------------

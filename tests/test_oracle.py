@@ -11,11 +11,14 @@ from lcmsum.oracle import (
     brute_prod_over_lcm_sum,
     brute_recip_lcm_sum,
     brute_recip_lcm_sum_coprime,
+    brute_sums,
     convergence_report,
     fast_recip_lcm_sum2,
     gwise_constrained_sum,
+    gwise_sum_with_count,
     lcm_multiplicity,
     lcm_multiplicity_sum,
+    lcm_multiplicity_table,
     leading_constants,
     theta_exponents,
 )
@@ -186,51 +189,38 @@ def test_multiplicity_sum_examples():
 
 
 # ---------------------------------------------------------------------------
-# sum reports
+# sums reported with their tuple counts
 # ---------------------------------------------------------------------------
 
 def test_sum_report_values_match_ops():
-    from lcmsum.oracle import sum_report
-
-    s = sum_report("S", 2, 12)
-    assert s.value == brute_recip_lcm_sum(2, 12) and s.tuple_count == 144
-    v = sum_report("V", 2, 12)
-    assert v.value == brute_prod_over_lcm_sum(2, 12)
-    u = sum_report("U", 2, 12)
-    assert u.value == brute_recip_lcm_sum_coprime(2, 12)
+    b = brute_sums(2, 12)
+    assert b.recip == brute_recip_lcm_sum(2, 12) and b.tuples == 144
+    assert b.prod_over_lcm == brute_prod_over_lcm_sum(2, 12)
+    assert b.recip_coprime == brute_recip_lcm_sum_coprime(2, 12)
     # coprime pair count up to 12, by enumeration
-    assert u.tuple_count == sum(
+    assert b.coprime_tuples == sum(
         1 for a in range(1, 13) for b in range(1, 13) if math.gcd(a, b) == 1)
 
 
 def test_sum_report_gwise_counts_certify_the_bijection():
     # the decomposition is a bijection, so the constrained search must hit
     # exactly x**k leaves, and exactly the gcd-1 count when pinned
-    from lcmsum.oracle import sum_report
-
     for k, x in ((2, 17), (3, 6)):
-        rep = sum_report("gwise", k, x)
-        assert rep.tuple_count == x**k, (k, x, rep.tuple_count)
-        pinned = sum_report("gwise", k, x, fix_last_to_one=True)
-        assert pinned.tuple_count == sum_report("U", k, x).tuple_count
+        value, leaves = gwise_sum_with_count(k, x)
+        assert value == gwise_constrained_sum(k, x)
+        assert leaves == x**k, (k, x, leaves)
+        _, pinned = gwise_sum_with_count(k, x, fix_last_to_one=True)
+        assert pinned == brute_sums(k, x).coprime_tuples
 
 
 def test_sum_report_alpha_count():
-    from lcmsum.oracle import sum_report
-
-    rep = sum_report("alpha", 2, 4)
-    assert rep.value == Fraction(19, 4)
-    assert rep.tuple_count == 1 + 3 + 3 + 5
+    alphas, value = lcm_multiplicity_table(2, 4)
+    assert alphas == [lcm_multiplicity(2, n) for n in range(1, 5)]
+    assert value == Fraction(19, 4) == lcm_multiplicity_sum(2, 4)
+    assert sum(alphas) == 1 + 3 + 3 + 5
     # tuples with lcm <= x is the same count the S-sum ranges over only
     # when every pair's lcm stays <= x; here lcm(3,4)=12 > 4, so strictly less
-    assert rep.tuple_count < 16
-
-
-def test_sum_report_rejects_bad_kind():
-    from lcmsum.oracle import sum_report
-
-    with pytest.raises(ValueError):
-        sum_report("W", 2, 4)
+    assert sum(alphas) < 16
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,21 @@ def test_lattice_counts_empty():
     assert lattice_counts(build_polytope("D", 3), []) == []
 
 
+@pytest.mark.parametrize("cap, bound, primes", [
+    # (cap, bound) pairs the k = 2..4 volumes ask for, and two wider ones
+    (1073741822, 8, [1073741789]),
+    (715827881, 2187, [715827881]),
+    (214748363, 10**10, [214748357, 214748353]),
+    (59652322, 3656158440062976, [59652319, 59652301, 59652289]),
+    (58040097, 177917621779460413, [58040093, 58040089, 58040083]),
+    (10**9, 10**30, [999999937, 999999929, 999999893, 999999883]),
+    (44000000, 10**40, [43999999, 43999981, 43999957, 43999913, 43999903,
+                        43999889]),
+])
+def test_crt_primes_are_the_largest_primes_below_the_cap(cap, bound, primes):
+    assert polytope._crt_primes(cap, bound) == primes
+
+
 def test_lattice_counts_batch_consistency():
     p = build_polytope("D", 3)
     ns = [0, 3, 1, 3, 7]
