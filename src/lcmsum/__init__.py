@@ -38,7 +38,6 @@ from .eulerprod import (
     coprime_density,
     count_density_poly,
     euler_product,
-    hadamard_constants,
     lcm_count_density,
     series_identity_check,
     zeta_factorization,
@@ -76,7 +75,6 @@ from .polytope import (
     ehrhart_volume,
     export_ieqs,
     ieqs_rows,
-    lattice_count,
     lattice_counts,
     volume_of,
     volume_relations_check,

@@ -275,6 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _threads_from_env()
     args = build_parser().parse_args(argv)
+    # exact sums print every digit (S2(10**4) has about 17,000); lift the
+    # int-to-str guard (absent before Python 3.10.7) for this command only,
+    # so library callers keep it
+    digits_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits_limit:
+        sys.set_int_max_str_digits(0)
     try:
         text, code = args.fn(args)
     except ResourceLimitError as exc:
@@ -283,6 +289,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digits_limit:
+            sys.set_int_max_str_digits(digits_limit)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

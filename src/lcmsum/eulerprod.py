@@ -361,16 +361,3 @@ def series_identity_mismatch(k: int, n: int) -> tuple[str, int] | None:
 def series_identity_check(k: int, n: int) -> bool:
     """True iff both exact power-series identities hold through degree n."""
     return series_identity_mismatch(k, n) is None
-
-
-# ---------------------------------------------------------------------------
-# Closed-form pivot bounds
-# ---------------------------------------------------------------------------
-
-def hadamard_constants(k: int) -> tuple[float, float]:
-    """Zero-one-matrix pivot bounds ((k+1)^((k+1)/2)/2^k, 2^(k-1)/k^(k/2))."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    c_upper = (k + 1) ** ((k + 1) / 2) / 2**k
-    c_lower = 2 ** (k - 1) / k ** (k / 2)
-    return (c_upper, c_lower)

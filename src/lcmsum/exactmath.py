@@ -82,13 +82,6 @@ class BoundedReal:
         lo, hi = Fraction(lo), Fraction(hi)
         return cls(_scale_floor(lo, bits), _scale_ceil(hi, bits), bits)
 
-    @classmethod
-    def from_value_error(cls, value, abs_error, bits: int = DEFAULT_BITS) -> "BoundedReal":
-        v, e = Fraction(value), Fraction(abs_error)
-        if e < 0:
-            raise ValueError("abs_error must be non-negative")
-        return cls.from_bracket(v - e, v + e, bits)
-
     # -- views ---------------------------------------------------------------
 
     @property
@@ -129,11 +122,8 @@ class BoundedReal:
     def intersects(self, other: "BoundedReal") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def strictly_less(self, other: "BoundedReal") -> bool:
-        """True only if every point of self is below every point of other."""
-        return self.hi < other.lo
-
     def strictly_greater(self, other: "BoundedReal") -> bool:
+        """True only if every point of self is above every point of other."""
         return other.hi < self.lo
 
     # -- arithmetic ----------------------------------------------------------

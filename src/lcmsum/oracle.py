@@ -79,6 +79,8 @@ def _perm_count(t: Sequence[int]) -> int:
 
 
 def _check_budget(k: int, x: int, budget: int) -> None:
+    if k < 1:
+        raise ValueError("k must be positive")
     if x < 1:
         raise ValueError("x must be positive")
     if x**k > budget:
@@ -152,49 +154,46 @@ def fast_recip_lcm_sum2(x: int):
     """The k=2 reciprocal-lcm sum via sum_d phi(d)/d^2 * H(x//d)^2.
 
     Writing each pair through its gcd d turns the double sum into a single
-    sum over d with squared harmonic numbers.  Exact rational for
-    x <= 10**4 (bit-identical to the brute route); above that, a dyadic
-    enclosure whose error covers every floor-rounding performed.
+    sum over d with squared harmonic numbers.  H(x//d) takes only about
+    2*sqrt(x) values, so one loop walks the blocks of d sharing q = x//d in
+    ascending q: h = sum_{m<=q} s//m is the harmonic number at scale s, grown
+    one term per m, and w = sum_{d in block} phi(d)*t//d^2 the block weight
+    at scale t.  Each floored h is short by less than q, each w by less than
+    the block length n, so lo += h^2*w and hi += (h + e*q)^2 * (w + e*n)
+    bracket the sum at scale s^2*t.  The two precisions differ only in
+    (s, t, e): for x <= FAST_S2_EXACT_LIMIT, s = lcm(1..x) and t = s^2 make
+    every division exact (e = 0), and the result is the exact rational, equal
+    to the brute route; above it, s = 2**FAST_S2_BITS with 32 guard bits on
+    t and e = 1 give a dyadic enclosure at FAST_S2_BITS.
     """
     if x < 1:
         raise ValueError("x must be positive")
     if x > FAST_S2_MAX:
         raise ResourceLimitError(f"x = {x} exceeds {FAST_S2_MAX}")
-    phi = _phi_sieve(x)
     if x <= FAST_S2_EXACT_LIMIT:
-        big = _lcm_upto(x)
-        harm = [0] * (x + 1)  # harm[m] = H(m) * big, an integer
-        for m in range(1, x + 1):
-            harm[m] = harm[m - 1] + big // m
-        num = 0
-        for d in range(1, x + 1):
-            num += int(phi[d]) * ((big // d) * harm[x // d]) ** 2
-        return Fraction(num, big**4)
-
-    bits = FAST_S2_BITS
-    one = 1 << bits
-    # descending harmonic enclosure: H(x//d) shrinks as d grows
-    h_lo = 0
-    h_terms = 0
-    for m in range(1, x + 1):
-        h_lo += one // m
-        h_terms += 1
-    acc_lo = 0
-    acc_hi = 0
-    q_prev = x
-    for d in range(1, x + 1):
-        q = x // d
-        if q < q_prev:
-            for m in range(q + 1, q_prev + 1):
-                h_lo -= one // m
-                h_terms -= 1
-            q_prev = q
-        h_hi = h_lo + h_terms  # each floored term is short by < 1 ulp
-        p = int(phi[d])
-        d2 = d * d
-        acc_lo += p * h_lo * h_lo // d2
-        acc_hi += p * h_hi * h_hi // d2 + 1
-    return BoundedReal(acc_lo >> bits, (acc_hi >> bits) + 1, bits)
+        s = _lcm_upto(x)
+        t, e = s * s, 0
+    else:
+        s = 1 << FAST_S2_BITS
+        t, e = s << 32, 1
+    phi = _phi_sieve(x)
+    lo = hi = h = q_prev = 0
+    d_hi = x
+    while d_hi:
+        q = x // d_hi
+        d_lo = x // (q + 1)  # the block is d_lo < d <= d_hi
+        h += sum(s // m for m in range(q_prev + 1, q + 1))
+        # the memoryview yields Python ints without copying the block (the
+        # last block is half of phi) into a list
+        w = sum(p * t // (d * d) for d, p in
+                enumerate(phi.data[d_lo + 1:d_hi + 1], d_lo + 1))
+        lo += h * h * w
+        hi += (h + e * q) ** 2 * (w + e * (d_hi - d_lo))
+        d_hi, q_prev = d_lo, q
+    if not e:
+        return Fraction(lo, s * s * t)
+    # lo and hi are at scale s^2*t; dividing by s*t leaves s = 2**FAST_S2_BITS
+    return BoundedReal(lo // (s * t), -(-hi // (s * t)), FAST_S2_BITS)
 
 
 # ---------------------------------------------------------------------------

@@ -289,11 +289,6 @@ def lattice_counts(
     return _budget_counts(p, _budgets(p, ns, interior))
 
 
-def lattice_count(p: HyperbolicPolytope, n: int) -> int:
-    """Points t >= 0 with every constraint sum at most n, exactly."""
-    return lattice_counts(p, [n])[0]
-
-
 # ---------------------------------------------------------------------------
 # Volume extraction
 # ---------------------------------------------------------------------------

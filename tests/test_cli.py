@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from lcmsum.cli import COMMANDS, fraction_decimal, main
+from lcmsum.oracle import fast_recip_lcm_sum2
 from fractions import Fraction
 
 
@@ -164,6 +165,25 @@ def test_report_text_and_csv(capsys):
     assert rows[1].endswith("yes")
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+def test_report_prints_exact_sums_past_the_digit_limit(capsys):
+    # S2(10**4) has more digits than Python's default int-to-str limit
+    limit = sys.get_int_max_str_digits()
+    code, csv_text = run_cli(capsys, "report", "--k", "2", "--x", "100,10000",
+                             "--format", "csv")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit  # restored for the library
+    row = csv_text.strip().splitlines()[2]
+    x, sum_cell = row.split(",")[:2]
+    assert x == "10000"
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(sum_cell) == fast_recip_lcm_sum2(10_000)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     path = tmp_path / "vol.txt"
     code, out = run_cli(capsys, "volume", "--kind", "T", "--k", "2",
@@ -175,6 +195,12 @@ def test_out_flag_writes_file(tmp_path, capsys):
 def test_brute_budget_zero_is_a_budget(capsys):
     # zero must reach the command, not fall back to the default budget
     assert main(["brute", "--k", "2", "--x", "6", "--budget", "0"]) == 3
+
+
+def test_brute_k_zero_is_a_usage_error(capsys):
+    # the empty tuple is not a k-tuple; exit 2, not the sum 1/1 and exit 0
+    assert main(["brute", "--k", "0", "--x", "5"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_identity_x_zero_is_a_usage_error(capsys):

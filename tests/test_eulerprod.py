@@ -10,7 +10,6 @@ from lcmsum.eulerprod import (
     coprime_density,
     count_density_poly,
     euler_product,
-    hadamard_constants,
     lcm_count_density,
     series_identity_check,
     series_identity_mismatch,
@@ -188,17 +187,3 @@ def test_series_identity_hand_expansion_k2():
         for nu in range(11 - i):
             coeffs[i + nu] += b * (2 * nu + 1)
     assert coeffs == [1, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0]
-
-
-# ---------------------------------------------------------------------------
-# pivot bounds
-# ---------------------------------------------------------------------------
-
-def test_hadamard_constants():
-    up3, low3 = hadamard_constants(3)
-    assert up3 == pytest.approx(2.0, abs=1e-12)
-    assert low3 == pytest.approx(4 / 3**1.5, abs=1e-12)
-    up2, _ = hadamard_constants(2)
-    assert up2 == pytest.approx(3**1.5 / 4, abs=1e-12)
-    up4, _ = hadamard_constants(4)
-    assert up4 == pytest.approx(5**2.5 / 16, abs=1e-12)

@@ -225,15 +225,16 @@ def test_bounded_real_double_precision_nests(a, b, c):
 def test_bounded_real_comparisons():
     a = BoundedReal.from_bracket(Fraction(1, 3), Fraction(1, 2))
     b = BoundedReal.from_bracket(Fraction(2, 3), Fraction(3, 4))
-    assert a.strictly_less(b)
     assert b.strictly_greater(a)
+    assert not a.strictly_greater(b)
     assert not a.intersects(b)
     c = BoundedReal.from_bracket(Fraction(0.4), Fraction(0.7))
     assert a.intersects(c) and b.intersects(c)
 
 
 def test_bounded_real_exact_scaling():
-    x = BoundedReal.from_value_error(Fraction(1, 7), Fraction(1, 10**9))
+    x = BoundedReal.from_bracket(Fraction(1, 7) - Fraction(1, 10**9),
+                                 Fraction(1, 7) + Fraction(1, 10**9))
     y = 7 * x
     assert y.contains(1)
     assert y.abs_error <= 8 * x.abs_error

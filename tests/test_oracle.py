@@ -95,6 +95,13 @@ def test_brute_budget_guard_holds_for_a_cached_pass():
     assert brute_recip_lcm_sum(3, 10, budget=1000) == brute_recip_lcm_sum(3, 10)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_brute_sums_reject_nonpositive_k(k):
+    # k = 0 would otherwise sum over the empty tuple and report 1
+    with pytest.raises(ValueError):
+        brute_sums(k, 5)
+
+
 # ---------------------------------------------------------------------------
 # fast k = 2 route
 # ---------------------------------------------------------------------------
@@ -105,7 +112,9 @@ def test_fast_route_trivia():
 
 
 def test_fast_route_equals_brute_exactly():
-    for x in list(range(1, 60)) + [100, 1000]:
+    # 143..145 and 168..170 straddle perfect squares, where the floor-quotient
+    # blocks change from length one to longer runs of d
+    for x in list(range(1, 60)) + [100, 143, 144, 145, 168, 169, 170, 1000]:
         assert fast_recip_lcm_sum2(x) == brute_recip_lcm_sum(2, x), x
 
 
@@ -121,6 +130,24 @@ def test_fast_route_enclosure_branch(monkeypatch):
     assert isinstance(exact, Fraction)
     assert enc.contains(exact)
     assert enc.abs_error < Fraction(1, 10**15)
+
+
+# Enclosure endpoints at FAST_S2_BITS from the per-d route that the
+# floor-quotient block loop replaced; the block loop must not widen them.
+PINNED_S2_ENCLOSURES = {
+    20_000: (24677627740072893405649063545110,
+             24677627740072893405649064096601),
+    10**5: (36592992221359893805842277323044,
+            36592992221359893805842280521043),
+}
+
+
+@pytest.mark.parametrize("x", sorted(PINNED_S2_ENCLOSURES))
+def test_fast_route_enclosure_nests_in_the_pinned_one(x):
+    pinned = BoundedReal(*PINNED_S2_ENCLOSURES[x], oracle.FAST_S2_BITS)
+    enc = fast_recip_lcm_sum2(x)
+    assert enc.bits == oracle.FAST_S2_BITS
+    assert pinned.encloses(enc)
 
 
 def test_fast_route_resource_guard():

@@ -16,7 +16,6 @@ from lcmsum.polytope import (
     ehrhart_volume,
     export_ieqs,
     ieqs_rows,
-    lattice_count,
     lattice_counts,
     volume_of,
     volume_relations_check,
@@ -88,12 +87,12 @@ def test_build_guards():
 
 def test_lattice_count_examples():
     d2 = build_polytope("D", 2)
-    assert lattice_count(d2, 1) == 5
+    assert lattice_counts(d2, [1])[0] == 5
     t2 = build_polytope("T", 2)
     for n in range(6):
-        assert lattice_count(t2, n) == math.comb(n + 3, 3)
+        assert lattice_counts(t2, [n])[0] == math.comb(n + 3, 3)
     for kind, k in ALL_KINDS_K:
-        assert lattice_count(build_polytope(kind, k), 0) == 1
+        assert lattice_counts(build_polytope(kind, k), [0])[0] == 1
 
 
 def test_lattice_count_against_enumeration():
@@ -102,7 +101,8 @@ def test_lattice_count_against_enumeration():
         if p.dim > 7:
             continue
         for n in range(5):
-            assert lattice_count(p, n) == brute_lattice_count(p, n), (kind, k, n)
+            assert lattice_counts(p, [n])[0] == brute_lattice_count(p, n), \
+                (kind, k, n)
 
 
 def test_interior_counts_against_enumeration():
@@ -191,13 +191,13 @@ def test_lattice_counts_batch_consistency():
     p = build_polytope("D", 3)
     ns = [0, 3, 1, 3, 7]
     batch = lattice_counts(p, ns)
-    assert batch == [lattice_count(p, n) for n in ns]
+    assert batch == [lattice_counts(p, [n])[0] for n in ns]
 
 
 def test_lattice_count_zero_dim():
     p = build_polytope("D_star3", 2)
     assert p.dim == 0
-    assert lattice_count(p, 10) == 1
+    assert lattice_counts(p, [10])[0] == 1
     assert ehrhart_volume(p) == 1
 
 
