@@ -9,16 +9,27 @@ The sums treated here, for tuples (n_1..n_k) of positive integers up to x:
 All oracle values are exact rationals.  One brute pass visits each sorted
 tuple once (symmetry cuts the work by about k!) and accumulates all three
 sums plus the raw and gcd-1 tuple counts; the reciprocal sums as integer
-numerators over the fixed denominator lcm(1..x), which every tuple lcm
+numerators over the fixed denominator lcm(1..X), which every tuple lcm
 divides, so a single big integer add per tuple replaces rational
-normalization.  The pass is cached on (k, x), so asking for the three sums
-at one x costs one pass; `brute_sums`, through which every brute function
-reads it, checks the tuple budget before the cache.
+normalization.
+
+Both the brute sums and `gwise_constrained_sum` answer from a whole-range
+result: one search at X buckets each brute tuple by its largest entry and
+each constrained-search leaf by its largest constraint product, and prefix
+sums over the buckets then give the exact value for every x <= X.  One
+range is kept per k for the brute sums and per (k, pinned) for the
+constrained search; an x past the kept X rebuilds it at max(x, 2X), so an
+ascending sweep costs about two searches at its top x.  The budgets keep
+their meaning for a search at x itself: `brute_sums` checks x**k before any
+range, and the constrained search counts its nodes per bucket, so the node
+count of the direct search at x is known from the range and checked on
+every call.
 
 Each route also has an entry that returns its count beside its value:
 `brute_sums` (the three sums, the raw and gcd-1 tuple counts),
-`gwise_sum_with_count` (the sum and the search leaves) and
-`lcm_multiplicity_table` (alpha(k, n) for n <= x and their weighted sum).
+`gwise_sum_with_count` (the sum and the search leaves, by a direct search
+at x, the route the CLI takes) and `lcm_multiplicity_table` (alpha(k, n)
+for n <= x and their weighted sum).
 
 `leading_constants` assembles the top-coefficient data of the three sums:
 c = density * vol(D), the coprime constant (2**k - 1) c, the product-sum
@@ -32,7 +43,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,10 +55,6 @@ from .polytope import volume_of
 
 #: brute sums refuse more than this many raw tuple evaluations
 TUPLE_BUDGET = 10**8
-
-#: (k, x) brute passes kept: enough for a k=2 sweep to x=200 plus a k=3
-#: sweep to x=30, so the gcd-1 sweep after the plain one is all cache hits
-BRUTE_CACHE_SIZE = 256
 
 #: constrained-tuple search refuses more than this many tree nodes
 GWISE_NODE_BUDGET = 5 * 10**7
@@ -96,31 +103,74 @@ class BruteSums(NamedTuple):
     coprime_tuples: int      # tuples with gcd 1
 
 
-@lru_cache(maxsize=BRUTE_CACHE_SIZE)
-def _brute_pass(k: int, x: int) -> BruteSums:
+class _Range(NamedTuple):
+    """The sums of one search at `top` for every x <= top: rows[x] sums the
+    items whose bucket (largest entry or constraint product) is <= x, the
+    rational sums as numerators over `big` = lcm(1..top)."""
+    top: int
+    big: int
+    rows: list[tuple[int, ...]]
+
+
+#: the latest range of each search: ("brute", k) or ("gwise", k, pinned)
+_RANGES: dict[tuple, _Range] = {}
+
+
+def _range_for(key: tuple, x: int, build: Callable[[int], _Range]) -> _Range:
+    """The kept range of `key` if it reaches x, else a new one built at
+    max(x, 2X), or at x when the doubled search exceeds its budget
+    (`build` raises ResourceLimitError)."""
+    r = _RANGES.get(key)
+    if r is not None and r.top >= x:
+        return r
+    top = max(x, 2 * r.top) if r else x
+    try:
+        r = build(top)
+    except ResourceLimitError:
+        if top == x:
+            raise
+        r = build(x)
+    _RANGES[key] = r
+    return r
+
+
+def _brute_range(k: int, top: int) -> _Range:
     """All three brute sums and both tuple counts from one visit of each
-    sorted tuple, each weighted by its number of orderings."""
-    big = _lcm_upto(x)
+    sorted tuple <= top, each weighted by its number of orderings; tuples
+    come in order of their largest entry m, so the running sums after m are
+    row m."""
+    big = _lcm_upto(top)
     recip = coprime = prod = tuples = coprime_tuples = 0
-    for t in itertools.combinations_with_replacement(range(1, x + 1), k):
-        w = _perm_count(t)
-        lcm = math.lcm(*t)
-        term = w * (big // lcm)
-        recip += term
-        tuples += w
-        if math.gcd(*t) == 1:
-            coprime += term
-            coprime_tuples += w
-        prod += w * (math.prod(t) // lcm)
-    return BruteSums(Fraction(recip, big), Fraction(coprime, big),
-                     Fraction(prod), tuples, coprime_tuples)
+    rows = [(0, 0, 0, 0, 0)]
+    for m in range(1, top + 1):
+        for head in itertools.combinations_with_replacement(range(1, m + 1), k - 1):
+            t = head + (m,)
+            w = _perm_count(t)
+            lcm = math.lcm(*t)
+            term = w * (big // lcm)
+            recip += term
+            tuples += w
+            if math.gcd(*t) == 1:
+                coprime += term
+                coprime_tuples += w
+            prod += w * (math.prod(t) // lcm)
+        rows.append((recip, coprime, prod, tuples, coprime_tuples))
+    return _Range(top, big, rows)
 
 
 def brute_sums(k: int, x: int, budget: int = TUPLE_BUDGET) -> BruteSums:
     """The three brute sums over k-tuples <= x and their two tuple counts,
-    exact; refuses past `budget` raw tuples even when the pass is cached."""
+    exact; refuses past `budget` raw tuples even when the range is kept."""
     _check_budget(k, x, budget)
-    return _brute_pass(k, x)
+
+    def build(top: int) -> _Range:
+        _check_budget(k, top, budget)
+        return _brute_range(k, top)
+
+    r = _range_for(("brute", k), x, build)
+    recip, coprime, prod, tuples, coprime_tuples = r.rows[x]
+    return BruteSums(Fraction(recip, r.big), Fraction(coprime, r.big),
+                     Fraction(prod), tuples, coprime_tuples)
 
 
 def brute_recip_lcm_sum(k: int, x: int, budget: int = TUPLE_BUDGET) -> Fraction:
@@ -142,11 +192,28 @@ def brute_prod_over_lcm_sum(k: int, x: int, budget: int = TUPLE_BUDGET) -> Fract
 # Totient-formula fast route for k = 2
 # ---------------------------------------------------------------------------
 
+#: entries of phi scanned at a time for the primes above sqrt(x)
+_PHI_SCAN = 1 << 16
+
+
 def _phi_sieve(x: int) -> np.ndarray:
+    """Euler's phi(n) for n = 0..x (phi[0] = 0)."""
     phi = np.arange(x + 1, dtype=np.int64)
-    for p in range(2, x + 1):
+    r = math.isqrt(x)
+    for p in range(2, r + 1):
         if phi[p] == p:  # p untouched so far means prime
             phi[p::p] -= phi[p::p] // p
+    # every composite n <= x has a prime factor <= r, so the n > r still
+    # equal to phi[n] are the primes above r; scanned by chunks
+    large = np.concatenate([np.zeros(0, np.int64)] + [
+        np.flatnonzero(phi[lo:lo + _PHI_SCAN] == np.arange(lo, min(lo + _PHI_SCAN, x + 1))) + lo
+        for lo in range(r + 1, x + 1, _PHI_SCAN)])
+    # such a prime divides n = p*m with m < p, and n has no other prime
+    # factor above r, so each m updates distinct entries once
+    for m in range(1, x // (r + 1) + 1):
+        ps = large[:np.searchsorted(large, x // m, side="right")]
+        n = ps * m
+        phi[n] -= phi[n] // ps
     return phi
 
 
@@ -158,24 +225,25 @@ def fast_recip_lcm_sum2(x: int):
     2*sqrt(x) values, so one loop walks the blocks of d sharing q = x//d in
     ascending q: h = sum_{m<=q} s//m is the harmonic number at scale s, grown
     one term per m, and w = sum_{d in block} phi(d)*t//d^2 the block weight
-    at scale t.  Each floored h is short by less than q, each w by less than
-    the block length n, so lo += h^2*w and hi += (h + e*q)^2 * (w + e*n)
-    bracket the sum at scale s^2*t.  The two precisions differ only in
-    (s, t, e): for x <= FAST_S2_EXACT_LIMIT, s = lcm(1..x) and t = s^2 make
-    every division exact (e = 0), and the result is the exact rational, equal
+    at scale t, and lo += h^2*w sums at scale s^2*t.  The two precisions
+    differ in (s, t): for x <= FAST_S2_EXACT_LIMIT, s = lcm(1..x) and
+    t = s^2 make every division exact, and lo is the exact rational, equal
     to the brute route; above it, s = 2**FAST_S2_BITS with 32 guard bits on
-    t and e = 1 give a dyadic enclosure at FAST_S2_BITS.
+    t leave each floored h short by less than q and each w by less than the
+    block length n, so lo and hi += (h + q)^2 * (w + n) give a dyadic
+    enclosure at FAST_S2_BITS.
     """
     if x < 1:
         raise ValueError("x must be positive")
     if x > FAST_S2_MAX:
         raise ResourceLimitError(f"x = {x} exceeds {FAST_S2_MAX}")
-    if x <= FAST_S2_EXACT_LIMIT:
+    exact = x <= FAST_S2_EXACT_LIMIT
+    if exact:
         s = _lcm_upto(x)
-        t, e = s * s, 0
+        t = s * s
     else:
         s = 1 << FAST_S2_BITS
-        t, e = s << 32, 1
+        t = s << 32
     phi = _phi_sieve(x)
     lo = hi = h = q_prev = 0
     d_hi = x
@@ -188,9 +256,10 @@ def fast_recip_lcm_sum2(x: int):
         w = sum(p * t // (d * d) for d, p in
                 enumerate(phi.data[d_lo + 1:d_hi + 1], d_lo + 1))
         lo += h * h * w
-        hi += (h + e * q) ** 2 * (w + e * (d_hi - d_lo))
+        if not exact:
+            hi += (h + q) ** 2 * (w + d_hi - d_lo)
         d_hi, q_prev = d_lo, q
-    if not e:
+    if exact:
         return Fraction(lo, s * s * t)
     # lo and hi are at scale s^2*t; dividing by s*t leaves s = 2**FAST_S2_BITS
     return BoundedReal(lo // (s * t), -(-hi // (s * t)), FAST_S2_BITS)
@@ -200,6 +269,31 @@ def fast_recip_lcm_sum2(x: int):
 # Constrained coprime-tuple sums (the structural identity)
 # ---------------------------------------------------------------------------
 
+def _check_gwise(k: int, x: int) -> None:
+    if k not in (2, 3):
+        raise ValueError("k must be 2 or 3")
+    if x < 1:
+        raise ValueError("x must be positive")
+
+
+def _search_plan(k: int, pinned: bool):
+    """The label order of the constrained search (most-constrained first)
+    and, per position, the constraints the label enters, its graph
+    neighbours assigned earlier in the order, and whether it is the pinned
+    top label."""
+    g = build_coprimality_graph(k)
+    order = sorted(range(1, g.v + 1), key=lambda j: (-j.bit_count(), j))
+    touching = [[i for i in range(k) if j in g.constraints[i]] for j in order]
+    earlier = [[l for l in order[:pos] if g.adjacency[j] >> l & 1]
+               for pos, j in enumerate(order)]
+    pins = [pinned and j == g.v for j in order]
+    return order, touching, earlier, pins
+
+
+def _node_limit(node_budget: int) -> ResourceLimitError:
+    return ResourceLimitError(f"search exceeded {node_budget} nodes; shrink x")
+
+
 def gwise_constrained_sum(
     k: int, x: int, fix_last_to_one: bool = False,
     node_budget: int = GWISE_NODE_BUDGET,
@@ -207,39 +301,100 @@ def gwise_constrained_sum(
     """Exact sum of 1/(a_1*...*a_v) over graph-wise coprime tuples under
     the hyperbolic product constraints prod_{j in A_i} a_j <= x.
 
-    Depth-first over the parts, assigning the most-constrained labels first
-    and pruning as soon as any partial constraint product exceeds x.  With
-    fix_last_to_one the all-ones part (the tuple gcd) is pinned to 1, which
-    flips the sum from the plain to the coprime variant.
+    With fix_last_to_one the all-ones part (the tuple gcd) is pinned to 1,
+    which flips the sum from the plain to the coprime variant.  Read from
+    the kept range of (k, fix_last_to_one); raises ResourceLimitError iff
+    the direct search at x (`gwise_sum_with_count`) visits more than
+    `node_budget` nodes.
 
     Equals the brute k-fold sums bit-exactly: that equality is the
     decomposition identity the whole construction rests on.
     """
-    return gwise_sum_with_count(k, x, fix_last_to_one, node_budget)[0]
+    _check_gwise(k, x)
+    pinned = bool(fix_last_to_one)
+    r = _range_for(("gwise", k, pinned), x,
+                   lambda top: _gwise_range(k, pinned, top, node_budget))
+    total, _leaves, nodes = r.rows[x]
+    if nodes > node_budget:
+        raise _node_limit(node_budget)
+    return Fraction(total, r.big)
+
+
+def _gwise_range(k: int, pinned: bool, top: int, node_budget: int) -> _Range:
+    """The constrained search at `top`, each node bucketed by its largest
+    partial constraint product: the search at any x <= top visits exactly
+    the nodes of bucket <= x, since partial products only grow along a
+    path.  Rows: sum numerator, leaves, nodes."""
+    order, touching, earlier, pins = _search_plan(k, pinned)
+    v = len(order)
+    big = _lcm_upto(top)
+    total, leaves, nodes = ([0] * (top + 1) for _ in range(3))
+    values = [1] * (v + 1)  # 1-indexed by label
+    prods = [1] * k
+    visited = nodes[1] = 1  # the root
+
+    def dfs(pos: int, denom: int, m: int) -> None:
+        # m is the largest partial constraint product, the node's bucket
+        nonlocal visited
+        j = order[pos]
+        cons = touching[pos]
+        hi = 1 if pins[pos] else min(top // prods[i] for i in cons)
+        fixed = math.prod(values[l] for l in earlier[pos])
+        if pos == v - 1:  # the children are leaves: bucket them here
+            lim = max(prods[i] for i in cons)  # a leaf's bucket is max(m, lim*a)
+            share = big // denom  # share // a == big // (denom * a)
+            count = 0
+            for a in range(1, hi + 1):
+                if fixed > 1 and math.gcd(a, fixed) != 1:
+                    continue
+                mm = lim * a if lim * a > m else m
+                nodes[mm] += 1
+                leaves[mm] += 1
+                total[mm] += share // a
+                count += 1
+            visited += count
+            if visited > node_budget:
+                raise _node_limit(node_budget)
+            return
+        for a in range(1, hi + 1):
+            if fixed > 1 and math.gcd(a, fixed) != 1:
+                continue
+            visited += 1
+            if visited > node_budget:
+                raise _node_limit(node_budget)
+            values[j] = a
+            mm = m
+            for i in cons:
+                prods[i] *= a
+                if prods[i] > mm:
+                    mm = prods[i]
+            nodes[mm] += 1
+            dfs(pos + 1, denom * a, mm)
+            for i in cons:
+                prods[i] //= a
+            values[j] = 1
+
+    dfs(0, 1, 1)
+    sums = (itertools.accumulate(col) for col in (total, leaves, nodes))
+    return _Range(top, big, list(zip(*sums)))
 
 
 def gwise_sum_with_count(
     k: int, x: int, fix_last_to_one: bool = False,
     node_budget: int = GWISE_NODE_BUDGET,
 ) -> tuple[Fraction, int]:
-    """`gwise_constrained_sum` and the number of tuples it summed (the
-    search leaves), which the decomposition bijection makes equal to the
-    brute tuple count (with fix_last_to_one, the gcd-1 count)."""
-    if k not in (2, 3):
-        raise ValueError("k must be 2 or 3")
-    if x < 1:
-        raise ValueError("x must be positive")
-    g = build_coprimality_graph(k)
-    v = g.v
+    """`gwise_constrained_sum` by a direct search at x, and the number of
+    tuples it summed (the search leaves), which the decomposition bijection
+    makes equal to the brute tuple count (with fix_last_to_one, the gcd-1
+    count).
+
+    Depth-first over the parts, assigning the most-constrained labels first
+    and pruning as soon as any partial constraint product exceeds x.
+    """
+    _check_gwise(k, x)
+    order, touching, earlier, pins = _search_plan(k, fix_last_to_one)
+    v = len(order)
     big = _lcm_upto(x)
-    order = sorted(range(1, v + 1),
-                   key=lambda j: (-j.bit_count(), j))
-    # per position: the constraints the label enters, its graph neighbours
-    # assigned earlier in the order, and whether it is the pinned top label
-    touching = [[i for i in range(k) if j in g.constraints[i]] for j in order]
-    earlier = [[l for l in order[:pos] if g.adjacency[j] >> l & 1]
-               for pos, j in enumerate(order)]
-    pinned = [fix_last_to_one and j == v for j in order]
     values = [1] * (v + 1)  # 1-indexed by label
     prods = [1] * k
     nodes = 0
@@ -250,15 +405,14 @@ def gwise_sum_with_count(
         nonlocal nodes, total, leaves
         nodes += 1
         if nodes > node_budget:
-            raise ResourceLimitError(
-                f"search exceeded {node_budget} nodes; shrink x")
+            raise _node_limit(node_budget)
         if pos == v:
             total += big // denom
             leaves += 1
             return
         j = order[pos]
         cons = touching[pos]
-        top = 1 if pinned[pos] else min(x // prods[i] for i in cons)
+        top = 1 if pins[pos] else min(x // prods[i] for i in cons)
         # a part must be coprime to every neighbour's part, so to their product
         fixed = math.prod(values[l] for l in earlier[pos])
         for a in range(1, top + 1):

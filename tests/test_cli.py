@@ -92,13 +92,17 @@ def test_theta_command_k2_nota(capsys):
     assert "no power-saving exponent" in out
 
 
-def test_brute_and_gwise_commands(capsys):
+def test_brute_and_gwise_commands(capsys, monkeypatch):
     from lcmsum import oracle
 
-    oracle._brute_pass.cache_clear()
+    searches = []
+    build = oracle._brute_range
+    monkeypatch.setattr(oracle, "_RANGES", {})
+    monkeypatch.setattr(oracle, "_brute_range",
+                        lambda k, top: searches.append((k, top)) or build(k, top))
     code, bout = run_cli(capsys, "brute", "--k", "2", "--x", "6")
     assert code == 0
-    assert oracle._brute_pass.cache_info().misses == 1  # one pass, three sums
+    assert searches == [(2, 6)]  # one search, three sums
     code, gout = run_cli(capsys, "gwise", "--k", "2", "--x", "6")
     assert code == 0
     brute = dict(line.split("=", 1) for line in bout.splitlines()

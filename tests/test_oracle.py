@@ -1,7 +1,10 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from lcmsum import oracle
@@ -64,7 +67,7 @@ def test_brute_sums_against_raw_enumeration():
         assert brute_prod_over_lcm_sum(k, x) == raw_sum(
             k, x, lambda t: Fraction(math.prod(t), math.lcm(*t)))
         # the pass's counts: every raw tuple once, then the gcd-1 ones
-        brute = oracle._brute_pass(k, x)
+        brute = brute_sums(k, x)
         assert brute.tuples == x**k == raw_sum(k, x, lambda t: 1)
         assert brute.coprime_tuples == raw_sum(
             k, x, lambda t: 1 if math.gcd(*t) == 1 else 0)
@@ -93,6 +96,17 @@ def test_brute_budget_guard_holds_for_a_cached_pass():
         with pytest.raises(ResourceLimitError):
             brute(3, 10, budget=999)
     assert brute_recip_lcm_sum(3, 10, budget=1000) == brute_recip_lcm_sum(3, 10)
+
+
+def test_brute_rebuild_at_twice_the_range_only_within_the_budget(monkeypatch):
+    # an x past the kept range rebuilds it at 2X when (2X)**k fits the
+    # caller's budget, else at x itself
+    monkeypatch.setattr(oracle, "_RANGES", {})
+    brute_sums(2, 10)
+    brute_sums(2, 11, budget=121)
+    assert oracle._RANGES[("brute", 2)].top == 11
+    brute_sums(2, 12)
+    assert oracle._RANGES[("brute", 2)].top == 22
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -150,6 +164,23 @@ def test_fast_route_enclosure_nests_in_the_pinned_one(x):
     assert pinned.encloses(enc)
 
 
+def reference_phi_sieve(x):
+    # the per-p loop over every n <= x that the primes-only sieve replaced
+    phi = np.arange(x + 1, dtype=np.int64)
+    for p in range(2, x + 1):
+        if phi[p] == p:
+            phi[p::p] -= phi[p::p] // p
+    return phi
+
+
+def test_phi_sieve_equals_the_per_p_loop():
+    for x in list(range(1, 400)) + [10**4, 123_457]:
+        assert np.array_equal(oracle._phi_sieve(x), reference_phi_sieve(x)), x
+    # chunk edges of the scan for primes above sqrt(x)
+    for x in (oracle._PHI_SCAN + 300, 2 * oracle._PHI_SCAN + 1):
+        assert np.array_equal(oracle._phi_sieve(x), reference_phi_sieve(x)), x
+
+
 def test_fast_route_resource_guard():
     with pytest.raises(ResourceLimitError):
         fast_recip_lcm_sum2(10**7 + 1)
@@ -183,6 +214,87 @@ def test_gwise_guards():
         gwise_constrained_sum(4, 10)
     with pytest.raises(ResourceLimitError):
         gwise_constrained_sum(3, 40, node_budget=50)
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+@pytest.mark.parametrize("k, top", [(2, 256), (3, 64)])
+def test_range_answers_equal_the_direct_search(k, top, pinned):
+    # every x of one range against the direct search at x, value and leaves;
+    # the leaves also equal the brute range's tuple counts
+    r = oracle._gwise_range(k, pinned, top, oracle.GWISE_NODE_BUDGET)
+    for x in range(1, top + 1):
+        value, count = gwise_sum_with_count(k, x, pinned)
+        total, leaves, _ = r.rows[x]
+        assert Fraction(total, r.big) == value, x
+        assert leaves == count, x
+        b = brute_sums(k, x)
+        assert count == (b.coprime_tuples if pinned else b.tuples), x
+        assert value == (b.recip_coprime if pinned else b.recip), x
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+@pytest.mark.parametrize("k, top", [(2, 30), (3, 10)])
+def test_range_node_counts_are_the_direct_search_budget(k, top, pinned):
+    # the direct search at x visits exactly the range's nodes up to x: it
+    # passes with that many as its budget and fails with one fewer, and so
+    # does the range answer
+    rows = oracle._gwise_range(k, pinned, top, oracle.GWISE_NODE_BUDGET).rows
+    for x in range(1, top + 1):
+        n = rows[x][2]
+        gwise_sum_with_count(k, x, pinned, node_budget=n)
+        gwise_constrained_sum(k, x, pinned, node_budget=n)
+        with pytest.raises(ResourceLimitError):
+            gwise_sum_with_count(k, x, pinned, node_budget=n - 1)
+        with pytest.raises(ResourceLimitError):
+            gwise_constrained_sum(k, x, pinned, node_budget=n - 1)
+
+
+def test_gwise_rebuild_falls_back_to_x_within_the_budget(monkeypatch):
+    # a doubled rebuild past the node budget is redone at x itself
+    n11 = oracle._gwise_range(2, False, 11, oracle.GWISE_NODE_BUDGET).rows[11][2]
+    monkeypatch.setattr(oracle, "_RANGES", {})
+    gwise_constrained_sum(2, 10)
+    assert gwise_constrained_sum(2, 11, node_budget=n11) == brute_recip_lcm_sum(2, 11)
+    assert oracle._RANGES[("gwise", 2, False)].top == 11
+    with pytest.raises(ResourceLimitError):
+        gwise_constrained_sum(2, 12, node_budget=n11)
+    assert oracle._RANGES[("gwise", 2, False)].top == 11
+
+
+def range_values(xs):
+    out = {}
+    for k, x in xs:
+        b = brute_sums(k, x)
+        out[k, x] = (b, gwise_constrained_sum(k, x), gwise_constrained_sum(k, x, True))
+    return out
+
+
+def test_range_results_do_not_depend_on_call_order(monkeypatch):
+    xs = [(2, x) for x in range(1, 61)] + [(3, x) for x in range(1, 17)]
+    scattered = xs[:]
+    random.Random(7).shuffle(scattered)
+    runs = []
+    for order in (xs, xs[::-1], scattered):
+        monkeypatch.setattr(oracle, "_RANGES", {})
+        runs.append(range_values(order))
+    assert runs[0] == runs[1] == runs[2]
+
+
+#: sha256 of the sweep lines below, recorded from the per-x brute pass and
+#: per-x direct search that the range results replaced
+SWEEP_DIGEST = "26bd45dad179f599fe8294fc018535e76074b0834ad47f0e41711a22918a5071"
+
+
+def test_sweeps_match_the_pinned_digest():
+    lines = []
+    for k, top in ((2, 200), (3, 30)):
+        for x in range(1, top + 1):
+            b = brute_sums(k, x)
+            g = gwise_constrained_sum(k, x)
+            gp = gwise_constrained_sum(k, x, True)
+            lines.append(f"{k} {x} {b.recip} {b.recip_coprime} {b.prod_over_lcm} "
+                         f"{b.tuples} {b.coprime_tuples} {g} {gp}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SWEEP_DIGEST
 
 
 # ---------------------------------------------------------------------------
