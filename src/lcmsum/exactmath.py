@@ -9,12 +9,14 @@ Everything downstream leans on four guarantees provided here:
 * sieve tables (primes, smallest prime factors) are exact for every integer
   up to their limit and support factoring and primality up to limit**2;
 * zeta values come with a certified absolute error from a bracketed
-  integral tail bound.
+  integral tail bound; the partial sum is an exact floor sum, vectorised
+  over n as 32-bit limbs, and one prefix per j is kept and extended.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,6 +39,9 @@ MAX_SIEVE_LIMIT = 10**8
 
 #: refuse zeta partial sums longer than this (raise PrecisionError instead)
 ZETA_MAX_TERMS = 1 << 26
+
+#: n per vectorised step of the zeta floor sum (32 KB per uint64 array)
+ZETA_CHUNK = 1 << 12
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +384,61 @@ def stirling2(k: int, m: int) -> int:
 # Certified zeta values
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _zeta_cached(j: int, target: Fraction) -> BoundedReal:
-    bits = CERTIFIED_BITS
+def _floor_block(j: int, a: int, b: int) -> int:
+    """sum of floor(2**CERTIFIED_BITS / n**j) over a <= n <= b, exactly.
+
+    Each chunk of n is a uint64 array.  The numerator is held as 32-bit
+    limbs, most significant first, and divided j times by n one limb at a
+    time (floor(floor(x/m)/n) = floor(x/(m*n))); each limb column is then
+    summed and the columns are recombined as Python ints.
+    """
+    one = 1 << CERTIFIED_BITS
+    top = CERTIFIED_BITS // 32
+    total = 0
+    for start in range(a, b + 1, ZETA_CHUNK):
+        n = np.arange(start, min(b, start + ZETA_CHUNK - 1) + 1, dtype=np.uint64)
+        # limbs[i] weighs 2**(32*(w - i)); a scalar limb is the same for every n
+        limbs = [np.uint64(1 << CERTIFIED_BITS % 32)] + [np.uint64(0)] * top
+        w = top
+        for k in range(1, j + 1):
+            # every quotient of this step is at most one // start**k, so its
+            # limbs above qtop are zero: the dividend's limbs above qtop form
+            # a number below n, which is the remainder they leave
+            bound = one // start**k
+            if bound == 0:
+                return total  # here and in every later chunk
+            qtop = (bound.bit_length() - 1) // 32
+            r = np.zeros_like(n)
+            for limb in limbs[:w - qtop]:
+                r = (r << 32) | limb
+            out = []
+            for limb in limbs[w - qtop:]:
+                q, r = np.divmod((r << 32) | limb, n)
+                out.append(q)
+            limbs, w = out, qtop
+        for i, q in enumerate(limbs):
+            total += int(q.sum()) << 32 * (w - i)
+    return total
+
+
+# uint64 lanes of _floor_block: r < n <= ZETA_MAX_TERMS, so (r << 32) | limb
+# stays below 2**58, and a chunk's column sum below ZETA_CHUNK * 2**32
+assert ZETA_MAX_TERMS <= 1 << 32 and ZETA_CHUNK <= 1 << 32
+
+
+@lru_cache(maxsize=1024)
+def _floor_sum(j: int, N: int) -> int:
+    """sum of floor(2**CERTIFIED_BITS / n**j) over n <= N, kept per (j, N).
+
+    N doubles from 4, so the sum at N is the kept sum at N/2 plus the new
+    half: one prefix per j grows however the targets are ordered.
+    """
+    if N <= 4:
+        return _floor_block(j, 1, N)
+    return _floor_sum(j, N // 2) + _floor_block(j, N // 2 + 1, N)
+
+
+def _zeta_terms(j: int, target: Fraction) -> int:
     # bracket the tail: integral bounds give
     #   sum_{n>N} n^-j  in  [ (N+1)^(1-j), N^(1-j) ] / (j-1)
     # so the bracket width shrinks like N^-j; grow N until it fits.
@@ -394,21 +451,7 @@ def _zeta_cached(j: int, target: Fraction) -> BoundedReal:
             raise PrecisionError(
                 f"zeta({j}) to {float(target):.2e} needs more than "
                 f"{ZETA_MAX_TERMS} terms", achieved=width(N // 2))
-    one = 1 << bits
-    lo = 0
-    for n in range(1, N + 1):
-        lo += one // n**j
-    hi = lo + N  # each floored term under-counts by < 1 ulp
-    tail_lo = Fraction(1, (j - 1) * (N + 1) ** (j - 1))
-    tail_hi = Fraction(1, (j - 1) * N ** (j - 1))
-    out = BoundedReal(lo + _scale_floor(tail_lo, bits),
-                      hi + _scale_ceil(tail_hi, bits), bits)
-    if out.abs_error > target:
-        raise PrecisionError(
-            f"zeta({j}): achieved {float(out.abs_error):.2e} > target "
-            f"{float(target):.2e} at {bits} bits",
-            achieved=out.abs_error)
-    return out
+    return N
 
 
 def zeta_value(j: int, target_error) -> BoundedReal:
@@ -416,13 +459,31 @@ def zeta_value(j: int, target_error) -> BoundedReal:
 
     Partial sum of n^-j plus a two-sided integral tail bound N^(1-j)/(j-1),
     at CERTIFIED_BITS; the returned enclosure is rigorous, not heuristic.
+    The partial sum is the exact floor sum of `_floor_block`, vectorised
+    over n, and one kept prefix per j serves every target.
     """
+    if isinstance(j, bool) or not hasattr(j, "__index__"):
+        raise TypeError(f"j must be an integer, got {j!r}")
+    j = operator.index(j)
     if j < 2:
         raise ValueError("j must be at least 2")
     t = Fraction(target_error)
     if t <= 0:
         raise ValueError("target_error must be positive")
-    return _zeta_cached(j, t)
+    bits = CERTIFIED_BITS
+    N = _zeta_terms(j, t)
+    lo = _floor_sum(j, N)
+    hi = lo + N  # each floored term under-counts by < 1 ulp
+    tail_lo = Fraction(1, (j - 1) * (N + 1) ** (j - 1))
+    tail_hi = Fraction(1, (j - 1) * N ** (j - 1))
+    out = BoundedReal(lo + _scale_floor(tail_lo, bits),
+                      hi + _scale_ceil(tail_hi, bits), bits)
+    if out.abs_error > t:
+        raise PrecisionError(
+            f"zeta({j}): achieved {float(out.abs_error):.2e} > target "
+            f"{float(t):.2e} at {bits} bits",
+            achieved=out.abs_error)
+    return out
 
 
 # ---------------------------------------------------------------------------

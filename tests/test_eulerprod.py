@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from lcmsum import reference
-from lcmsum.coprimality import Graph, build_coprimality_graph
+from lcmsum import eulerprod, reference
+from lcmsum.coprimality import Graph, build_coprimality_graph, local_factor_poly
 from lcmsum.errors import PrecisionError
 from lcmsum.eulerprod import (
     coprime_density,
@@ -41,6 +41,31 @@ def test_factorization_rejects_bad_polynomials():
         zeta_factorization((2, 0, -1))
     with pytest.raises(ValueError):
         zeta_factorization((1, 1, -1))
+
+
+def test_every_zeta_the_factorizations_use_encloses_mpmath(monkeypatch):
+    mpmath = pytest.importorskip("mpmath")
+    used = []
+    zeta_value = eulerprod.zeta_value
+
+    def recording_zeta(j, target_error):
+        z = zeta_value(j, target_error)
+        used.append((j, z))
+        return z
+
+    monkeypatch.setattr(eulerprod, "zeta_value", recording_zeta)
+    for k in (2, 3, 4):
+        for coeffs in (local_factor_poly(build_coprimality_graph(k)),
+                       count_density_poly(k)):
+            # past the product cache, so every zeta request is made again
+            eulerprod._euler_product_cached.__wrapped__(
+                coeffs, Fraction(5, 10**10), eulerprod.DEFAULT_ORDER, None)
+    assert {j for j, _ in used} == set(range(2, 13))
+    with mpmath.workdps(60):
+        for j, z in used:
+            # dyadic endpoints, so mpf holds them exactly at 60 digits
+            lo, hi = (mpmath.mpf(e.numerator) / e.denominator for e in (z.lo, z.hi))
+            assert lo < mpmath.zeta(j) < hi, j
 
 
 # ---------------------------------------------------------------------------

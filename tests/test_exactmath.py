@@ -1,11 +1,17 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lcmsum import exactmath
 from lcmsum.errors import PrecisionError, ResourceLimitError
 from lcmsum.exactmath import (
+    CERTIFIED_BITS,
+    ZETA_CHUNK,
     BoundedReal,
     SurdRatio,
     factoring_limit,
@@ -143,6 +149,61 @@ def test_zeta_rejects_bad_args():
         zeta_value(1, 1e-6)
     with pytest.raises(ValueError):
         zeta_value(3, 0)
+    for j in (3.0, np.float64(3), True, np.True_):
+        with pytest.raises(TypeError, match="j must be an integer"):
+            zeta_value(j, 1e-6)
+    z3 = zeta_value(3, 1e-6)
+    for j in (np.int64(3), np.uint8(3)):
+        z = zeta_value(j, 1e-6)
+        assert (z.lo, z.hi) == (z3.lo, z3.hi)
+
+
+def _floor_sum_per_term(j, a, b):
+    # reference: one Python big int per term
+    one = 1 << CERTIFIED_BITS
+    return sum(one // n**j for n in range(a, b + 1))
+
+
+@pytest.mark.parametrize("j", [*range(2, 14), 40])
+def test_floor_sum_equals_per_term_loop(j):
+    for N in (ZETA_CHUNK - 1, ZETA_CHUNK, ZETA_CHUNK + 1, 2 * ZETA_CHUNK + 1):
+        assert exactmath._floor_block(j, 1, N) == _floor_sum_per_term(j, 1, N)
+        assert exactmath._floor_sum(j, N) == _floor_sum_per_term(j, 1, N)
+    # a block that starts mid-chunk, and the n = 1 term alone
+    a, b = ZETA_CHUNK // 2, 3 * ZETA_CHUNK
+    assert exactmath._floor_block(j, a, b) == _floor_sum_per_term(j, a, b)
+    assert exactmath._floor_block(j, 1, 1) == 1 << CERTIFIED_BITS
+
+
+#: every zeta(j, 2**-e) one `density` and one `constants` benchmark pass ask
+#: for, the two k=3/k=4 1e-12 refusals included
+BENCH_ZETA_CALLS = {
+    2: (36, 42, 43, 46, 52, 55), 3: (44, 47, 48), 4: (45, 49, 51),
+    5: (47, 50, 54), 6: (49, 52, 57), 7: (50, 54, 60), 8: (52, 55, 63),
+    9: (54, 57, 66), 10: (56, 59, 70), 11: (57, 61, 73), 12: (59, 62, 76),
+}
+
+#: sha256 of those enclosures and refusals as the per-term loop computed them
+BENCH_ZETA_SHA256 = "36fbd0c9b951e39428206d48969c4da9ee8ec2594de3b579e20786ed9a3e1fdf"
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_zeta_enclosures_pinned_in_any_call_order(order):
+    calls = sorted((e, j) for j, es in BENCH_ZETA_CALLS.items() for e in es)
+    if order == "descending":
+        calls.reverse()
+    elif order == "shuffled":
+        random.Random(8).shuffle(calls)
+    exactmath._floor_sum.cache_clear()
+    lines = {}
+    for e, j in calls:
+        try:
+            z = zeta_value(j, Fraction(1, 1 << e))
+            lines[j, e] = f"{j} {e} {z.lo} {z.hi} {z.bits}"
+        except PrecisionError as exc:
+            lines[j, e] = f"{j} {e} refused {exc}"
+    digest = hashlib.sha256("\n".join(v for _, v in sorted(lines.items())).encode())
+    assert digest.hexdigest() == BENCH_ZETA_SHA256
 
 
 # ---------------------------------------------------------------------------
