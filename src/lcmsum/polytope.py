@@ -20,8 +20,9 @@ per-constraint partial sums, one array axis per constraint, each axis as
 long as its largest budget, and adding a coordinate that feeds constraints
 S is a prefix sum along the diagonal direction chi_S.  A finished axis is
 prefix-summed once more and cut down to the budgets sampled on it.  Arrays
-hold residues modulo int32-safe primes and the exact counts are recovered
-by CRT, since counts overflow 64 bits well before the needed dilates.
+hold uint32 residues modulo primes below 2**31, reduced after each
+hyperplane step, and the exact counts are recovered by CRT, since counts
+overflow 64 bits well before the needed dilates.
 """
 
 from __future__ import annotations
@@ -49,9 +50,19 @@ MAX_DIM = 16
 #: temporaries of retiring an axis, checked before anything is allocated
 STATE_BUDGET = 2**30
 
-#: bytes per DP state at the peak of an axis retirement: the int32 table
-#: and the int32 slice of sampled budgets taken from it
+#: bytes per DP state at the peak: the uint32 table and the uint32 slice of
+#: sampled budgets an axis retirement takes from it.  A prefix step's
+#: temporary is one hyperplane, at most half the table, and is freed before
+#: the slice is taken.
 BYTES_PER_STATE = 4 + 4
+
+#: CRT primes are the largest primes up to this cap (itself the Mersenne
+#: prime 2**31 - 1)
+PRIME_CAP = 2**31 - 1
+
+# uint32 lanes of _prefix: two residues below m <= PRIME_CAP sum to at most
+# 2*(m - 1), which a uint32 holds, so one conditional subtraction reduces it
+assert 2 * (PRIME_CAP - 1) < 2**32
 
 #: candidate quasi-polynomial periods, tried in order.  Vertex coordinates
 #: solve 0/1 subsystems of size <= 4 whose determinants are at most 3, so
@@ -163,32 +174,50 @@ def _crt_primes(cap: int, bound: int) -> list[int]:
     return primes
 
 
+def _prefix(arr: np.ndarray, axes: Sequence[int], m: int) -> None:
+    """Prefix sums mod m along the direction chi_axes, in place.
+
+    Hyperplane idx of axis axes[0] gains hyperplane idx - 1 shifted by one
+    along every other axis.  Residues are uint32 below m < 2**31, so a sum
+    is below 2**32 and min(d, d - m) takes m off exactly where d >= m (else
+    d - m wraps above d).  `idx:idx+1` slices keep a 1-D table an array.
+    """
+    a0, rest = axes[0], axes[1:]
+    for idx in range(1, arr.shape[a0]):
+        dst = [slice(None)] * arr.ndim
+        src = [slice(None)] * arr.ndim
+        dst[a0], src[a0] = slice(idx, idx + 1), slice(idx - 1, idx)
+        for ax in rest:
+            dst[ax], src[ax] = slice(1, None), slice(0, -1)
+        d = arr[tuple(dst)]
+        d += arr[tuple(src)]
+        np.minimum(d, d - m, out=d)
+
+
 def _counts_mod(
     memberships: Sequence[tuple[int, ...]],
     budgets: Sequence[tuple[int, ...]],
     m: int,
 ) -> list[int]:
-    """Counts modulo m for each budget vector (one non-negative budget per axis).
+    """Counts modulo m < 2**31 for each budget vector (one non-negative
+    budget per axis), held as uint32 residues below m throughout.
 
     Axis c is as long as its largest budget and keeps, once retired, only the
     budgets sampled on it; a budget vector is read at its per-axis positions.
     """
     nc = len(budgets[0])
     sample = [sorted({b[c] for b in budgets}) for c in range(nc)]
-    arr = np.zeros(tuple(s[-1] + 1 for s in sample), dtype=np.int32)
+    arr = np.zeros(tuple(s[-1] + 1 for s in sample), dtype=np.uint32)
     arr[(0,) * nc] = 1
 
     done: set[int] = set()
     retired: set[int] = set()
 
     def retire(ax: int) -> None:
-        # prefix-sum the completed axis in place, then keep only the sampled
-        # budgets; like a diagonal pass this adds at most one axis length of
-        # residues, which the prime cap keeps below 2**31
+        # prefix-sum the completed axis, then keep only the sampled budgets
         nonlocal arr
-        np.cumsum(arr, axis=ax, out=arr)
+        _prefix(arr, (ax,), m)
         arr = arr.take(sample[ax], axis=ax)
-        arr %= m
         retired.add(ax)
 
     while len(done) < len(memberships):
@@ -208,17 +237,7 @@ def _counts_mod(
         todo = [j for j, axes in enumerate(memberships)
                 if j not in done and ax_next in axes]
         for j in todo:
-            axes = sorted(memberships[j])
-            a0 = axes[0]
-            for idx in range(1, arr.shape[a0]):
-                dst = [slice(None)] * nc
-                src = [slice(None)] * nc
-                dst[a0], src[a0] = idx, idx - 1
-                for ax in axes[1:]:
-                    dst[ax] = slice(1, None)
-                    src[ax] = slice(0, -1)
-                arr[tuple(dst)] += arr[tuple(src)]
-            arr %= m
+            _prefix(arr, sorted(memberships[j]), m)
             done.add(j)
         retire(ax_next)
 
@@ -256,11 +275,9 @@ def _budget_counts(
         tuple(c for c, a in enumerate(p.constraints) if j in a)
         for j in range(p.dim)
     )
-    # residues stay below cap*(longest axis) during a prefix pass; keep that
-    # in int32.  Coordinate j is at most the smallest budget it feeds.
-    cap = (2**31 - 1) // (max(tops) + 1) - 1
+    # coordinate j is at most the smallest budget it feeds
     bound = math.prod(min(tops[c] for c in axes) + 1 for axes in memberships)
-    primes = _crt_primes(cap, bound)
+    primes = _crt_primes(PRIME_CAP, bound)
     residues = [_counts_mod(memberships, live, m) for m in primes]
 
     exact = {}

@@ -1,7 +1,9 @@
+import hashlib
 import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from lcmsum import polytope, reference
@@ -185,6 +187,101 @@ def test_lattice_counts_empty():
 ])
 def test_crt_primes_are_the_largest_primes_below_the_cap(cap, bound, primes):
     assert polytope._crt_primes(cap, bound) == primes
+
+
+# sha256 of every (ns, interior, counts) that `ehrhart_data` asks
+# `lattice_counts` for, kind by kind in KINDS order, over every period it
+# tries; recorded from the int32 DP with a full `%` pass per coordinate
+EHRHART_COUNT_DIGESTS = {
+    2: "ffd35c8b6a2315b5c93d6f4e22ce7abc38ba7f56939d6e4b86d1fd4ea4b45b9f",
+    3: "f8552b65f3504655b2dbb8f24ac6e025f9a82d1fb2cf766d7547f6053d5250e2",
+    4: "05d1ff2e5d48cd87c463d612672107eed13aacd6655738958d7c67a18113f9f3",
+}
+
+
+@pytest.mark.parametrize("k", [2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_ehrhart_counts_pinned(monkeypatch, k):
+    calls = []
+
+    def recording(p, ns, interior=()):
+        out = lattice_counts(p, ns, interior)
+        calls.append((tuple(ns), tuple(interior), tuple(out)))
+        return out
+
+    monkeypatch.setattr(polytope, "lattice_counts", recording)
+    for kind in polytope.KINDS:
+        calls.append(kind)
+        ehrhart_data(build_polytope(kind, k))
+    digest = hashlib.sha256(repr(calls).encode()).hexdigest()
+    assert digest == EHRHART_COUNT_DIGESTS[k]
+
+
+@pytest.mark.parametrize("kind", ["D", "D_star", "D_star2"])
+def test_counts_mod_wraps_at_tiny_primes_and_the_cap(kind):
+    # residues reduced by a conditional subtraction must equal the exact
+    # counts mod m both when nearly every step reduces (m = 2..7) and at
+    # the largest prime the uint32 lanes allow
+    p = build_polytope(kind, 3)
+    ns = range(5)
+    budgets = polytope._budgets(p, ns, range(1, 7))
+    live = [b for b in budgets if min(b) >= 0]
+    exact = ([brute_lattice_count(p, n) for n in ns]
+             + [brute_lattice_count(p, n, interior=True)
+                for n, b in zip(range(1, 7), budgets[len(ns):]) if min(b) >= 0])
+    memberships = [tuple(c for c, a in enumerate(p.constraints) if j in a)
+                   for j in range(p.dim)]
+    for m in (2, 3, 5, 7, polytope.PRIME_CAP):
+        got = polytope._counts_mod(memberships, live, m)
+        assert got == [c % m for c in exact], (kind, m)
+
+
+def _prefix_reference(table, axes, m):
+    # the same hyperplane recurrence on a dict of Python ints
+    a0, rest = axes[0], axes[1:]
+    out = dict(table)
+    for idx in range(1, max(i[a0] for i in out) + 1):
+        for i in sorted(out):
+            if i[a0] != idx or any(i[ax] == 0 for ax in rest):
+                continue
+            j = list(i)
+            j[a0] -= 1
+            for ax in rest:
+                j[ax] -= 1
+            out[i] = (out[i] + out[tuple(j)]) % m
+    return out
+
+
+@pytest.mark.parametrize("shape, axes", [
+    ((6,), (0,)), ((5, 4), (0,)), ((5, 4), (1,)), ((5, 4), (0, 1)),
+    ((4, 3, 5), (2, 0)), ((4, 3, 5), (1, 0, 2)),
+])
+def test_prefix_at_the_cap_matches_python_ints(shape, axes):
+    m = polytope.PRIME_CAP
+    arr = np.full(shape, m - 1, dtype=np.uint32)
+    arr.flat[::3] = m - 2
+    want = _prefix_reference(
+        {i: int(v) for i, v in np.ndenumerate(arr)}, axes, m)
+    polytope._prefix(arr, axes, m)
+    assert arr.dtype == np.uint32
+    assert {i: int(v) for i, v in np.ndenumerate(arr)} == want
+
+
+def test_k4_period6_dp_crt_prime_counts(monkeypatch):
+    # primes up to 2**31 - 1: three cover the D and D_star bounds, two D_star2
+    calls = []
+
+    def counting(memberships, budgets, m):
+        calls.append(m)
+        return [0] * len(budgets)
+
+    monkeypatch.setattr(polytope, "_counts_mod", counting)
+    got = {}
+    for kind in ("D", "D_star", "D_star2"):
+        p = build_polytope(kind, 4)
+        calls.clear()
+        lattice_counts(p, *polytope._sample_window(p, 6))
+        got[kind] = len(calls)
+    assert got == {"D": 3, "D_star": 3, "D_star2": 2}
 
 
 def test_lattice_counts_batch_consistency():
