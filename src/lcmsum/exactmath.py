@@ -10,11 +10,15 @@ Everything downstream leans on four guarantees provided here:
   up to their limit and support factoring and primality up to limit**2;
 * zeta values come with a certified absolute error from a bracketed
   integral tail bound; the partial sum is an exact floor sum, vectorised
-  over n as 32-bit limbs, and one prefix per j is kept and extended.
+  over n as 32-bit limbs, and one prefix per j is kept and extended.  The
+  same kernel, `floor_prefix_sums`, takes optional integer weights and
+  returns prefix sums at many marks; the k=2 totient route of `oracle`
+  sums its harmonic numbers and block weights with it.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -40,7 +44,8 @@ MAX_SIEVE_LIMIT = 10**8
 #: refuse zeta partial sums longer than this (raise PrecisionError instead)
 ZETA_MAX_TERMS = 1 << 26
 
-#: n per vectorised step of the zeta floor sum (32 KB per uint64 array)
+#: n per vectorised step of the floor sums (32 KB per uint64 array; a chunk's
+#: limb column sums stay below ZETA_CHUNK * 2**32)
 ZETA_CHUNK = 1 << 12
 
 
@@ -384,46 +389,73 @@ def stirling2(k: int, m: int) -> int:
 # Certified zeta values
 # ---------------------------------------------------------------------------
 
-def _floor_block(j: int, a: int, b: int) -> int:
-    """sum of floor(2**CERTIFIED_BITS / n**j) over a <= n <= b, exactly.
+def floor_prefix_sums(j: int, bits: int, a: int, marks: Sequence[int],
+                      w: np.ndarray | None = None) -> list[int]:
+    """sum of floor(w[n] * 2**bits / n**j) over a <= n <= m, exactly, for
+    each m of the ascending `marks` (j, a >= 1; w[n] = 1 when w is None).
 
     Each chunk of n is a uint64 array.  The numerator is held as 32-bit
     limbs, most significant first, and divided j times by n one limb at a
     time (floor(floor(x/m)/n) = floor(x/(m*n))); each limb column is then
-    summed and the columns are recombined as Python ints.
+    summed, or prefix-summed in a chunk that holds marks, and the columns
+    are recombined as Python ints.  The lanes stay exact only for
+    n <= ZETA_MAX_TERMS (so (r << 32) | limb < 2**58) and a leading limb
+    w[n] * 2**(bits % 32) below 2**32; inputs past either are refused.
     """
-    one = 1 << CERTIFIED_BITS
-    top = CERTIFIED_BITS // 32
+    out: list[int] = []
+    last = marks[-1] if marks else 0
+    if last > ZETA_MAX_TERMS:
+        raise ValueError(f"n = {last} exceeds the lane bound {ZETA_MAX_TERMS}")
+    wmax = 1
+    if w is not None and last >= a:
+        wmax = int(w[a:last + 1].max())
+        if w[a:last + 1].min() < 0 or wmax << bits % 32 >= 1 << 32:
+            raise ValueError("weights must lie in [0, 2**(32 - bits % 32))")
+    top = bits // 32
     total = 0
-    for start in range(a, b + 1, ZETA_CHUNK):
-        n = np.arange(start, min(b, start + ZETA_CHUNK - 1) + 1, dtype=np.uint64)
-        # limbs[i] weighs 2**(32*(w - i)); a scalar limb is the same for every n
-        limbs = [np.uint64(1 << CERTIFIED_BITS % 32)] + [np.uint64(0)] * top
-        w = top
+    for start in range(a, last + 1, ZETA_CHUNK):
+        stop = min(last, start + ZETA_CHUNK - 1)
+        n = np.arange(start, stop + 1, dtype=np.uint64)
+        # limbs[i] weighs 2**(32*(h - i)); a scalar limb is the same for every n
+        lead = (np.uint64(1 << bits % 32) if w is None
+                else w[start:stop + 1].astype(np.uint64) << np.uint64(bits % 32))
+        limbs = [lead] + [np.uint64(0)] * top
+        h = top
         for k in range(1, j + 1):
-            # every quotient of this step is at most one // start**k, so its
-            # limbs above qtop are zero: the dividend's limbs above qtop form
-            # a number below n, which is the remainder they leave
-            bound = one // start**k
-            if bound == 0:
-                return total  # here and in every later chunk
+            # every quotient of this step is at most bound, so its limbs
+            # above qtop are zero: the dividend's limbs above qtop form a
+            # number below n, which is the remainder they leave
+            bound = (wmax << bits) // start**k
+            if bound == 0:  # here and in every later chunk
+                return out + [total] * (len(marks) - len(out))
             qtop = (bound.bit_length() - 1) // 32
             r = np.zeros_like(n)
-            for limb in limbs[:w - qtop]:
+            for limb in limbs[:h - qtop]:
                 r = (r << 32) | limb
-            out = []
-            for limb in limbs[w - qtop:]:
+            quotients = []
+            for limb in limbs[h - qtop:]:
                 q, r = np.divmod((r << 32) | limb, n)
-                out.append(q)
-            limbs, w = out, qtop
+                quotients.append(q)
+            limbs, h = quotients, qtop
+        # marks before the chunk read the total so far, marks inside it add
+        # its column prefixes; a mark at its end waits for the total
+        inside = bisect.bisect_left(marks, start, len(out))
+        end = bisect.bisect_left(marks, stop, inside)
+        out += [total] * (end - len(out))
+        if end > inside:
+            idx = np.array(marks[inside:end], dtype=np.int64) - start
         for i, q in enumerate(limbs):
-            total += int(q.sum()) << 32 * (w - i)
-    return total
+            shift = 32 * (h - i)
+            if end > inside:
+                for o, c in enumerate(np.cumsum(q)[idx].tolist(), inside):
+                    out[o] += c << shift
+            total += int(q.sum()) << shift
+    return out + [total] * (len(marks) - len(out))
 
 
-# uint64 lanes of _floor_block: r < n <= ZETA_MAX_TERMS, so (r << 32) | limb
-# stays below 2**58, and a chunk's column sum below ZETA_CHUNK * 2**32
-assert ZETA_MAX_TERMS <= 1 << 32 and ZETA_CHUNK <= 1 << 32
+def _floor_block(j: int, a: int, b: int) -> int:
+    """sum of floor(2**CERTIFIED_BITS / n**j) over a <= n <= b, exactly."""
+    return floor_prefix_sums(j, CERTIFIED_BITS, a, [b])[0]
 
 
 @lru_cache(maxsize=1024)
@@ -459,8 +491,8 @@ def zeta_value(j: int, target_error) -> BoundedReal:
 
     Partial sum of n^-j plus a two-sided integral tail bound N^(1-j)/(j-1),
     at CERTIFIED_BITS; the returned enclosure is rigorous, not heuristic.
-    The partial sum is the exact floor sum of `_floor_block`, vectorised
-    over n, and one kept prefix per j serves every target.
+    The partial sum is the exact floor sum of `floor_prefix_sums`,
+    vectorised over n, and one kept prefix per j serves every target.
     """
     if isinstance(j, bool) or not hasattr(j, "__index__"):
         raise TypeError(f"j must be an integer, got {j!r}")

@@ -19,11 +19,14 @@ each constrained-search leaf by its largest constraint product, and prefix
 sums over the buckets then give the exact value for every x <= X.  One
 range is kept per k for the brute sums and per (k, pinned) for the
 constrained search; an x past the kept X rebuilds it at max(x, 2X), so an
-ascending sweep costs about two searches at its top x.  The budgets keep
-their meaning for a search at x itself: `brute_sums` checks x**k before any
-range, and the constrained search counts its nodes per bucket, so the node
-count of the direct search at x is known from the range and checked on
-every call.
+ascending sweep costs about two searches at its top x.  The pinned search
+is a subtree of the plain one, so one plain search fills both variants:
+its pinned by-product is kept when it reaches further than the kept
+pinned range, and a pinned request past both builds a pinned range alone.
+The budgets keep their meaning for a search at x itself: `brute_sums`
+checks x**k before any range, and the constrained search counts its nodes
+per bucket, so the node count of the direct search at x is known from the
+range and checked on every call.
 
 Each route also has an entry that returns its count beside its value:
 `brute_sums` (the three sums, the raw and gcd-1 tuple counts),
@@ -43,14 +46,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .coprimality import build_coprimality_graph
 from .errors import InvariantViolation, ResourceLimitError
 from .eulerprod import coprime_density
-from .exactmath import BoundedReal, SurdRatio, factoring_limit, shared_sieve
+from .exactmath import (BoundedReal, SurdRatio, factoring_limit,
+                        floor_prefix_sums, shared_sieve)
 from .polytope import volume_of
 
 #: brute sums refuse more than this many raw tuple evaluations
@@ -116,22 +120,28 @@ class _Range(NamedTuple):
 _RANGES: dict[tuple, _Range] = {}
 
 
-def _range_for(key: tuple, x: int, build: Callable[[int], _Range]) -> _Range:
+def _range_for(key: tuple, x: int,
+               build: Callable[[int], dict[tuple, _Range]]) -> _Range:
     """The kept range of `key` if it reaches x, else a new one built at
     max(x, 2X), or at x when the doubled search exceeds its budget
-    (`build` raises ResourceLimitError)."""
+    (`build` raises ResourceLimitError).  `build` returns the range of
+    `key` and any by-product ranges of other keys; each is kept where it
+    reaches further than the range it would replace."""
     r = _RANGES.get(key)
     if r is not None and r.top >= x:
         return r
     top = max(x, 2 * r.top) if r else x
     try:
-        r = build(top)
+        built = build(top)
     except ResourceLimitError:
         if top == x:
             raise
-        r = build(x)
-    _RANGES[key] = r
-    return r
+        built = build(x)
+    for kk, rr in built.items():
+        kept = _RANGES.get(kk)
+        if kept is None or rr.top > kept.top:
+            _RANGES[kk] = rr
+    return built[key]
 
 
 def _brute_range(k: int, top: int) -> _Range:
@@ -163,9 +173,9 @@ def brute_sums(k: int, x: int, budget: int = TUPLE_BUDGET) -> BruteSums:
     exact; refuses past `budget` raw tuples even when the range is kept."""
     _check_budget(k, x, budget)
 
-    def build(top: int) -> _Range:
+    def build(top: int) -> dict[tuple, _Range]:
         _check_budget(k, top, budget)
-        return _brute_range(k, top)
+        return {("brute", k): _brute_range(k, top)}
 
     r = _range_for(("brute", k), x, build)
     recip, coprime, prod, tuples, coprime_tuples = r.rows[x]
@@ -217,48 +227,66 @@ def _phi_sieve(x: int) -> np.ndarray:
     return phi
 
 
+def _at_marks(terms: Iterator[int], marks: Sequence[int]) -> list[int]:
+    """The running sum of `terms` (the terms of n = 1, 2, ...) at each n of
+    the ascending `marks`."""
+    out, n, total = [], 0, 0
+    for m in marks:
+        total += sum(itertools.islice(terms, m - n))
+        n = m
+        out.append(total)
+    return out
+
+
 def fast_recip_lcm_sum2(x: int):
     """The k=2 reciprocal-lcm sum via sum_d phi(d)/d^2 * H(x//d)^2.
 
     Writing each pair through its gcd d turns the double sum into a single
     sum over d with squared harmonic numbers.  H(x//d) takes only about
     2*sqrt(x) values, so one loop walks the blocks of d sharing q = x//d in
-    ascending q: h = sum_{m<=q} s//m is the harmonic number at scale s, grown
-    one term per m, and w = sum_{d in block} phi(d)*t//d^2 the block weight
-    at scale t, and lo += h^2*w sums at scale s^2*t.  The two precisions
-    differ in (s, t): for x <= FAST_S2_EXACT_LIMIT, s = lcm(1..x) and
-    t = s^2 make every division exact, and lo is the exact rational, equal
-    to the brute route; above it, s = 2**FAST_S2_BITS with 32 guard bits on
-    t leave each floored h short by less than q and each w by less than the
-    block length n, so lo and hi += (h + q)^2 * (w + n) give a dyadic
-    enclosure at FAST_S2_BITS.
+    ascending q, fed by two prefix sums at the block marks: h = sum_{m<=q}
+    s//m, the harmonic number at scale s, and P(D) = sum_{d<=D}
+    phi(d)*t//d^2, whose difference over a block is its weight w at scale
+    t; lo += h^2*w sums at scale s^2*t.  The two precisions differ in
+    (s, t) and in who sums the prefixes.  For x <= FAST_S2_EXACT_LIMIT,
+    s = lcm(1..x) and t = s^2 make every division exact and lo is the
+    exact rational, equal to the brute route; its prefixes are Python ints,
+    since the numerators are far past any machine word.  Above it,
+    s = 2**FAST_S2_BITS with 32 guard bits on t, and both prefixes come
+    from the vectorised floor sum `floor_prefix_sums`; each floored h is
+    short by less than q and each w by less than the block length n, so lo
+    and hi += (h + q)^2 * (w + n) give a dyadic enclosure at FAST_S2_BITS.
     """
     if x < 1:
         raise ValueError("x must be positive")
     if x > FAST_S2_MAX:
         raise ResourceLimitError(f"x = {x} exceeds {FAST_S2_MAX}")
     exact = x <= FAST_S2_EXACT_LIMIT
+    phi = _phi_sieve(x)
+    # block i is ends[i + 1] < d <= ends[i], sharing q = qs[i]; ascending q
+    qs, ends = [], [x]
+    while ends[-1]:
+        qs.append(x // ends[-1])
+        ends.append(x // (qs[-1] + 1))
     if exact:
         s = _lcm_upto(x)
         t = s * s
+        hs = _at_marks((s // m for m in itertools.count(1)), qs)
+        # the memoryview yields Python ints without copying phi into a list
+        ps = _at_marks((p * t // (d * d) for d, p in enumerate(phi.data[1:], 1)),
+                       ends[::-1])
     else:
         s = 1 << FAST_S2_BITS
         t = s << 32
-    phi = _phi_sieve(x)
-    lo = hi = h = q_prev = 0
-    d_hi = x
-    while d_hi:
-        q = x // d_hi
-        d_lo = x // (q + 1)  # the block is d_lo < d <= d_hi
-        h += sum(s // m for m in range(q_prev + 1, q + 1))
-        # the memoryview yields Python ints without copying the block (the
-        # last block is half of phi) into a list
-        w = sum(p * t // (d * d) for d, p in
-                enumerate(phi.data[d_lo + 1:d_hi + 1], d_lo + 1))
+        hs = floor_prefix_sums(1, FAST_S2_BITS, 1, qs)
+        ps = floor_prefix_sums(2, FAST_S2_BITS + 32, 1, ends[::-1], phi)
+    ps.reverse()  # ps[i] = P(ends[i])
+    lo = hi = 0
+    for q, h, d_hi, d_lo, p_hi, p_lo in zip(qs, hs, ends, ends[1:], ps, ps[1:]):
+        w = p_hi - p_lo
         lo += h * h * w
         if not exact:
             hi += (h + q) ** 2 * (w + d_hi - d_lo)
-        d_hi, q_prev = d_lo, q
     if exact:
         return Fraction(lo, s * s * t)
     # lo and hi are at scale s^2*t; dividing by s*t leaves s = 2**FAST_S2_BITS
@@ -312,28 +340,41 @@ def gwise_constrained_sum(
     """
     _check_gwise(k, x)
     pinned = bool(fix_last_to_one)
-    r = _range_for(("gwise", k, pinned), x,
-                   lambda top: _gwise_range(k, pinned, top, node_budget))
+
+    def build(top: int) -> dict[tuple, _Range]:
+        ranges = _gwise_range(k, pinned, top, node_budget)
+        return {("gwise", k, p): r for p, r in ranges.items()}
+
+    r = _range_for(("gwise", k, pinned), x, build)
     total, _leaves, nodes = r.rows[x]
     if nodes > node_budget:
         raise _node_limit(node_budget)
     return Fraction(total, r.big)
 
 
-def _gwise_range(k: int, pinned: bool, top: int, node_budget: int) -> _Range:
+def _gwise_range(k: int, pinned: bool, top: int,
+                 node_budget: int) -> dict[bool, _Range]:
     """The constrained search at `top`, each node bucketed by its largest
     partial constraint product: the search at any x <= top visits exactly
     the nodes of bucket <= x, since partial products only grow along a
-    path.  Rows: sum numerator, leaves, nodes."""
+    path.  Rows: sum numerator, leaves, nodes.
+
+    The pinned top label comes first in the order, so the pinned search is
+    the root and the subtree of a = 1 at position 0, node for node.  The
+    root and that subtree are bucketed into their own columns, and the
+    plain search returns them as the pinned range too: {False: plain,
+    True: pinned}; the pinned search returns {True: pinned}.
+    """
     order, touching, earlier, pins = _search_plan(k, pinned)
     v = len(order)
     big = _lcm_upto(top)
-    total, leaves, nodes = ([0] * (top + 1) for _ in range(3))
+    # columns (total, leaves, nodes) of the pinned part and of the rest
+    ones, rest = ([[0] * (top + 1) for _ in range(3)] for _ in range(2))
     values = [1] * (v + 1)  # 1-indexed by label
     prods = [1] * k
-    visited = nodes[1] = 1  # the root
+    visited = ones[2][1] = 1  # the root
 
-    def dfs(pos: int, denom: int, m: int) -> None:
+    def dfs(pos: int, denom: int, m: int, cols: list[list[int]]) -> None:
         # m is the largest partial constraint product, the node's bucket
         nonlocal visited
         j = order[pos]
@@ -341,6 +382,7 @@ def _gwise_range(k: int, pinned: bool, top: int, node_budget: int) -> _Range:
         hi = 1 if pins[pos] else min(top // prods[i] for i in cons)
         fixed = math.prod(values[l] for l in earlier[pos])
         if pos == v - 1:  # the children are leaves: bucket them here
+            total, leaves, nodes = cols
             lim = max(prods[i] for i in cons)  # a leaf's bucket is max(m, lim*a)
             share = big // denom  # share // a == big // (denom * a)
             count = 0
@@ -362,21 +404,30 @@ def _gwise_range(k: int, pinned: bool, top: int, node_budget: int) -> _Range:
             visited += 1
             if visited > node_budget:
                 raise _node_limit(node_budget)
+            sub = rest if pos == 0 and a > 1 else cols
             values[j] = a
             mm = m
             for i in cons:
                 prods[i] *= a
                 if prods[i] > mm:
                     mm = prods[i]
-            nodes[mm] += 1
-            dfs(pos + 1, denom * a, mm)
+            sub[2][mm] += 1
+            dfs(pos + 1, denom * a, mm, sub)
             for i in cons:
                 prods[i] //= a
             values[j] = 1
 
-    dfs(0, 1, 1)
-    sums = (itertools.accumulate(col) for col in (total, leaves, nodes))
-    return _Range(top, big, list(zip(*sums)))
+    dfs(0, 1, 1, ones)
+
+    def prefix_rows(cols: list[list[int]]) -> _Range:
+        sums = (itertools.accumulate(col) for col in cols)
+        return _Range(top, big, list(zip(*sums)))
+
+    out = {True: prefix_rows(ones)}
+    if not pinned:
+        out[False] = prefix_rows([[p + q for p, q in zip(a, b)]
+                                  for a, b in zip(ones, rest)])
+    return out
 
 
 def gwise_sum_with_count(

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,9 +13,11 @@ from lcmsum.errors import PrecisionError, ResourceLimitError
 from lcmsum.exactmath import (
     CERTIFIED_BITS,
     ZETA_CHUNK,
+    ZETA_MAX_TERMS,
     BoundedReal,
     SurdRatio,
     factoring_limit,
+    floor_prefix_sums,
     leading_coeff_by_differences,
     sieve,
     stirling2,
@@ -173,6 +176,64 @@ def test_floor_sum_equals_per_term_loop(j):
     a, b = ZETA_CHUNK // 2, 3 * ZETA_CHUNK
     assert exactmath._floor_block(j, a, b) == _floor_sum_per_term(j, a, b)
     assert exactmath._floor_block(j, 1, 1) == 1 << CERTIFIED_BITS
+
+
+def _prefix_per_term(j, bits, a, marks, w):
+    # reference: one Python big int per term, read off at each mark
+    terms = (((1 if w is None else int(w[n])) << bits) // n**j
+             for n in range(a, max(marks) + 1))
+    prefix = [0, *itertools.accumulate(terms)]
+    return [prefix[max(m - a + 1, 0)] for m in marks]
+
+
+@pytest.mark.parametrize("bits", [96, 128, 160])
+@pytest.mark.parametrize("j", [1, 2])
+def test_floor_prefix_sums_equal_per_term_loop(j, bits):
+    c = ZETA_CHUNK
+    last = 3 * c + 5
+    w = np.random.default_rng(bits + j).integers(0, 2**24, last + 1)
+    w[::5] = 0
+    w[1::5] = 1
+    w[2::5] = 2**24 - 1
+    for a in (1, c // 2 + 3):
+        # on and on either side of the chunk edges (chunks start at a + i*c),
+        # a mark before a (the empty sum), a repeated mark and the last n
+        edges = [a + i * c + d for i in (1, 2) for d in (-2, -1, 0, 1)]
+        for marks in (sorted([a - 1, a, *edges, edges[2], last]), [a + c],
+                      [last, last]):
+            for weights in (None, w):
+                assert floor_prefix_sums(j, bits, a, marks, weights) == \
+                    _prefix_per_term(j, bits, a, marks, weights), (a, marks)
+
+
+def test_floor_prefix_sums_stop_where_every_quotient_is_zero():
+    # floor((2**24 - 1) / n**2) is zero from n = 4096 on, so the walk stops
+    # in the second chunk and the later marks read the total; zero weights
+    # stop it at once
+    w = np.full(3 * ZETA_CHUNK, 2**24 - 1)
+    marks = [1, ZETA_CHUNK, ZETA_CHUNK + 1, 3 * ZETA_CHUNK - 1]
+    assert floor_prefix_sums(2, 0, 1, marks, w) == _prefix_per_term(2, 0, 1, marks, w)
+    assert floor_prefix_sums(2, 128, 1, marks, 0 * w) == [0] * len(marks)
+
+
+def test_floor_prefix_sums_refuse_lanes_past_their_bounds():
+    top = ZETA_MAX_TERMS
+    assert floor_prefix_sums(2, CERTIFIED_BITS, top, [top]) == \
+        [(1 << CERTIFIED_BITS) // top**2]
+    with pytest.raises(ValueError, match="lane bound"):
+        floor_prefix_sums(2, CERTIFIED_BITS, top, [top + 1])
+    # the leading limb w * 2**(bits % 32) must stay below 2**32
+    for bits, wmax in ((128, 2**32 - 1), (136, 2**24 - 1)):
+        w = np.arange(11)
+        w[10] = wmax
+        assert floor_prefix_sums(1, bits, 1, [10], w) == \
+            _prefix_per_term(1, bits, 1, [10], w)
+        w[10] = wmax + 1
+        with pytest.raises(ValueError, match="weights"):
+            floor_prefix_sums(1, bits, 1, [10], w)
+    w[10] = -1
+    with pytest.raises(ValueError, match="weights"):
+        floor_prefix_sums(1, 128, 1, [10], w)
 
 
 #: every zeta(j, 2**-e) one `density` and one `constants` benchmark pass ask

@@ -164,6 +164,23 @@ def test_fast_route_enclosure_nests_in_the_pinned_one(x):
     assert pinned.encloses(enc)
 
 
+# Endpoints at FAST_S2_BITS from the block loop over Python-int block
+# weights that the vectorised prefix sums replaced; they must not move.
+EXACT_S2_ENDPOINTS = {
+    123_457: (38389034812557465017715004932602,
+              38389034812557465017715008951956),
+    10**6: (59483780432444141665156637781867,
+            59483780432444141665156676063976),
+}
+
+
+@pytest.mark.parametrize("x", sorted(EXACT_S2_ENDPOINTS))
+def test_fast_route_enclosure_endpoints_pinned(x):
+    pinned = BoundedReal(*EXACT_S2_ENDPOINTS[x], oracle.FAST_S2_BITS)
+    enc = fast_recip_lcm_sum2(x)
+    assert (enc.lo, enc.hi, enc.bits) == (pinned.lo, pinned.hi, pinned.bits)
+
+
 def reference_phi_sieve(x):
     # the per-p loop over every n <= x that the primes-only sieve replaced
     phi = np.arange(x + 1, dtype=np.int64)
@@ -221,7 +238,7 @@ def test_gwise_guards():
 def test_range_answers_equal_the_direct_search(k, top, pinned):
     # every x of one range against the direct search at x, value and leaves;
     # the leaves also equal the brute range's tuple counts
-    r = oracle._gwise_range(k, pinned, top, oracle.GWISE_NODE_BUDGET)
+    r = oracle._gwise_range(k, pinned, top, oracle.GWISE_NODE_BUDGET)[pinned]
     for x in range(1, top + 1):
         value, count = gwise_sum_with_count(k, x, pinned)
         total, leaves, _ = r.rows[x]
@@ -234,11 +251,12 @@ def test_range_answers_equal_the_direct_search(k, top, pinned):
 
 @pytest.mark.parametrize("pinned", [False, True])
 @pytest.mark.parametrize("k, top", [(2, 30), (3, 10)])
-def test_range_node_counts_are_the_direct_search_budget(k, top, pinned):
+def test_range_node_counts_are_the_direct_search_budget(k, top, pinned,
+                                                        monkeypatch):
     # the direct search at x visits exactly the range's nodes up to x: it
     # passes with that many as its budget and fails with one fewer, and so
     # does the range answer
-    rows = oracle._gwise_range(k, pinned, top, oracle.GWISE_NODE_BUDGET).rows
+    rows = oracle._gwise_range(k, pinned, top, oracle.GWISE_NODE_BUDGET)[pinned].rows
     for x in range(1, top + 1):
         n = rows[x][2]
         gwise_sum_with_count(k, x, pinned, node_budget=n)
@@ -247,11 +265,25 @@ def test_range_node_counts_are_the_direct_search_budget(k, top, pinned):
             gwise_sum_with_count(k, x, pinned, node_budget=n - 1)
         with pytest.raises(ResourceLimitError):
             gwise_constrained_sum(k, x, pinned, node_budget=n - 1)
+    if not pinned:
+        return
+    # the same budgets hold for pinned answers from the by-product range
+    # of a plain build, which has the pinned build's rows
+    monkeypatch.setattr(oracle, "_RANGES", {})
+    gwise_constrained_sum(k, top)
+    kept = oracle._RANGES[("gwise", k, True)]
+    assert kept.rows == rows
+    for x in range(1, top + 1):
+        n = rows[x][2]
+        gwise_constrained_sum(k, x, True, node_budget=n)
+        with pytest.raises(ResourceLimitError):
+            gwise_constrained_sum(k, x, True, node_budget=n - 1)
+    assert oracle._RANGES[("gwise", k, True)] is kept
 
 
 def test_gwise_rebuild_falls_back_to_x_within_the_budget(monkeypatch):
     # a doubled rebuild past the node budget is redone at x itself
-    n11 = oracle._gwise_range(2, False, 11, oracle.GWISE_NODE_BUDGET).rows[11][2]
+    n11 = oracle._gwise_range(2, False, 11, oracle.GWISE_NODE_BUDGET)[False].rows[11][2]
     monkeypatch.setattr(oracle, "_RANGES", {})
     gwise_constrained_sum(2, 10)
     assert gwise_constrained_sum(2, 11, node_budget=n11) == brute_recip_lcm_sum(2, 11)
@@ -259,6 +291,46 @@ def test_gwise_rebuild_falls_back_to_x_within_the_budget(monkeypatch):
     with pytest.raises(ResourceLimitError):
         gwise_constrained_sum(2, 12, node_budget=n11)
     assert oracle._RANGES[("gwise", 2, False)].top == 11
+
+
+def test_bench_call_order_builds_plain_ranges_only(monkeypatch):
+    # plain sweep, gcd-1 sweep, plain point, pinned point: every pinned
+    # answer comes from a plain build's by-product range
+    monkeypatch.setattr(oracle, "_RANGES", {})
+    calls = []
+    build = oracle._gwise_range
+
+    def counted(k, pinned, top, node_budget):
+        calls.append((k, pinned, top))
+        return build(k, pinned, top, node_budget)
+
+    monkeypatch.setattr(oracle, "_gwise_range", counted)
+    for pinned in (False, True):
+        for k, xmax in ((2, 20), (3, 8)):
+            for x in range(1, xmax + 1):
+                assert gwise_constrained_sum(k, x, pinned) == \
+                    gwise_sum_with_count(k, x, pinned)[0], (k, x, pinned)
+    for pinned in (False, True):
+        assert gwise_constrained_sum(3, 12, pinned) == \
+            gwise_sum_with_count(3, 12, pinned)[0], pinned
+    assert calls and all(not pinned for _, pinned, _ in calls)
+    assert calls[-1] == (3, False, 16)
+
+
+def test_shorter_plain_build_keeps_the_longer_pinned_range(monkeypatch):
+    monkeypatch.setattr(oracle, "_RANGES", {})
+    gwise_constrained_sum(2, 40, True)
+    kept = oracle._RANGES[("gwise", 2, True)]
+    assert kept.top == 40
+    gwise_constrained_sum(2, 10)
+    gwise_constrained_sum(2, 11)
+    assert oracle._RANGES[("gwise", 2, False)].top == 20
+    assert oracle._RANGES[("gwise", 2, True)] is kept
+    # a plain build past the kept pinned range replaces it
+    gwise_constrained_sum(2, 50)
+    assert oracle._RANGES[("gwise", 2, True)].top == 50
+    for x in (1, 40, 50):
+        assert gwise_constrained_sum(2, x, True) == brute_recip_lcm_sum_coprime(2, x)
 
 
 def range_values(xs):
