@@ -10,8 +10,17 @@ All oracle values are exact rationals.  One brute pass visits each sorted
 tuple once (symmetry cuts the work by about k!) and accumulates all three
 sums plus the raw and gcd-1 tuple counts; the reciprocal sums as integer
 numerators over the fixed denominator lcm(1..X), which every tuple lcm
-divides, so a single big integer add per tuple replaces rational
-normalization.
+divides, so no rational is ever normalized.
+
+The range builds behind the brute sums and the constrained search
+enumerate in int64 numpy chunks of at most `_CHUNK` children: every
+bucket, lcm and product of a build at X lies below X**(k+1), and a build
+with X**(k+1) >= 2**63 is refused.  They count the tuples or leaves per
+distinct (bucket, lcm) key with integer reductions only, then take one
+big-integer step, count * (lcm(1..X) // lcm), per key: at X = 90 the k = 3
+constrained search has 729,000 leaves and 37,579 keys.  The direct
+search `gwise_sum_with_count` stays a plain-Python depth-first search, so
+the routes that must agree share no arithmetic.
 
 Both the brute sums and `gwise_constrained_sum` answer from a whole-range
 result: one search at X buckets each brute tuple by its largest entry and
@@ -41,8 +50,10 @@ constant density * vol(D_star2), and the exact power-saving exponents.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -74,19 +85,6 @@ FAST_S2_BITS = 96
 @lru_cache(maxsize=32)
 def _lcm_upto(x: int) -> int:
     return math.lcm(*range(1, x + 1))
-
-
-def _perm_count(t: Sequence[int]) -> int:
-    # permutations of the sorted multiset t (multinomial coefficient)
-    out = math.factorial(len(t))
-    i = 0
-    while i < len(t):
-        j = i
-        while j < len(t) and t[j] == t[i]:
-            j += 1
-        out //= math.factorial(j - i)
-        i = j
-    return out
 
 
 def _check_budget(k: int, x: int, budget: int) -> None:
@@ -144,28 +142,163 @@ def _range_for(key: tuple, x: int,
     return built[key]
 
 
+#: candidate children expanded at a time by the range builds.  A chunk's
+#: int64 columns take 32 KB each; the depth-first search holds one chunk
+#: per level, so a k = 3 build at top 90 peaks near 5 MB of arrays
+_CHUNK = 1 << 12
+
+#: key entries a `_Tally` holds unmerged, at least; it also waits for a
+#: quarter of its merged keys, so each merge's sort is paid for by new entries
+_MERGE_AT = 4 * _CHUNK
+
+
+def _check_int64(k: int, top: int) -> None:
+    # every bucket, lcm, product and key of a range build is below top**(k+1)
+    if top ** (k + 1) >= 1 << 63:
+        raise ResourceLimitError(
+            f"top**(k+1) = {top}**{k + 1} reaches 2**63, past the int64 "
+            "range enumeration")
+
+
+def _pieces(hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The children a = 1..hi[r] of each frontier row r, as (r, a) column
+    pairs of at most _CHUNK children, in row order."""
+    ends = np.cumsum(hi)
+    starts = ends - hi
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, _CHUNK):
+        stop = min(lo + _CHUNK, total)
+        # rows r0..r1-1 have children in [lo, stop); clip the two end rows
+        r0 = int(np.searchsorted(ends, lo, side="right"))
+        r1 = int(np.searchsorted(ends, stop - 1, side="right")) + 1
+        count = hi[r0:r1].copy()
+        count[0] -= lo - starts[r0]
+        count[-1] -= ends[r1 - 1] - stop
+        yield (np.repeat(np.arange(r0, r1), count),
+               np.arange(lo + 1, stop + 1) - np.repeat(starts[r0:r1], count))
+
+
+class _Tally:
+    """Integer multiplicities per int64 key, one column per count kind,
+    summed by sorting and integer reductions only (never float weights).
+    Each chunk is reduced on arrival; the sorted chunk results are merged
+    into the kept keys once they pass _MERGE_AT entries and a quarter of
+    the kept keys."""
+
+    def __init__(self, kinds: int) -> None:
+        self.keys = np.zeros(0, np.int64)
+        self.counts = np.zeros((kinds, 0), np.int64)
+        self.pending: list[tuple[np.ndarray, np.ndarray]] = []
+        self.waiting = 0
+
+    def add(self, keys: np.ndarray, counts: np.ndarray) -> None:
+        """Add counts[c, i] to the count of kind c of keys[i]."""
+        self.pending.append(_reduce(keys, counts))
+        self.waiting += len(self.pending[-1][0])
+        if self.waiting > max(_MERGE_AT, len(self.keys) // 4):
+            self.merge()
+
+    def merge(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct keys in ascending order and their counts."""
+        if self.pending:
+            runs = [(self.keys, self.counts)] + self.pending
+            self.keys = self.counts = self.pending = None
+            keys = np.concatenate([k for k, _ in runs])
+            counts = np.concatenate([c for _, c in runs], axis=1)
+            del runs  # freed before the sort, which then reuses their memory
+            # sorted runs, which the stable sort (timsort) merges
+            self.keys, self.counts = _reduce(keys, counts, "stable")
+            self.pending, self.waiting = [], 0
+        return self.keys, self.counts
+
+
+def _reduce(keys: np.ndarray, counts: np.ndarray,
+            kind: str = "quicksort") -> tuple[np.ndarray, np.ndarray]:
+    # the distinct keys, ascending, and each kind's counts summed per key
+    if not len(keys):
+        return keys, counts
+    order = np.argsort(keys, kind=kind)
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    out = np.empty((len(counts), len(first)), np.int64)
+    for c, o in zip(counts, out):
+        np.add.reduceat(c[order], first, out=o)
+    return keys[first], out
+
+
+def _columns(tally: _Tally, top: int, scale: int,
+             value: Callable[[int], int] | None) -> list[list[int]]:
+    """Row columns from keys (bucket - 1) * scale + (n - 1): per count kind
+    j, entry x of column j sums count_j * value(n) (n itself when value is
+    None) over the keys of bucket <= x, exactly; then, per kind, entry x of
+    a further column sums the counts.  One value(n) per distinct key."""
+    keys, counts = tally.merge()
+    # ends[x]: the number of keys of bucket <= x
+    ends = np.searchsorted(keys, np.arange(top + 1) * scale)
+    tallied = np.where(ends > 0, np.cumsum(counts, axis=1)[:, ends - 1], 0).tolist()
+    ends = ends.tolist()
+    per_bucket: list[list[int]] = [[] for _ in counts]
+    x = 0
+    while x < top:
+        # the keys of buckets x+1..y: whole buckets, about _CHUNK keys
+        y = max(x + 1, bisect.bisect_right(ends, ends[x] + _CHUNK) - 1)
+        lo = ends[x]
+        n = (keys[lo:ends[y]] % scale + 1).tolist()
+        shares = n if value is None else list(map(value, n))
+        for col, out in zip(counts[:, lo:ends[y]].tolist(), per_bucket):
+            for b in range(x + 1, y + 1):
+                part = slice(ends[b - 1] - lo, ends[b] - lo)
+                out.append(sum(map(operator.mul, col[part], shares[part])))
+        x = y
+    # the prefix sums are made last, once the blocks' ints are freed, so
+    # the kept rows do not hold their memory
+    sums = [list(itertools.accumulate(col, initial=0)) for col in per_bucket]
+    return sums + tallied
+
+
+def _sorted_tuples(k: int, i: int, m, last, run, w, lcm, gcd, prod
+                   ) -> Iterator[tuple[np.ndarray, ...]]:
+    """Chunks (m, w, lcm, gcd, prod) of int64 columns: the sorted k-tuples
+    that extend the frontier rows of i entries, depth first.  Entries come
+    largest first, so m is the largest; `last` is the smallest so far and
+    ends a run of `run` equal entries, and w counts the orderings."""
+    for row, a in _pieces(last):
+        run_a = np.where(a == last[row], run[row] + 1, 1)
+        # w * (i + 1) / run_a, divided first so that no step passes the
+        # final w, which is at most top**k
+        g = np.gcd(run_a, i + 1)
+        cols = (np.maximum(m[row], a), w[row] // (run_a // g) * ((i + 1) // g),
+                np.lcm(lcm[row], a), np.gcd(gcd[row], a), prod[row] * a)
+        if i + 1 == k:
+            yield cols
+        else:
+            yield from _sorted_tuples(k, i + 1, cols[0], a, run_a, *cols[1:])
+
+
 def _brute_range(k: int, top: int) -> _Range:
     """All three brute sums and both tuple counts from one visit of each
-    sorted tuple <= top, each weighted by its number of orderings; tuples
-    come in order of their largest entry m, so the running sums after m are
-    row m."""
+    sorted tuple <= top, each weighted by its number of orderings.
+
+    The tuples come from `_sorted_tuples` in chunks of int64 columns; entry
+    i + 1 ranges over 1..(entry i).  Each tuple's bucket is its largest
+    entry m.  The tuples are counted per distinct key (m, lcm), and per key
+    (m, prod // lcm) for the product sum, so the sums take one big-int
+    step per key."""
+    _check_int64(k, top)
     big = _lcm_upto(top)
-    recip = coprime = prod = tuples = coprime_tuples = 0
-    rows = [(0, 0, 0, 0, 0)]
-    for m in range(1, top + 1):
-        for head in itertools.combinations_with_replacement(range(1, m + 1), k - 1):
-            t = head + (m,)
-            w = _perm_count(t)
-            lcm = math.lcm(*t)
-            term = w * (big // lcm)
-            recip += term
-            tuples += w
-            if math.gcd(*t) == 1:
-                coprime += term
-                coprime_tuples += w
-            prod += w * (math.prod(t) // lcm)
-        rows.append((recip, coprime, prod, tuples, coprime_tuples))
-    return _Range(top, big, rows)
+    scale = top**k  # above every lcm and every prod // lcm
+    every, prod_lcm = _Tally(2), _Tally(1)  # every: (all, gcd 1) counts
+    one, zero = np.ones(1, np.int64), np.zeros(1, np.int64)
+    root = np.array([top], np.int64)  # the first entry ranges over 1..top
+    for m, w, lcm, gcd, prod in _sorted_tuples(k, 0, zero, root, zero, one,
+                                               one, zero, one):
+        every.add((m - 1) * scale + lcm - 1, np.stack((w, np.where(gcd == 1, w, 0))))
+        prod_lcm.add((m - 1) * scale + prod // lcm - 1, w[None])
+    recip, recip_coprime, tuples, coprime_tuples = _columns(
+        every, top, scale, big.__floordiv__)
+    prod, _ = _columns(prod_lcm, top, scale, None)
+    return _Range(top, big, list(zip(recip, recip_coprime, prod, tuples,
+                                     coprime_tuples)))
 
 
 def brute_sums(k: int, x: int, budget: int = TUPLE_BUDGET) -> BruteSums:
@@ -359,75 +492,86 @@ def _gwise_range(k: int, pinned: bool, top: int,
     the nodes of bucket <= x, since partial products only grow along a
     path.  Rows: sum numerator, leaves, nodes.
 
+    `_search_chunks` assigns the plan's labels one position at a time,
+    depth first over chunks of int64 columns: a row's children a = 1..hi
+    (hi keeps every partial product <= top) are kept when a is coprime to
+    the product of the earlier neighbours' parts.  Nodes are counted per
+    bucket as they are made, and the build raises ResourceLimitError once
+    the count passes `node_budget`, before the next position is expanded.
+    Leaves are counted per distinct key (bucket, product of the parts), the
+    product being the tuple's lcm, which divides `big`; the sums take one
+    big-int step per key.
+
     The pinned top label comes first in the order, so the pinned search is
-    the root and the subtree of a = 1 at position 0, node for node.  The
-    root and that subtree are bucketed into their own columns, and the
-    plain search returns them as the pinned range too: {False: plain,
-    True: pinned}; the pinned search returns {True: pinned}.
+    the root and the subtree of a = 1 at position 0, node for node.  That
+    part is counted in columns of its own, and the plain search returns it
+    as the pinned range too: {False: plain, True: pinned}; the pinned
+    search returns {True: pinned}.
     """
-    order, touching, earlier, pins = _search_plan(k, pinned)
-    v = len(order)
+    _check_int64(k, top)
+    plan = _search_plan(k, pinned)
     big = _lcm_upto(top)
-    # columns (total, leaves, nodes) of the pinned part and of the rest
-    ones, rest = ([[0] * (top + 1) for _ in range(3)] for _ in range(2))
-    values = [1] * (v + 1)  # 1-indexed by label
-    prods = [1] * k
-    visited = ones[2][1] = 1  # the root
+    scale = top**k  # above every lcm
+    # count columns: the whole search, and the pinned part of a plain one
+    kinds = (True,) if pinned else (False, True)
+    nodes = np.zeros((len(kinds), top + 1), np.int64)
+    nodes[:, 1] = 1  # the root
+    leaves = _Tally(len(kinds))
+    visited = 1
+    one = np.ones(1, np.int64)
+    for bucket, rest, lcm in _search_chunks(plan, top, 0, np.ones((k, 1), np.int64),
+                                            one, {}, np.zeros(1, bool)):
+        visited += len(bucket)
+        if visited > node_budget:
+            raise _node_limit(node_budget)
+        nodes[0] += np.bincount(bucket, minlength=top + 1)
+        if not pinned:
+            nodes[1] += np.bincount(bucket[~rest], minlength=top + 1)
+        if lcm is not None:
+            counts = np.ones((len(kinds), len(bucket)), np.int64)
+            counts[1:, rest] = 0  # the pinned part's column
+            leaves.add((bucket - 1) * scale + lcm - 1, counts)
+    sums = _columns(leaves, top, scale, big.__floordiv__)
+    counted = np.cumsum(nodes, axis=1).tolist()
+    return {p: _Range(top, big, list(zip(sums[c], sums[c + len(kinds)], counted[c])))
+            for c, p in enumerate(kinds)}
 
-    def dfs(pos: int, denom: int, m: int, cols: list[list[int]]) -> None:
-        # m is the largest partial constraint product, the node's bucket
-        nonlocal visited
-        j = order[pos]
-        cons = touching[pos]
-        hi = 1 if pins[pos] else min(top // prods[i] for i in cons)
-        fixed = math.prod(values[l] for l in earlier[pos])
-        if pos == v - 1:  # the children are leaves: bucket them here
-            total, leaves, nodes = cols
-            lim = max(prods[i] for i in cons)  # a leaf's bucket is max(m, lim*a)
-            share = big // denom  # share // a == big // (denom * a)
-            count = 0
-            for a in range(1, hi + 1):
-                if fixed > 1 and math.gcd(a, fixed) != 1:
-                    continue
-                mm = lim * a if lim * a > m else m
-                nodes[mm] += 1
-                leaves[mm] += 1
-                total[mm] += share // a
-                count += 1
-            visited += count
-            if visited > node_budget:
-                raise _node_limit(node_budget)
-            return
-        for a in range(1, hi + 1):
-            if fixed > 1 and math.gcd(a, fixed) != 1:
-                continue
-            visited += 1
-            if visited > node_budget:
-                raise _node_limit(node_budget)
-            sub = rest if pos == 0 and a > 1 else cols
-            values[j] = a
-            mm = m
-            for i in cons:
-                prods[i] *= a
-                if prods[i] > mm:
-                    mm = prods[i]
-            sub[2][mm] += 1
-            dfs(pos + 1, denom * a, mm, sub)
-            for i in cons:
-                prods[i] //= a
-            values[j] = 1
 
-    dfs(0, 1, 1, ones)
-
-    def prefix_rows(cols: list[list[int]]) -> _Range:
-        sums = (itertools.accumulate(col) for col in cols)
-        return _Range(top, big, list(zip(*sums)))
-
-    out = {True: prefix_rows(ones)}
-    if not pinned:
-        out[False] = prefix_rows([[p + q for p, q in zip(a, b)]
-                                  for a, b in zip(ones, rest)])
-    return out
+def _search_chunks(plan, top: int, pos: int, prods: np.ndarray, denom: np.ndarray,
+                   parts: dict[int, np.ndarray], rest: np.ndarray
+                   ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
+    """Chunks (bucket, rest, lcm) of int64 columns: the nodes of the
+    constrained search below the frontier rows at position `pos`, depth
+    first, each chunk yielded before its subtree is expanded.  A frontier
+    row has partial constraint products prods[i], the product `denom` of
+    its parts, the parts that later labels must be coprime to, and `rest`
+    set outside the pinned part.  lcm, the product of a leaf's parts, is
+    None above the leaves."""
+    order, touching, earlier, pins = plan
+    j, cons = order[pos], touching[pos]
+    hi = np.ones_like(denom) if pins[pos] else np.min(top // prods[cons], axis=0)
+    if earlier[pos]:
+        # a part must be coprime to every neighbour's part, so to their product
+        fixed = np.prod([parts[l] for l in earlier[pos]], axis=0)
+    # a child's bucket is max(its row's, lim * a)
+    bucket_of, lim = prods.max(axis=0), prods[cons].max(axis=0)
+    needed = set().union(*earlier[pos + 1:])
+    for row, a in _pieces(hi):
+        if earlier[pos]:
+            ok = np.gcd(a, fixed[row]) == 1
+            row, a = row[ok], a[ok]
+        bucket = np.maximum(bucket_of[row], lim[row] * a)
+        rest_a = a > 1 if pos == 0 else rest[row]
+        if pos == len(order) - 1:
+            yield bucket, rest_a, denom[row] * a
+            continue
+        yield bucket, rest_a, None
+        sub = prods[:, row]
+        sub[cons] *= a
+        kept = {l: parts[l][row] for l in needed if l in parts}
+        if j in needed:
+            kept[j] = a
+        yield from _search_chunks(plan, top, pos + 1, sub, denom[row] * a, kept, rest_a)
 
 
 def gwise_sum_with_count(
@@ -440,7 +584,10 @@ def gwise_sum_with_count(
     count).
 
     Depth-first over the parts, assigning the most-constrained labels first
-    and pruning as soon as any partial constraint product exceeds x.
+    and pruning as soon as any partial constraint product exceeds x.  The
+    last label's admissible parts are the leaves: they are summed in one
+    loop and counted as nodes and leaves together.  Plain Python, apart
+    from the range builds, so the two routes share no arithmetic.
     """
     _check_gwise(k, x)
     order, touching, earlier, pins = _search_plan(k, fix_last_to_one)
@@ -457,18 +604,23 @@ def gwise_sum_with_count(
         nodes += 1
         if nodes > node_budget:
             raise _node_limit(node_budget)
-        if pos == v:
-            total += big // denom
-            leaves += 1
-            return
         j = order[pos]
         cons = touching[pos]
         top = 1 if pins[pos] else min(x // prods[i] for i in cons)
         # a part must be coprime to every neighbour's part, so to their product
         fixed = math.prod(values[l] for l in earlier[pos])
-        for a in range(1, top + 1):
-            if fixed > 1 and math.gcd(a, fixed) != 1:
-                continue
+        parts = range(1, top + 1)
+        if fixed > 1:
+            parts = [a for a in parts if math.gcd(a, fixed) == 1]
+        if pos == v - 1:
+            share = big // denom  # share // a == big // (denom * a)
+            total += sum(map(share.__floordiv__, parts))
+            leaves += len(parts)
+            nodes += len(parts)
+            if nodes > node_budget:
+                raise _node_limit(node_budget)
+            return
+        for a in parts:
             values[j] = a
             for i in cons:
                 prods[i] *= a

@@ -1,6 +1,9 @@
+import functools
 import hashlib
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -331,6 +334,160 @@ def test_shorter_plain_build_keeps_the_longer_pinned_range(monkeypatch):
     assert oracle._RANGES[("gwise", 2, True)].top == 50
     for x in (1, 40, 50):
         assert gwise_constrained_sum(2, x, True) == brute_recip_lcm_sum_coprime(2, x)
+
+
+# ---------------------------------------------------------------------------
+# int64 range builds against the per-tuple loops they replaced
+# ---------------------------------------------------------------------------
+
+def perm_count(t):
+    # orderings of the sorted multiset t
+    out = math.factorial(len(t))
+    for run in (len(list(g)) for _, g in itertools.groupby(t)):
+        out //= math.factorial(run)
+    return out
+
+
+@functools.cache
+def reference_brute_rows(k, top):
+    # one visit per sorted tuple, one big-int add per tuple
+    big = math.lcm(*range(1, top + 1))
+    recip = coprime = prod = tuples = coprime_tuples = 0
+    rows = [(0, 0, 0, 0, 0)]
+    for m in range(1, top + 1):
+        for head in itertools.combinations_with_replacement(range(1, m + 1), k - 1):
+            t = head + (m,)
+            w = perm_count(t)
+            lcm = math.lcm(*t)
+            recip += w * (big // lcm)
+            tuples += w
+            if math.gcd(*t) == 1:
+                coprime += w * (big // lcm)
+                coprime_tuples += w
+            prod += w * (math.prod(t) // lcm)
+        rows.append((recip, coprime, prod, tuples, coprime_tuples))
+    return rows
+
+
+@functools.cache
+def reference_gwise_rows(k, pinned, top):
+    # the depth-first search, one big-int add per leaf; rows of the pinned
+    # part (a = 1 at position 0) and, for a plain search, of the whole
+    order, touching, earlier, pins = oracle._search_plan(k, pinned)
+    v = len(order)
+    big = math.lcm(*range(1, top + 1))
+    ones, rest = ([[0] * (top + 1) for _ in range(3)] for _ in range(2))
+    values = [1] * (v + 1)
+    prods = [1] * k
+    ones[2][1] = 1  # the root
+
+    def dfs(pos, denom, m, cols):
+        j = order[pos]
+        hi = 1 if pins[pos] else min(top // prods[i] for i in touching[pos])
+        fixed = math.prod(values[l] for l in earlier[pos])
+        for a in range(1, hi + 1):
+            if math.gcd(a, fixed) != 1:
+                continue
+            sub = rest if pos == 0 and a > 1 else cols
+            values[j] = a
+            for i in touching[pos]:
+                prods[i] *= a
+            mm = max([m] + prods)
+            sub[2][mm] += 1
+            if pos == v - 1:
+                sub[1][mm] += 1
+                sub[0][mm] += big // (denom * a)
+            else:
+                dfs(pos + 1, denom * a, mm, sub)
+            for i in touching[pos]:
+                prods[i] //= a
+            values[j] = 1
+
+    dfs(0, 1, 1, ones)
+
+    def prefix_rows(cols):
+        return list(zip(*(itertools.accumulate(col) for col in cols)))
+
+    out = {True: prefix_rows(ones)}
+    if not pinned:
+        out[False] = prefix_rows([[p + q for p, q in zip(a, b)]
+                                  for a, b in zip(ones, rest)])
+    return out
+
+
+BRUTE_GRID = [(1, 1), (1, 256), (2, 1), (2, 2), (2, 256), (3, 1), (3, 2),
+              (3, 90), (4, 1), (4, 30), (5, 1), (5, 12)]
+GWISE_GRID = [(k, pinned, top) for k in (2, 3) for pinned in (False, True)
+              for top in (1, 2, 64, 90)]
+
+
+@pytest.fixture(params=[None, 64], ids=["chunk-default", "chunk-64"])
+def chunk(request, monkeypatch):
+    # 64-child chunks split frontier rows and runs of equal keys across
+    # chunks, and make the tallies merge many times
+    if request.param:
+        monkeypatch.setattr(oracle, "_CHUNK", request.param)
+        monkeypatch.setattr(oracle, "_MERGE_AT", 4 * request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("k, top", BRUTE_GRID)
+def test_brute_range_equals_the_tuple_loop(k, top, chunk):
+    r = oracle._brute_range(k, top)
+    assert r.big == math.lcm(*range(1, top + 1))
+    assert r.rows == reference_brute_rows(k, top)
+    assert all(type(n) is int for row in r.rows for n in row)
+
+
+@pytest.mark.parametrize("k, pinned, top", GWISE_GRID)
+def test_gwise_range_equals_the_search_loop(k, pinned, top, chunk):
+    built = oracle._gwise_range(k, pinned, top, oracle.GWISE_NODE_BUDGET)
+    assert {p: r.rows for p, r in built.items()} == reference_gwise_rows(k, pinned, top)
+    assert all(type(n) is int for r in built.values() for row in r.rows for n in row)
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+@pytest.mark.parametrize("k, top", [(2, 90), (3, 30)])
+def test_gwise_range_refuses_iff_its_nodes_pass_the_budget(k, pinned, top, chunk):
+    nodes = reference_gwise_rows(k, pinned, top)[pinned][-1][2]
+    assert oracle._gwise_range(k, pinned, top, nodes)[pinned].rows[-1][2] == nodes
+    with pytest.raises(ResourceLimitError):
+        oracle._gwise_range(k, pinned, top, nodes - 1)
+
+
+def test_range_builds_refuse_what_int64_cannot_hold(monkeypatch):
+    # top**(k+1) >= 2**63 is refused before lcm(1..top) or any array is made
+    def no_work(*args):
+        raise AssertionError("work started before the refusal")
+
+    monkeypatch.setattr(oracle, "_lcm_upto", no_work)
+    monkeypatch.setattr(oracle, "_pieces", no_work)
+    monkeypatch.setattr(oracle, "_RANGES", {})
+    with pytest.raises(ResourceLimitError):
+        brute_sums(2, 2**32, budget=2**70)
+    with pytest.raises(ResourceLimitError):
+        oracle._brute_range(2, 2**21)
+    with pytest.raises(ResourceLimitError):
+        oracle._gwise_range(2, False, 2**21, 2**70)
+    oracle._check_int64(2, 2**21 - 1)  # (2**21 - 1)**3 < 2**63
+    oracle._check_int64(40, 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: oracle._gwise_range(3, False, 90, oracle.GWISE_NODE_BUDGET),
+    lambda: oracle._brute_range(3, 90),
+], ids=["gwise", "brute"])
+def test_range_build_memory_stays_chunked(build):
+    # unchunked, the 729,000 leaves of the gwise build alone take several
+    # 5.8 MB columns at once
+    oracle._lcm_upto(90)
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def range_values(xs):
