@@ -18,9 +18,11 @@ bucket, lcm and product of a build at X lies below X**(k+1), and a build
 with X**(k+1) >= 2**63 is refused.  They count the tuples or leaves per
 distinct (bucket, lcm) key with integer reductions only, then take one
 big-integer step, count * (lcm(1..X) // lcm), per key: at X = 90 the k = 3
-constrained search has 729,000 leaves and 37,579 keys.  The direct
-search `gwise_sum_with_count` stays a plain-Python depth-first search, so
-the routes that must agree share no arithmetic.
+constrained search has 729,000 leaves and 37,579 keys.  Past a cap of
+kept keys they fold the keys into per-bucket sums, so their memory stays
+bounded at any X.  The direct search `gwise_sum_with_count` stays a
+plain-Python depth-first search, so the routes that must agree share no
+arithmetic.
 
 Both the brute sums and `gwise_constrained_sum` answer from a whole-range
 result: one search at X buckets each brute tuple by its largest entry and
@@ -151,6 +153,15 @@ _CHUNK = 1 << 12
 #: quarter of its merged keys, so each merge's sort is paid for by new entries
 _MERGE_AT = 4 * _CHUNK
 
+#: distinct keys a range build's `_Tally` holds before it folds them into
+#: per-bucket sums and drops them, which bounds the build's memory at any
+#: top.  Brute tuples come in order of their largest entry, so a fold
+#: repeats at most one bucket's keys; gwise leaves come in search order, so
+#: keys recur across folds, and 2^19 keeps the k = 2 search at top 1000
+#: (352,200 keys) to a single fold.
+_BRUTE_KEYS = 1 << 16
+_GWISE_KEYS = 1 << 19
+
 
 def _check_int64(k: int, top: int) -> None:
     # every bucket, lcm, product and key of a range build is below top**(k+1)
@@ -179,27 +190,44 @@ def _pieces(hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 
 class _Tally:
-    """Integer multiplicities per int64 key, one column per count kind,
-    summed by sorting and integer reductions only (never float weights).
-    Each chunk is reduced on arrival; the sorted chunk results are merged
-    into the kept keys once they pass _MERGE_AT entries and a quarter of
-    the kept keys."""
+    """Exact per-bucket sums over int64 keys (bucket - 1) * scale + (n - 1):
+    per count kind j and bucket b, the sum of count_j * value(n) (n itself
+    when value is None) and the sum of count_j.
 
-    def __init__(self, kinds: int) -> None:
+    Each chunk is reduced on arrival by sorting and integer reductions
+    (never float weights); the sorted chunk results are merged into the
+    kept keys once they pass _MERGE_AT entries and a quarter of the kept
+    keys.  Past `cap` kept keys, the keys are folded into the per-bucket
+    sums with one value(n) and one big-int product per key, and dropped.
+    So a build with at most `cap` keys takes one big-int step per distinct
+    key, and any build's memory stays bounded."""
+
+    def __init__(self, kinds: int, top: int, scale: int,
+                 value: Callable[[int], int] | None, cap: int) -> None:
+        self.top, self.scale, self.value, self.cap = top, scale, value, cap
         self.keys = np.zeros(0, np.int64)
         self.counts = np.zeros((kinds, 0), np.int64)
         self.pending: list[tuple[np.ndarray, np.ndarray]] = []
         self.waiting = 0
+        self.sums = [[0] * top for _ in range(kinds)]
+        self.tallied = np.zeros((kinds, top), np.int64)
 
     def add(self, keys: np.ndarray, counts: np.ndarray) -> None:
         """Add counts[c, i] to the count of kind c of keys[i]."""
         self.pending.append(_reduce(keys, counts))
         self.waiting += len(self.pending[-1][0])
         if self.waiting > max(_MERGE_AT, len(self.keys) // 4):
-            self.merge()
+            self._merge()
+            if len(self.keys) > self.cap:
+                self._fold()
 
-    def merge(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct keys in ascending order and their counts."""
+    def columns(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Per kind, the per-bucket sums and counts of buckets 1..top."""
+        self._merge()
+        self._fold()
+        return self.sums, self.tallied.tolist()
+
+    def _merge(self) -> None:
         if self.pending:
             runs = [(self.keys, self.counts)] + self.pending
             self.keys = self.counts = self.pending = None
@@ -209,7 +237,30 @@ class _Tally:
             # sorted runs, which the stable sort (timsort) merges
             self.keys, self.counts = _reduce(keys, counts, "stable")
             self.pending, self.waiting = [], 0
-        return self.keys, self.counts
+
+    def _fold(self) -> None:
+        keys, counts, scale = self.keys, self.counts, self.scale
+        if not len(keys):
+            return
+        # ends[b]: the number of keys of bucket <= b
+        ends = np.searchsorted(keys, np.arange(self.top + 1) * scale)
+        self.tallied += np.diff(np.where(ends > 0, np.cumsum(counts, axis=1)[:, ends - 1], 0))
+        ends = ends.tolist()
+        b = 0
+        while b < self.top:
+            # the keys of buckets b+1..c: whole buckets, about _CHUNK keys
+            c = max(b + 1, bisect.bisect_right(ends, ends[b] + _CHUNK) - 1)
+            lo = ends[b]
+            n = (keys[lo:ends[c]] % scale + 1).tolist()
+            shares = n if self.value is None else list(map(self.value, n))
+            for col, out in zip(counts[:, lo:ends[c]].tolist(), self.sums):
+                for i in range(b, c):
+                    if ends[i + 1] > ends[i]:
+                        part = slice(ends[i] - lo, ends[i + 1] - lo)
+                        out[i] += sum(map(operator.mul, col[part], shares[part]))
+            b = c
+        self.keys = np.zeros(0, np.int64)
+        self.counts = np.zeros((len(counts), 0), np.int64)
 
 
 def _reduce(keys: np.ndarray, counts: np.ndarray,
@@ -226,34 +277,10 @@ def _reduce(keys: np.ndarray, counts: np.ndarray,
     return keys[first], out
 
 
-def _columns(tally: _Tally, top: int, scale: int,
-             value: Callable[[int], int] | None) -> list[list[int]]:
-    """Row columns from keys (bucket - 1) * scale + (n - 1): per count kind
-    j, entry x of column j sums count_j * value(n) (n itself when value is
-    None) over the keys of bucket <= x, exactly; then, per kind, entry x of
-    a further column sums the counts.  One value(n) per distinct key."""
-    keys, counts = tally.merge()
-    # ends[x]: the number of keys of bucket <= x
-    ends = np.searchsorted(keys, np.arange(top + 1) * scale)
-    tallied = np.where(ends > 0, np.cumsum(counts, axis=1)[:, ends - 1], 0).tolist()
-    ends = ends.tolist()
-    per_bucket: list[list[int]] = [[] for _ in counts]
-    x = 0
-    while x < top:
-        # the keys of buckets x+1..y: whole buckets, about _CHUNK keys
-        y = max(x + 1, bisect.bisect_right(ends, ends[x] + _CHUNK) - 1)
-        lo = ends[x]
-        n = (keys[lo:ends[y]] % scale + 1).tolist()
-        shares = n if value is None else list(map(value, n))
-        for col, out in zip(counts[:, lo:ends[y]].tolist(), per_bucket):
-            for b in range(x + 1, y + 1):
-                part = slice(ends[b - 1] - lo, ends[b] - lo)
-                out.append(sum(map(operator.mul, col[part], shares[part])))
-        x = y
-    # the prefix sums are made last, once the blocks' ints are freed, so
-    # the kept rows do not hold their memory
-    sums = [list(itertools.accumulate(col, initial=0)) for col in per_bucket]
-    return sums + tallied
+def _prefix_rows(columns: list[list[int]]) -> list[tuple[int, ...]]:
+    # row x sums buckets 1..x; made last, once the builds' ints are freed,
+    # so the kept rows do not hold their memory
+    return list(zip(*(itertools.accumulate(col, initial=0) for col in columns)))
 
 
 def _sorted_tuples(k: int, i: int, m, last, run, w, lcm, gcd, prod
@@ -287,18 +314,18 @@ def _brute_range(k: int, top: int) -> _Range:
     _check_int64(k, top)
     big = _lcm_upto(top)
     scale = top**k  # above every lcm and every prod // lcm
-    every, prod_lcm = _Tally(2), _Tally(1)  # every: (all, gcd 1) counts
+    every = _Tally(2, top, scale, big.__floordiv__, _BRUTE_KEYS)  # (all, gcd 1)
+    prod_lcm = _Tally(1, top, scale, None, _BRUTE_KEYS)
     one, zero = np.ones(1, np.int64), np.zeros(1, np.int64)
     root = np.array([top], np.int64)  # the first entry ranges over 1..top
     for m, w, lcm, gcd, prod in _sorted_tuples(k, 0, zero, root, zero, one,
                                                one, zero, one):
         every.add((m - 1) * scale + lcm - 1, np.stack((w, np.where(gcd == 1, w, 0))))
         prod_lcm.add((m - 1) * scale + prod // lcm - 1, w[None])
-    recip, recip_coprime, tuples, coprime_tuples = _columns(
-        every, top, scale, big.__floordiv__)
-    prod, _ = _columns(prod_lcm, top, scale, None)
-    return _Range(top, big, list(zip(recip, recip_coprime, prod, tuples,
-                                     coprime_tuples)))
+    (recip, recip_coprime), (tuples, coprime_tuples) = every.columns()
+    (prod,), _ = prod_lcm.columns()
+    return _Range(top, big, _prefix_rows([recip, recip_coprime, prod, tuples,
+                                          coprime_tuples]))
 
 
 def brute_sums(k: int, x: int, budget: int = TUPLE_BUDGET) -> BruteSums:
@@ -516,7 +543,7 @@ def _gwise_range(k: int, pinned: bool, top: int,
     kinds = (True,) if pinned else (False, True)
     nodes = np.zeros((len(kinds), top + 1), np.int64)
     nodes[:, 1] = 1  # the root
-    leaves = _Tally(len(kinds))
+    leaves = _Tally(len(kinds), top, scale, big.__floordiv__, _GWISE_KEYS)
     visited = 1
     one = np.ones(1, np.int64)
     for bucket, rest, lcm in _search_chunks(plan, top, 0, np.ones((k, 1), np.int64),
@@ -531,9 +558,8 @@ def _gwise_range(k: int, pinned: bool, top: int,
             counts = np.ones((len(kinds), len(bucket)), np.int64)
             counts[1:, rest] = 0  # the pinned part's column
             leaves.add((bucket - 1) * scale + lcm - 1, counts)
-    sums = _columns(leaves, top, scale, big.__floordiv__)
-    counted = np.cumsum(nodes, axis=1).tolist()
-    return {p: _Range(top, big, list(zip(sums[c], sums[c + len(kinds)], counted[c])))
+    sums, counts = leaves.columns()
+    return {p: _Range(top, big, _prefix_rows([sums[c], counts[c], nodes[c, 1:].tolist()]))
             for c, p in enumerate(kinds)}
 
 

@@ -424,10 +424,13 @@ GWISE_GRID = [(k, pinned, top) for k in (2, 3) for pinned in (False, True)
 @pytest.fixture(params=[None, 64], ids=["chunk-default", "chunk-64"])
 def chunk(request, monkeypatch):
     # 64-child chunks split frontier rows and runs of equal keys across
-    # chunks, and make the tallies merge many times
+    # chunks, make the tallies merge many times, and with key caps of 256
+    # fold their keys into the bucket sums many times
     if request.param:
         monkeypatch.setattr(oracle, "_CHUNK", request.param)
         monkeypatch.setattr(oracle, "_MERGE_AT", 4 * request.param)
+        monkeypatch.setattr(oracle, "_BRUTE_KEYS", 4 * request.param)
+        monkeypatch.setattr(oracle, "_GWISE_KEYS", 4 * request.param)
     return request.param
 
 
@@ -488,6 +491,34 @@ def test_range_build_memory_stays_chunked(build):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, peak
+
+
+def test_tallies_fold_their_keys_to_stay_bounded(monkeypatch):
+    # a tally holds at most its cap of merged keys plus the entries that
+    # wait to merge, however many distinct keys the build has (23,052 for
+    # the brute build here), and its rows stay exact
+    cap, wait = 1024, 256
+    monkeypatch.setattr(oracle, "_BRUTE_KEYS", cap)
+    monkeypatch.setattr(oracle, "_GWISE_KEYS", cap)
+    monkeypatch.setattr(oracle, "_MERGE_AT", wait)
+    held, folds = [], []
+    add, fold = oracle._Tally.add, oracle._Tally._fold
+
+    def tracked_add(self, keys, counts):
+        add(self, keys, counts)
+        held.append(len(self.keys) + self.waiting)
+
+    def tracked_fold(self):
+        folds.append(len(self.keys))
+        fold(self)
+
+    monkeypatch.setattr(oracle._Tally, "add", tracked_add)
+    monkeypatch.setattr(oracle._Tally, "_fold", tracked_fold)
+    assert oracle._brute_range(2, 256).rows == reference_brute_rows(2, 256)
+    built = oracle._gwise_range(2, False, 90, oracle.GWISE_NODE_BUDGET)
+    assert {p: r.rows for p, r in built.items()} == reference_gwise_rows(2, False, 90)
+    assert max(held) <= cap + max(wait, cap // 4)
+    assert sum(f > cap for f in folds) >= 10
 
 
 def range_values(xs):
