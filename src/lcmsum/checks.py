@@ -32,9 +32,11 @@ CheckOutcome = tuple[bool, str, str, str]
 
 
 def edge_counts() -> CheckOutcome:
-    built = [len(build_coprimality_graph(k).edges) for k in (2, 3, 4)]
-    formula = [edge_count_formula(k) for k in (2, 3, 4)]
-    return built == formula == [1, 9, 55], str([1, 9, 55]), str(built), "exact"
+    ks = sorted(reference.EDGE_COUNTS)
+    published = [reference.EDGE_COUNTS[k] for k in ks]
+    built = [len(build_coprimality_graph(k).edges) for k in ks]
+    formula = [edge_count_formula(k) for k in ks]
+    return built == formula == published, str(published), str(built), "exact"
 
 
 def edge_set_k3() -> CheckOutcome:

@@ -14,13 +14,15 @@ divides, so no rational is ever normalized.
 
 The range builds behind the brute sums and the constrained search
 enumerate in int64 numpy chunks of at most `_CHUNK` children: every
-bucket, lcm and product of a build at X lies below X**(k+1), and a build
-with X**(k+1) >= 2**63 is refused.  They count the tuples or leaves per
-distinct (bucket, lcm) key with integer reductions only, then take one
-big-integer step, count * (lcm(1..X) // lcm), per key: at X = 90 the k = 3
-constrained search has 729,000 leaves and 37,579 keys.  Past a cap of
-kept keys they fold the keys into per-bucket sums, so their memory stays
-bounded at any X.  The direct search `gwise_sum_with_count` stays a
+bucket, lcm and product of a build at X lies below X**(k+1), the brute
+product sum below X**(2k-1), and a build with either at or past 2**63 is
+refused.  They count the tuples or leaves per distinct (bucket, lcm) key
+with integer reductions only, then take one big-integer step,
+count * (lcm(1..X) // lcm), per key: at X = 90 the k = 3 constrained
+search has 729,000 leaves and 37,579 keys.  Past `_KEYS` kept keys they
+fold the keys into per-bucket sums, so their memory stays bounded at any
+X.  The brute product sum takes no big-int step: it is summed per bucket
+in int64.  The direct search `gwise_sum_with_count` stays a
 plain-Python depth-first search, so the routes that must agree share no
 arithmetic.
 
@@ -52,7 +54,6 @@ constant density * vol(D_star2), and the exact power-saving exponents.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -153,22 +154,18 @@ _CHUNK = 1 << 12
 #: quarter of its merged keys, so each merge's sort is paid for by new entries
 _MERGE_AT = 4 * _CHUNK
 
-#: distinct keys a range build's `_Tally` holds before it folds them into
-#: per-bucket sums and drops them, which bounds the build's memory at any
-#: top.  Brute tuples come in order of their largest entry, so a fold
-#: repeats at most one bucket's keys; gwise leaves come in search order, so
-#: keys recur across folds, and 2^19 keeps the k = 2 search at top 1000
-#: (352,200 keys) to a single fold.
-_BRUTE_KEYS = 1 << 16
-_GWISE_KEYS = 1 << 19
+#: distinct keys a `_Tally` holds before it folds them into per-bucket sums
+#: and drops them, which bounds a build's memory at any top
+_KEYS = 1 << 16
 
 
 def _check_int64(k: int, top: int) -> None:
-    # every bucket, lcm, product and key of a range build is below top**(k+1)
-    if top ** (k + 1) >= 1 << 63:
+    # every bucket, lcm, product and key of a range build is below top**(k+1),
+    # and brute's product sum V(top) is at most top**(2k-1)
+    e = max(k + 1, 2 * k - 1)
+    if top**e >= 1 << 63:
         raise ResourceLimitError(
-            f"top**(k+1) = {top}**{k + 1} reaches 2**63, past the int64 "
-            "range enumeration")
+            f"{top}**{e} reaches 2**63, past the int64 range enumeration")
 
 
 def _pieces(hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -191,20 +188,20 @@ def _pieces(hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 class _Tally:
     """Exact per-bucket sums over int64 keys (bucket - 1) * scale + (n - 1):
-    per count kind j and bucket b, the sum of count_j * value(n) (n itself
-    when value is None) and the sum of count_j.
+    per count kind j and bucket b, the sum of count_j * (big // n) and the
+    sum of count_j.
 
     Each chunk is reduced on arrival by sorting and integer reductions
     (never float weights); the sorted chunk results are merged into the
     kept keys once they pass _MERGE_AT entries and a quarter of the kept
-    keys.  Past `cap` kept keys, the keys are folded into the per-bucket
-    sums with one value(n) and one big-int product per key, and dropped.
-    So a build with at most `cap` keys takes one big-int step per distinct
-    key, and any build's memory stays bounded."""
+    keys.  Past _KEYS kept keys, the keys are folded into the per-bucket
+    sums, in blocks of at most _CHUNK keys, with one big-int share and
+    product per key, and dropped.  So a build with at most _KEYS keys takes
+    one big-int step per distinct key, and any build's memory stays
+    bounded."""
 
-    def __init__(self, kinds: int, top: int, scale: int,
-                 value: Callable[[int], int] | None, cap: int) -> None:
-        self.top, self.scale, self.value, self.cap = top, scale, value, cap
+    def __init__(self, kinds: int, top: int, scale: int, big: int) -> None:
+        self.scale, self.big = scale, big
         self.keys = np.zeros(0, np.int64)
         self.counts = np.zeros((kinds, 0), np.int64)
         self.pending: list[tuple[np.ndarray, np.ndarray]] = []
@@ -218,7 +215,7 @@ class _Tally:
         self.waiting += len(self.pending[-1][0])
         if self.waiting > max(_MERGE_AT, len(self.keys) // 4):
             self._merge()
-            if len(self.keys) > self.cap:
+            if len(self.keys) > _KEYS:
                 self._fold()
 
     def columns(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -239,28 +236,21 @@ class _Tally:
             self.pending, self.waiting = [], 0
 
     def _fold(self) -> None:
-        keys, counts, scale = self.keys, self.counts, self.scale
-        if not len(keys):
-            return
-        # ends[b]: the number of keys of bucket <= b
-        ends = np.searchsorted(keys, np.arange(self.top + 1) * scale)
-        self.tallied += np.diff(np.where(ends > 0, np.cumsum(counts, axis=1)[:, ends - 1], 0))
-        ends = ends.tolist()
-        b = 0
-        while b < self.top:
-            # the keys of buckets b+1..c: whole buckets, about _CHUNK keys
-            c = max(b + 1, bisect.bisect_right(ends, ends[b] + _CHUNK) - 1)
-            lo = ends[b]
-            n = (keys[lo:ends[c]] % scale + 1).tolist()
-            shares = n if self.value is None else list(map(self.value, n))
-            for col, out in zip(counts[:, lo:ends[c]].tolist(), self.sums):
-                for i in range(b, c):
-                    if ends[i + 1] > ends[i]:
-                        part = slice(ends[i] - lo, ends[i + 1] - lo)
-                        out[i] += sum(map(operator.mul, col[part], shares[part]))
-            b = c
+        for lo in range(0, len(self.keys), _CHUNK):
+            bucket, n = np.divmod(self.keys[lo:lo + _CHUNK], self.scale)
+            counts = self.counts[:, lo:lo + _CHUNK]
+            # the block's keys are sorted, so each bucket's keys are a run
+            starts = np.flatnonzero(np.diff(bucket, prepend=-1))
+            buckets = bucket[starts]
+            self.tallied[:, buckets] += np.add.reduceat(counts, starts, axis=1)
+            shares = [self.big // m for m in (n + 1).tolist()]
+            runs = list(zip(buckets.tolist(), starts.tolist(),
+                            starts[1:].tolist() + [len(n)]))
+            for col, out in zip(counts.tolist(), self.sums):
+                for b, i, j in runs:
+                    out[b] += sum(map(operator.mul, col[i:j], shares[i:j]))
         self.keys = np.zeros(0, np.int64)
-        self.counts = np.zeros((len(counts), 0), np.int64)
+        self.counts = np.zeros((len(self.counts), 0), np.int64)
 
 
 def _reduce(keys: np.ndarray, counts: np.ndarray,
@@ -308,24 +298,24 @@ def _brute_range(k: int, top: int) -> _Range:
 
     The tuples come from `_sorted_tuples` in chunks of int64 columns; entry
     i + 1 ranges over 1..(entry i).  Each tuple's bucket is its largest
-    entry m.  The tuples are counted per distinct key (m, lcm), and per key
-    (m, prod // lcm) for the product sum, so the sums take one big-int
-    step per key."""
+    entry m.  The reciprocal sums count the tuples per distinct key
+    (m, lcm), so they take one big-int step per key.  The product sum adds
+    w * (prod // lcm) into an int64 column per bucket: V(top) is at most
+    top**(2k-1), which `_check_int64` keeps below 2**63."""
     _check_int64(k, top)
     big = _lcm_upto(top)
-    scale = top**k  # above every lcm and every prod // lcm
-    every = _Tally(2, top, scale, big.__floordiv__, _BRUTE_KEYS)  # (all, gcd 1)
-    prod_lcm = _Tally(1, top, scale, None, _BRUTE_KEYS)
+    scale = top**k  # above every lcm
+    every = _Tally(2, top, scale, big)  # (all, gcd 1)
+    prod_lcm = np.zeros(top, np.int64)
     one, zero = np.ones(1, np.int64), np.zeros(1, np.int64)
     root = np.array([top], np.int64)  # the first entry ranges over 1..top
     for m, w, lcm, gcd, prod in _sorted_tuples(k, 0, zero, root, zero, one,
                                                one, zero, one):
         every.add((m - 1) * scale + lcm - 1, np.stack((w, np.where(gcd == 1, w, 0))))
-        prod_lcm.add((m - 1) * scale + prod // lcm - 1, w[None])
+        np.add.at(prod_lcm, m - 1, w * (prod // lcm))
     (recip, recip_coprime), (tuples, coprime_tuples) = every.columns()
-    (prod,), _ = prod_lcm.columns()
-    return _Range(top, big, _prefix_rows([recip, recip_coprime, prod, tuples,
-                                          coprime_tuples]))
+    return _Range(top, big, _prefix_rows([recip, recip_coprime, prod_lcm.tolist(),
+                                          tuples, coprime_tuples]))
 
 
 def brute_sums(k: int, x: int, budget: int = TUPLE_BUDGET) -> BruteSums:
@@ -543,7 +533,7 @@ def _gwise_range(k: int, pinned: bool, top: int,
     kinds = (True,) if pinned else (False, True)
     nodes = np.zeros((len(kinds), top + 1), np.int64)
     nodes[:, 1] = 1  # the root
-    leaves = _Tally(len(kinds), top, scale, big.__floordiv__, _GWISE_KEYS)
+    leaves = _Tally(len(kinds), top, scale, big)
     visited = 1
     one = np.ones(1, np.int64)
     for bucket, rest, lcm in _search_chunks(plan, top, 0, np.ones((k, 1), np.int64),

@@ -424,13 +424,12 @@ GWISE_GRID = [(k, pinned, top) for k in (2, 3) for pinned in (False, True)
 @pytest.fixture(params=[None, 64], ids=["chunk-default", "chunk-64"])
 def chunk(request, monkeypatch):
     # 64-child chunks split frontier rows and runs of equal keys across
-    # chunks, make the tallies merge many times, and with key caps of 256
-    # fold their keys into the bucket sums many times
+    # chunks, make the tallies merge many times, and with a key cap of 256
+    # fold their keys into the bucket sums many times, in 64-key blocks
     if request.param:
         monkeypatch.setattr(oracle, "_CHUNK", request.param)
         monkeypatch.setattr(oracle, "_MERGE_AT", 4 * request.param)
-        monkeypatch.setattr(oracle, "_BRUTE_KEYS", 4 * request.param)
-        monkeypatch.setattr(oracle, "_GWISE_KEYS", 4 * request.param)
+        monkeypatch.setattr(oracle, "_KEYS", 4 * request.param)
     return request.param
 
 
@@ -459,7 +458,8 @@ def test_gwise_range_refuses_iff_its_nodes_pass_the_budget(k, pinned, top, chunk
 
 
 def test_range_builds_refuse_what_int64_cannot_hold(monkeypatch):
-    # top**(k+1) >= 2**63 is refused before lcm(1..top) or any array is made
+    # top**max(k+1, 2k-1) >= 2**63 is refused before lcm(1..top) or any
+    # array is made
     def no_work(*args):
         raise AssertionError("work started before the refusal")
 
@@ -472,7 +472,11 @@ def test_range_builds_refuse_what_int64_cannot_hold(monkeypatch):
         oracle._brute_range(2, 2**21)
     with pytest.raises(ResourceLimitError):
         oracle._gwise_range(2, False, 2**21, 2**70)
+    # brute's product sum reaches top**(2k-1), past top**(k+1) for k >= 3
+    with pytest.raises(ResourceLimitError):
+        oracle._brute_range(3, 6209)
     oracle._check_int64(2, 2**21 - 1)  # (2**21 - 1)**3 < 2**63
+    oracle._check_int64(3, 6208)  # 6208**5 < 2**63
     oracle._check_int64(40, 1)
 
 
@@ -494,12 +498,11 @@ def test_range_build_memory_stays_chunked(build):
 
 
 def test_tallies_fold_their_keys_to_stay_bounded(monkeypatch):
-    # a tally holds at most its cap of merged keys plus the entries that
+    # a tally holds at most the cap of merged keys plus the entries that
     # wait to merge, however many distinct keys the build has (23,052 for
     # the brute build here), and its rows stay exact
     cap, wait = 1024, 256
-    monkeypatch.setattr(oracle, "_BRUTE_KEYS", cap)
-    monkeypatch.setattr(oracle, "_GWISE_KEYS", cap)
+    monkeypatch.setattr(oracle, "_KEYS", cap)
     monkeypatch.setattr(oracle, "_MERGE_AT", wait)
     held, folds = [], []
     add, fold = oracle._Tally.add, oracle._Tally._fold
