@@ -10,7 +10,8 @@ Everything downstream leans on four guarantees provided here:
   up to their limit and support factoring and primality up to limit**2;
 * zeta values come with a certified absolute error from a bracketed
   integral tail bound; the partial sum is an exact floor sum, vectorised
-  over n as 32-bit limbs, and one prefix per j is kept and extended.  The
+  over n as uint64 limbs as wide as the lanes allow (51 bits for n below
+  2**13, 40 below 2**24), and one prefix per j is kept and extended.  The
   same kernel, `floor_prefix_sums`, takes optional integer weights and
   returns prefix sums at many marks; the k=2 totient route of `oracle`
   sums its harmonic numbers and block weights with it.
@@ -44,8 +45,9 @@ MAX_SIEVE_LIMIT = 10**8
 #: refuse zeta partial sums longer than this (raise PrecisionError instead)
 ZETA_MAX_TERMS = 1 << 26
 
-#: n per vectorised step of the floor sums (32 KB per uint64 array; a chunk's
-#: limb column sums stay below ZETA_CHUNK * 2**32)
+#: n per vectorised step of the floor sums (32 KB per uint64 array).  A
+#: chunk's limbs have L = 64 - max(bitlen(stop), bitlen(ZETA_CHUNK)) bits, so
+#: its limb column sums stay below ZETA_CHUNK * 2**L <= 2**64
 ZETA_CHUNK = 1 << 12
 
 
@@ -394,13 +396,17 @@ def floor_prefix_sums(j: int, bits: int, a: int, marks: Sequence[int],
     """sum of floor(w[n] * 2**bits / n**j) over a <= n <= m, exactly, for
     each m of the ascending `marks` (j, a >= 1; w[n] = 1 when w is None).
 
-    Each chunk of n is a uint64 array.  The numerator is held as 32-bit
-    limbs, most significant first, and divided j times by n one limb at a
-    time (floor(floor(x/m)/n) = floor(x/(m*n))); each limb column is then
-    summed, or prefix-summed in a chunk that holds marks, and the columns
-    are recombined as Python ints.  The lanes stay exact only for
-    n <= ZETA_MAX_TERMS (so (r << 32) | limb < 2**58) and a leading limb
-    w[n] * 2**(bits % 32) below 2**32; inputs past either are refused.
+    Each chunk of n <= stop is a uint64 array.  The numerator is held as
+    L-bit limbs, L = 64 - max(bitlen(stop), bitlen(ZETA_CHUNK)), most
+    significant first, and divided j times by n one limb at a time
+    (floor(floor(x/m)/n) = floor(x/(m*n))): every remainder r < n <= stop,
+    so (r << L) | limb < 2**64.  w[n] << (bits % L) may span the two
+    leading limbs.  Each limb column is then summed, or prefix-summed in a
+    chunk that holds marks, below ZETA_CHUNK * 2**L <= 2**64, and the
+    columns are recombined as Python ints.  At n near 2**24, 2**160 is four
+    40-bit limbs, and j = 2 takes 7 divmods per n (9 with 32-bit limbs).
+    The input contract is n <= ZETA_MAX_TERMS and w[n] * 2**(bits % 32)
+    below 2**32; inputs past either are refused.
     """
     out: list[int] = []
     last = marks[-1] if marks else 0
@@ -411,16 +417,24 @@ def floor_prefix_sums(j: int, bits: int, a: int, marks: Sequence[int],
         wmax = int(w[a:last + 1].max())
         if w[a:last + 1].min() < 0 or wmax << bits % 32 >= 1 << 32:
             raise ValueError("weights must lie in [0, 2**(32 - bits % 32))")
-    top = bits // 32
     total = 0
     for start in range(a, last + 1, ZETA_CHUNK):
         stop = min(last, start + ZETA_CHUNK - 1)
         n = np.arange(start, stop + 1, dtype=np.uint64)
-        # limbs[i] weighs 2**(32*(h - i)); a scalar limb is the same for every n
-        lead = (np.uint64(1 << bits % 32) if w is None
-                else w[start:stop + 1].astype(np.uint64) << np.uint64(bits % 32))
-        limbs = [lead] + [np.uint64(0)] * top
-        h = top
+        # limb width: r << L | limb < 2**64 for every remainder r < n <= stop,
+        # and a column of ZETA_CHUNK limbs sums below 2**64
+        L = 64 - max(stop.bit_length(), ZETA_CHUNK.bit_length())
+        # limbs[i] weighs 2**(L*(h - i)); w << (bits % L) may span the two
+        # leading limbs, and a scalar limb is the same for every n
+        s = bits % L
+        if w is None:
+            lead = [np.uint64(0), np.uint64(1 << s)]
+        else:
+            wn = w[start:stop + 1].astype(np.uint64)
+            lead = [wn >> np.uint64(L - s),
+                    (wn << np.uint64(s)) & np.uint64((1 << L) - 1)]
+        h = bits // L + 1
+        limbs = lead + [np.uint64(0)] * (h - 1)
         for k in range(1, j + 1):
             # every quotient of this step is at most bound, so its limbs
             # above qtop are zero: the dividend's limbs above qtop form a
@@ -428,13 +442,13 @@ def floor_prefix_sums(j: int, bits: int, a: int, marks: Sequence[int],
             bound = (wmax << bits) // start**k
             if bound == 0:  # here and in every later chunk
                 return out + [total] * (len(marks) - len(out))
-            qtop = (bound.bit_length() - 1) // 32
+            qtop = (bound.bit_length() - 1) // L
             r = np.zeros_like(n)
             for limb in limbs[:h - qtop]:
-                r = (r << 32) | limb
+                r = (r << L) | limb
             quotients = []
             for limb in limbs[h - qtop:]:
-                q, r = np.divmod((r << 32) | limb, n)
+                q, r = np.divmod((r << L) | limb, n)
                 quotients.append(q)
             limbs, h = quotients, qtop
         # marks before the chunk read the total so far, marks inside it add
@@ -445,7 +459,7 @@ def floor_prefix_sums(j: int, bits: int, a: int, marks: Sequence[int],
         if end > inside:
             idx = np.array(marks[inside:end], dtype=np.int64) - start
         for i, q in enumerate(limbs):
-            shift = 32 * (h - i)
+            shift = L * (h - i)
             if end > inside:
                 for o, c in enumerate(np.cumsum(q)[idx].tolist(), inside):
                     out[o] += c << shift

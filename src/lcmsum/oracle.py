@@ -68,7 +68,7 @@ from .coprimality import build_coprimality_graph
 from .errors import InvariantViolation, ResourceLimitError
 from .eulerprod import coprime_density
 from .exactmath import (BoundedReal, SurdRatio, factoring_limit,
-                        floor_prefix_sums, shared_sieve)
+                        floor_prefix_sums, shared_sieve, sieve)
 from .polytope import volume_of
 
 #: brute sums refuse more than this many raw tuple evaluations
@@ -87,7 +87,22 @@ FAST_S2_BITS = 96
 
 @lru_cache(maxsize=32)
 def _lcm_upto(x: int) -> int:
-    return math.lcm(*range(1, x + 1))
+    """lcm(1..x), the product of p**floor(log_p x) over the primes p <= x.
+
+    The prime powers are multiplied pairwise up a product tree.  The primes
+    come from a table of their own, not `shared_sieve`, whose entries serve
+    factoring."""
+    if x < 2:
+        return 1
+    powers = []
+    for p in sieve(x).primes.tolist():
+        q = p
+        while q * p <= x:
+            q *= p
+        powers.append(q)
+    while len(powers) > 1:
+        powers = [math.prod(powers[i:i + 2]) for i in range(0, len(powers), 2)]
+    return powers[0]
 
 
 def _check_budget(k: int, x: int, budget: int) -> None:
@@ -377,15 +392,45 @@ def _phi_sieve(x: int) -> np.ndarray:
     return phi
 
 
-def _at_marks(terms: Iterator[int], marks: Sequence[int]) -> list[int]:
-    """The running sum of `terms` (the terms of n = 1, 2, ...) at each n of
-    the ascending `marks`."""
-    out, n, total = [], 0, 0
-    for m in marks:
-        total += sum(itertools.islice(terms, m - n))
-        n = m
-        out.append(total)
+def _ratio_sum(num: list[int], den: list[int], lo: int, hi: int) -> tuple[int, int]:
+    """(P, Q) with P/Q the sum of num[n]/den[n] over lo <= n < hi and Q the
+    product of those den[n], by binary splitting."""
+    if hi - lo == 1:
+        return num[lo], den[lo]
+    mid = (lo + hi) // 2
+    p1, q1 = _ratio_sum(num, den, lo, mid)
+    p2, q2 = _ratio_sum(num, den, mid, hi)
+    return p1 * q2 + p2 * q1, q1 * q2
+
+
+def _gap_sums(num: list[int], den: list[int], scale: int,
+              marks: Sequence[int]) -> list[int]:
+    """scale times the sum of num[n]/den[n] over a < n <= b, for each pair
+    a, b of neighbours in the ascending `marks`.  One big division per gap:
+    it is exact when every scale*num[n]/den[n] is an integer."""
+    out = []
+    for a, b in zip(marks, marks[1:]):
+        p, q = _ratio_sum(num, den, a + 1, b + 1)
+        out.append(scale * p // q)
     return out
+
+
+def _exact_s2(x: int, phi: np.ndarray, qs: list[int], ends: list[int]) -> Fraction:
+    """The block loop of `fast_recip_lcm_sum2` at scale (lam*s)^2, exactly;
+    see there for the argument."""
+    r = math.isqrt(x)
+    lam, s = _lcm_upto(r), _lcm_upto(x)
+    ones, ints = [1] * (x + 1), list(range(x + 1))
+    phis, squares = phi.tolist(), [d * d for d in ints]
+    # every q <= r is x//d for some d, so blocks 0..r-1 are q = 1..r
+    hs = list(itertools.accumulate(_gap_sums(ones, ints, lam, range(r + 1))))
+    base = hs[-1] * (s // lam)  # s*H(r)
+    hs += [base + h for h in itertools.accumulate(_gap_sums(ones, ints, s, qs[r - 1:]))]
+    # block i is ends[i + 1] < d <= ends[i]; the gaps run in descending i
+    ws = (_gap_sums(phis, squares, lam * lam, ends[:r - 1:-1])
+          + _gap_sums(phis, squares, s * s, ends[r::-1]))
+    ws.reverse()
+    return Fraction(sum(h * h * w for h, w in zip(hs, ws)), (lam * s) ** 2)
 
 
 def fast_recip_lcm_sum2(x: int):
@@ -394,51 +439,48 @@ def fast_recip_lcm_sum2(x: int):
     Writing each pair through its gcd d turns the double sum into a single
     sum over d with squared harmonic numbers.  H(x//d) takes only about
     2*sqrt(x) values, so one loop walks the blocks of d sharing q = x//d in
-    ascending q, fed by two prefix sums at the block marks: h = sum_{m<=q}
-    s//m, the harmonic number at scale s, and P(D) = sum_{d<=D}
-    phi(d)*t//d^2, whose difference over a block is its weight w at scale
-    t; lo += h^2*w sums at scale s^2*t.  The two precisions differ in
-    (s, t) and in who sums the prefixes.  For x <= FAST_S2_EXACT_LIMIT,
-    s = lcm(1..x) and t = s^2 make every division exact and lo is the
-    exact rational, equal to the brute route; its prefixes are Python ints,
-    since the numerators are far past any machine word.  Above it,
-    s = 2**FAST_S2_BITS with 32 guard bits on t, and both prefixes come
-    from the vectorised floor sum `floor_prefix_sums`; each floored h is
-    short by less than q and each w by less than the block length n, so lo
-    and hi += (h + q)^2 * (w + n) give a dyadic enclosure at FAST_S2_BITS.
+    ascending q, each adding h^2*w: h is H(q) and w the block's weight
+    W = sum phi(d)/d^2, each at a scale that makes it an integer.
+
+    For x <= FAST_S2_EXACT_LIMIT the sum is the exact rational, equal to
+    the brute route.  With r = isqrt(x), s = lcm(1..x) and lam = lcm(1..r),
+    a block with q <= r has lam*H(q) and s^2*W integral, and a block with
+    q > r holds only d <= x/(r+1) < r+1, so lam^2*W and s*H(q) are
+    integral: every h^2*w is an integer at scale (lam*s)^2, half the bits
+    of s^4.  The harmonic numbers are prefix sums over the block marks and
+    the weights sums over the blocks, each taken gap by gap by binary
+    splitting (`_gap_sums`), with one big division per gap, not per term.
+
+    Above the limit, h = sum_{m<=q} floor(s/m) and w is the difference of
+    P(D) = sum_{d<=D} floor(phi(d)*t/d^2) over the block, with
+    s = 2**FAST_S2_BITS and t = s * 2**32 (32 guard bits); both prefixes
+    come from the vectorised floor sum `floor_prefix_sums`.  Each floored h
+    is short by less than q and each w by less than the block length, so
+    lo += h^2*w and hi += (h + q)^2 * (w + length) give a dyadic enclosure
+    at FAST_S2_BITS.
     """
     if x < 1:
         raise ValueError("x must be positive")
     if x > FAST_S2_MAX:
         raise ResourceLimitError(f"x = {x} exceeds {FAST_S2_MAX}")
-    exact = x <= FAST_S2_EXACT_LIMIT
     phi = _phi_sieve(x)
     # block i is ends[i + 1] < d <= ends[i], sharing q = qs[i]; ascending q
     qs, ends = [], [x]
     while ends[-1]:
         qs.append(x // ends[-1])
         ends.append(x // (qs[-1] + 1))
-    if exact:
-        s = _lcm_upto(x)
-        t = s * s
-        hs = _at_marks((s // m for m in itertools.count(1)), qs)
-        # the memoryview yields Python ints without copying phi into a list
-        ps = _at_marks((p * t // (d * d) for d, p in enumerate(phi.data[1:], 1)),
-                       ends[::-1])
-    else:
-        s = 1 << FAST_S2_BITS
-        t = s << 32
-        hs = floor_prefix_sums(1, FAST_S2_BITS, 1, qs)
-        ps = floor_prefix_sums(2, FAST_S2_BITS + 32, 1, ends[::-1], phi)
+    if x <= FAST_S2_EXACT_LIMIT:
+        return _exact_s2(x, phi, qs, ends)
+    s = 1 << FAST_S2_BITS
+    t = s << 32
+    hs = floor_prefix_sums(1, FAST_S2_BITS, 1, qs)
+    ps = floor_prefix_sums(2, FAST_S2_BITS + 32, 1, ends[::-1], phi)
     ps.reverse()  # ps[i] = P(ends[i])
     lo = hi = 0
     for q, h, d_hi, d_lo, p_hi, p_lo in zip(qs, hs, ends, ends[1:], ps, ps[1:]):
         w = p_hi - p_lo
         lo += h * h * w
-        if not exact:
-            hi += (h + q) ** 2 * (w + d_hi - d_lo)
-    if exact:
-        return Fraction(lo, s * s * t)
+        hi += (h + q) ** 2 * (w + d_hi - d_lo)
     # lo and hi are at scale s^2*t; dividing by s*t leaves s = 2**FAST_S2_BITS
     return BoundedReal(lo // (s * t), -(-hi // (s * t)), FAST_S2_BITS)
 

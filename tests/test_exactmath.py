@@ -206,6 +206,43 @@ def test_floor_prefix_sums_equal_per_term_loop(j, bits):
                     _prefix_per_term(j, bits, a, marks, weights), (a, marks)
 
 
+class _Window:
+    """Weights w[n] for n from `offset` on, indexed like the whole array, so
+    a window near ZETA_MAX_TERMS holds only its own entries."""
+
+    def __init__(self, offset, values):
+        self.offset, self.values = offset, values
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self.values[key.start - self.offset:key.stop - self.offset]
+        return self.values[key - self.offset]
+
+
+@pytest.mark.parametrize("bits", [96, 128, 136, 160])
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_floor_prefix_sums_where_the_limb_width_changes(j, bits):
+    # the limbs are 64 - max(bitlen(stop), bitlen(ZETA_CHUNK)) bits wide, so
+    # the width drops by one in the chunk whose stop reaches 2**e; each
+    # window holds a chunk on either side of such a step (the last one ends
+    # at ZETA_MAX_TERMS = 2**26, a chunk of its own)
+    c = ZETA_CHUNK
+    windows = [(2**e - c - 3, 2**e + c) for e in (13, 17, 20, 24)]
+    windows.append((ZETA_MAX_TERMS - 8999, ZETA_MAX_TERMS))
+    bounds = {2**24 - 1, 2**(32 - bits % 32) - 1}
+    for a, last in windows:
+        rng = np.random.default_rng(a + j + bits)
+        marks = sorted({a, a + c - 2, a + c - 1, a + c, 2**(a.bit_length()),
+                        last - c, last - 1, last})
+        for wmax in bounds:
+            values = rng.integers(0, wmax + 1, last + 1 - a, dtype=np.int64)
+            values[::7] = wmax
+            values[1::7] = 0
+            for w in (None, _Window(a, values)):
+                assert floor_prefix_sums(j, bits, a, marks, w) == \
+                    _prefix_per_term(j, bits, a, marks, w), (a, wmax, w is None)
+
+
 def test_floor_prefix_sums_stop_where_every_quotient_is_zero():
     # floor((2**24 - 1) / n**2) is zero from n = 4096 on, so the walk stops
     # in the second chunk and the later marks read the total; zero weights

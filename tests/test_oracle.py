@@ -135,6 +135,49 @@ def test_fast_route_equals_brute_exactly():
         assert fast_recip_lcm_sum2(x) == brute_recip_lcm_sum(2, x), x
 
 
+def reference_exact_s2(x):
+    # the per-term Python-int route that binary splitting replaced: h at
+    # scale s = lcm(1..x), the block weights at scale t = s^2, so the loop
+    # sums at s^4
+    phi = oracle._phi_sieve(x)
+    qs, ends = [], [x]
+    while ends[-1]:
+        qs.append(x // ends[-1])
+        ends.append(x // (qs[-1] + 1))
+    s = math.lcm(*range(1, x + 1))
+    t = s * s
+    harmonic = [0, *itertools.accumulate(s // m for m in range(1, x + 1))]
+    hs = [harmonic[q] for q in qs]
+    weights = list(itertools.accumulate(
+        (int(p) * t // (d * d) for d, p in enumerate(phi[1:], 1)), initial=0))
+    lo = sum(h * h * (weights[d_hi] - weights[d_lo])
+             for h, d_hi, d_lo in zip(hs, ends, ends[1:]))
+    return Fraction(lo, s * s * t)
+
+
+def test_fast_route_exact_equals_the_per_term_route():
+    # every x up to 600, and x on either side of perfect squares r^2, where
+    # the split between blocks with q <= r and q > r moves
+    xs = [*range(1, 601), 10**4]
+    xs += [x for r in (2, 3, 10, 31, 99)
+           for x in (r * r - 1, r * r, r * r + r, (r + 1) ** 2 - 1)]
+    for x in xs:
+        assert fast_recip_lcm_sum2(x) == reference_exact_s2(x), x
+
+
+def test_lcm_upto_is_the_lcm_and_builds_no_shared_sieve():
+    from lcmsum.exactmath import shared_sieve
+
+    info = shared_sieve.cache_info()
+    lcm = 1
+    for x in range(2001):
+        lcm = math.lcm(lcm, max(x, 1))  # lcm(1..x); 1 for x = 0
+        assert oracle._lcm_upto.__wrapped__(x) == lcm, x
+    oracle._lcm_upto.cache_clear()
+    oracle._lcm_upto(2000)
+    assert shared_sieve.cache_info() == info
+
+
 def test_fast_route_enclosure_branch(monkeypatch):
     # above the exact threshold the result is an enclosure of the true sum
     import lcmsum.oracle as oracle
