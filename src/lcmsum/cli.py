@@ -4,7 +4,8 @@ Each subcommand declares exactly the flags it reads, so argparse rejects
 any other flag with exit status 2.  All take `--out FILE` and all but
 `verify` take `--k`.  `--budget` limits tuple evaluations for `brute`,
 search nodes for `gwise` and wall seconds for `verify` (the battery of
-`lcmsum.checks`); no other subcommand takes it.
+`lcmsum.checks`); no other subcommand takes it, and a negative budget, like
+a negative `--digits`, is rejected at parse time.
 
 Every computational subcommand prints byte-identical output for fixed
 flags.  The one documented exception is the runtime_ms field of `verify`
@@ -12,7 +13,8 @@ report rows, which records wall time.  The LCMSUM_THREADS environment
 variable is accepted for forward compatibility; all computations run
 sequentially and are deterministic regardless of its value.
 
-Exit status: 0 success, 1 verification failures, 2 usage error,
+Exit status: 0 success, 1 verification failures, 2 usage error (also a
+non-integer LCMSUM_THREADS or an `--out` path that cannot be written),
 3 resource budget exceeded (partial report emitted).
 """
 
@@ -205,7 +207,7 @@ def cmd_verify(args):
 
 # Parser: each subcommand declares exactly the flags its cmd_* reads.
 
-def _digits(text: str) -> int:
+def _non_negative(text: str) -> int:
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
@@ -218,7 +220,7 @@ def _int_list(text: str) -> list[int]:
 
 K = {"--k": dict(type=int, default=3)}
 KIND = {"--kind": dict(choices=KINDS, default="D")}
-DIGITS = {"--digits": dict(type=_digits, default=DEFAULT_DIGITS)}
+DIGITS = {"--digits": dict(type=_non_negative, default=DEFAULT_DIGITS)}
 X10 = {"--x": dict(type=int, default=10)}
 
 #: subcommand -> (handler, {flag: add_argument keywords}); all take --out
@@ -232,27 +234,22 @@ COMMANDS = {
     "constants": (cmd_constants, K | DIGITS),
     "theta": (cmd_theta, K),
     "brute": (cmd_brute, K | X10 | {"--budget": dict(
-        type=int, default=TUPLE_BUDGET, help="limit in tuple evaluations")}),
+        type=_non_negative, default=TUPLE_BUDGET,
+        help="limit in tuple evaluations")}),
     "gwise": (cmd_gwise, K | X10 | {"--budget": dict(
-        type=int, default=GWISE_NODE_BUDGET, help="limit in search nodes")}),
+        type=_non_negative, default=GWISE_NODE_BUDGET,
+        help="limit in search nodes")}),
     "alpha": (cmd_alpha, K | X10),
     "identity": (cmd_identity, K | {"--x": dict(type=int, default=30,
                                                 help="series truncation degree")}),
     "verify": (cmd_verify, {"--format": dict(choices=("text", "csv", "json"),
                                              default="text"),
-                            "--budget": dict(type=int, help="limit in wall seconds"),
+                            "--budget": dict(type=_non_negative,
+                                             help="limit in wall seconds"),
                             "--suite": dict(choices=("all",), default="all")}),
     "report": (cmd_report, K | {"--x": dict(type=_int_list, default="10,100,1000"),
                                 "--format": dict(choices=("text", "csv"), default="text")}),
 }
-
-
-def _threads_from_env() -> None:
-    raw = os.environ.get("LCMSUM_THREADS", "1")
-    try:
-        int(raw)
-    except ValueError:
-        raise SystemExit(f"LCMSUM_THREADS must be an integer, got {raw!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,7 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _threads_from_env()
+    raw = os.environ.get("LCMSUM_THREADS", "1")
+    try:
+        int(raw)
+    except ValueError:
+        print(f"error: LCMSUM_THREADS must be an integer, got {raw!r}",
+              file=sys.stderr)
+        return 2
     args = build_parser().parse_args(argv)
     # exact sums print every digit (S2(10**4) has about 17,000); lift the
     # int-to-str guard (absent before Python 3.10.7) for this command only,
@@ -293,8 +296,12 @@ def main(argv=None) -> int:
         if digits_limit:
             sys.set_int_max_str_digits(digits_limit)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -4,7 +4,8 @@ The graph for k inputs lives on 2**k - 1 vertices labeled by the nonzero
 k-bit strings.  Vertex j stands for the part of an input tuple shared by
 exactly the inputs whose bit is set in j, so constraint set i collects every
 vertex whose i-th bit is 1, and two vertices must carry coprime values
-whenever an edge joins them.  Everything here is exact integer
+whenever an edge joins them, which it does exactly when neither label
+contains the other.  Everything here is exact integer
 combinatorics: independent-set counts, the inclusion-exclusion polynomial
 over edge subsets, and the valuation-interval decomposition of an input
 tuple into its 2**k - 1 coprime parts.
@@ -89,36 +90,24 @@ def constraint_family(k: int) -> tuple[frozenset[int], ...]:
 
 
 def build_coprimality_graph(k: int) -> CoprimalityGraph:
-    """Inductive construction of the coprimality graph for k inputs.
+    """The coprimality graph for k inputs: J and K are joined iff neither
+    label contains the other (J & K is neither J nor K).
 
-    Base: k=2 on labels {1,2,3} with the single edge (1,2).  Step k -> k+1:
-    every existing edge (j,l) is replicated across the four combinations of
-    {j, j + 2**k} x {l, l + 2**k}, and the fresh coprimality requirements
-    between the old block and the new top-bit block contribute the complete
-    bipartite families (A_i \\ top) x (top \\ A_i) for each old constraint i.
+    By `decompose_tuple`, a prime p divides part J exactly when the least
+    p-valuation over the inputs in J exceeds 0 and every p-valuation over
+    the inputs outside J.  If J and K each hold an input the other lacks,
+    say i in J \\ K and l in K \\ J, then part J needs v_p(n_i) > v_p(n_l)
+    and part K needs the reverse, so no prime divides both.  If J is inside
+    K, valuations that are 2 on J, 1 on K \\ J and 0 elsewhere put p in
+    both, so no edge can join a nested pair.  The all-ones label contains
+    every other and is isolated.
     """
     if not (2 <= k <= MAX_GRAPH_K):
         raise ValueError(f"k must be between 2 and {MAX_GRAPH_K}")
-    edges = {(1, 2)}
-    for kk in range(2, k):
-        top = 1 << kk
-        grown = set()
-        for j, l in edges:
-            for a in (j, j + top):
-                for b in (l, l + top):
-                    grown.add((min(a, b), max(a, b)))
-        family = constraint_family(kk + 1)
-        top_set = family[kk]
-        for i in range(kk):
-            left = [j for j in family[i] if j not in top_set]
-            right = [j for j in top_set if j not in family[i]]
-            for a in left:
-                for b in right:
-                    grown.add((min(a, b), max(a, b)))
-        edges = grown
-    return CoprimalityGraph(
-        v=2**k - 1, edges=frozenset(edges), k=k, constraints=constraint_family(k)
-    )
+    v = 2**k - 1
+    edges = frozenset((j, l) for j in range(1, v + 1) for l in range(j + 1, v + 1)
+                      if j & l not in (j, l))
+    return CoprimalityGraph(v=v, edges=edges, k=k, constraints=constraint_family(k))
 
 
 def edge_count_formula(k: int) -> int:

@@ -260,7 +260,11 @@ def _euler_product_cached(
     nfac = max(1, len(b))
     for j, bj in sorted(b.items()):
         ztarget = target / (16 * nfac * max(1, abs(bj)))
-        # snap to a power of two so repeated evaluations share the zeta cache
+        # round this share down to a power of two, a quarter to a half of
+        # it.  The kept zeta prefixes are keyed by the term count, which
+        # `_zeta_terms` doubles from 4 whatever the target, so the rounding
+        # shares no cache; it only tightens the target, and it stays because
+        # it decides which targets meet the zeta wall
         ztarget = Fraction(1, 2 ** (1 - math.floor(math.log2(ztarget))))
         excess = zeta_value(j, ztarget)
         for p in primes:

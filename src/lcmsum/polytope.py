@@ -18,11 +18,13 @@ and positive dilates roughly halves the largest budget the counts need.
 Counts come from a budget dynamic program: the state is the tuple of
 per-constraint partial sums, one array axis per constraint, each axis as
 long as its largest budget, and adding a coordinate that feeds constraints
-S is a prefix sum along the diagonal direction chi_S.  A finished axis is
-prefix-summed once more and cut down to the budgets sampled on it.  Arrays
-hold uint32 residues modulo primes below 2**31, reduced after each
-hyperplane step, and the exact counts are recovered by CRT, since counts
-overflow 64 bits well before the needed dilates.
+S is a prefix sum along the diagonal direction chi_S.  The axes are
+finished in index order, each right after the coordinates whose lowest
+constraint it is: a finished axis is prefix-summed once more and cut down
+to the budgets sampled on it.  Arrays hold uint32 residues modulo primes
+below 2**31, reduced after each hyperplane step, and the exact counts are
+recovered by CRT, since counts overflow 64 bits well before the needed
+dilates.
 """
 
 from __future__ import annotations
@@ -202,51 +204,26 @@ def _counts_mod(
     """Counts modulo m < 2**31 for each budget vector (one non-negative
     budget per axis), held as uint32 residues below m throughout.
 
-    Axis c is as long as its largest budget and keeps, once retired, only the
-    budgets sampled on it; a budget vector is read at its per-axis positions.
+    Axis c is as long as its largest budget.  The axes are finished in
+    order: for c = 0, 1, ..., every coordinate whose lowest constraint is c
+    takes its prefix step, and then axis c is prefix-summed once more and
+    cut down to the budgets sampled on it.  Prefix steps commute, and an
+    axis is cut only after every coordinate on it has stepped, so the order
+    changes the cost, never the counts.  A budget vector is read at its
+    per-axis sample positions.
     """
     nc = len(budgets[0])
     sample = [sorted({b[c] for b in budgets}) for c in range(nc)]
     arr = np.zeros(tuple(s[-1] + 1 for s in sample), dtype=np.uint32)
     arr[(0,) * nc] = 1
-
-    done: set[int] = set()
-    retired: set[int] = set()
-
-    def retire(ax: int) -> None:
-        # prefix-sum the completed axis, then keep only the sampled budgets
-        nonlocal arr
-        _prefix(arr, (ax,), m)
-        arr = arr.take(sample[ax], axis=ax)
-        retired.add(ax)
-
-    while len(done) < len(memberships):
-        # finish the constraint with the fewest open coordinates first, so
-        # its axis collapses to the sample positions as early as possible
-        open_counts = {ax: 0 for ax in range(nc) if ax not in retired}
-        for j, axes in enumerate(memberships):
-            if j in done:
-                continue
-            for ax in axes:
-                open_counts[ax] += 1
-        for ax, cnt in list(open_counts.items()):
-            if cnt == 0:
-                retire(ax)
-                del open_counts[ax]
-        ax_next = min(open_counts, key=lambda ax: (open_counts[ax], ax))
-        todo = [j for j, axes in enumerate(memberships)
-                if j not in done and ax_next in axes]
-        for j in todo:
-            _prefix(arr, sorted(memberships[j]), m)
-            done.add(j)
-        retire(ax_next)
-
-    for ax in range(nc):
-        if ax not in retired:
-            retire(ax)
-
-    pos = [{n: i for i, n in enumerate(s)} for s in sample]
-    return [int(arr[tuple(pos[c][n] for c, n in enumerate(b))]) for b in budgets]
+    for c in range(nc):
+        for axes in memberships:
+            if min(axes) == c:
+                _prefix(arr, axes, m)
+        _prefix(arr, (c,), m)
+        arr = arr.take(sample[c], axis=c)
+    return [int(arr[tuple(s.index(n) for s, n in zip(sample, b))])
+            for b in budgets]
 
 
 def _budgets(

@@ -196,6 +196,17 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert path.read_text() == "1/6\n"
 
 
+@pytest.mark.parametrize("target", ["dir", "missing/vol.txt"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, target):
+    path = tmp_path / target
+    if target == "dir":
+        path.mkdir()
+    assert main(["volume", "--kind", "T", "--k", "2", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --out")
+
+
 def test_brute_budget_zero_is_a_budget(capsys):
     # zero must reach the command, not fall back to the default budget
     assert main(["brute", "--k", "2", "--x", "6", "--budget", "0"]) == 3
@@ -230,6 +241,15 @@ def test_negative_digits_rejected_at_parse_time(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["brute", "gwise", "verify"])
+def test_negative_budget_rejected_at_parse_time(command, capsys):
+    # a negative budget is a usage error, not a budget already spent (exit 3)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--budget", "-1"])
+    assert exc.value.code == 2
+    assert "must be non-negative" in capsys.readouterr().err
 
 
 def test_verify_suite_all_runs_the_whole_table(capsys):
@@ -344,8 +364,10 @@ def test_threads_env_accepted(monkeypatch, capsys):
     code, out = run_cli(capsys, "volume", "--kind", "D", "--k", "2")
     assert code == 0 and out == "1/3\n"
     monkeypatch.setenv("LCMSUM_THREADS", "junk")
-    with pytest.raises(SystemExit):
-        main(["volume", "--kind", "D", "--k", "2"])
+    assert main(["volume", "--kind", "D", "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: LCMSUM_THREADS")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -223,6 +223,23 @@ def test_is_gwise_coprime_examples():
     assert is_gwise_coprime(g3, decompose_tuple(3, (12, 18, 30)))
     with pytest.raises(ValueError):
         is_gwise_coprime(g2, (1, 2))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_every_nested_pair_can_share_a_prime(k):
+    # over the tuples 2**v, v in {0, 1, 2}**k, parts J and K share the prime
+    # 2 for every nested pair J < K (v = 2 on J, 1 on K \ J, 0 elsewhere), so
+    # no edge can be dropped; no other pair ever shares it, as the edges require
+    labels = range(1, 2**k)
+    sharing = set()
+    for v in product(range(3), repeat=k):
+        parts = decompose_tuple(k, [2**e for e in v])
+        even = [j for j in labels if parts[j - 1] % 2 == 0]
+        sharing.update(combinations(even, 2))
+    nested = {(j, l) for j, l in combinations(labels, 2) if j & l in (j, l)}
+    assert sharing == nested
+    assert build_coprimality_graph(k).edges == (
+        frozenset(combinations(labels, 2)) - nested)
 
 
 def test_decompose_rejects_bad_input():

@@ -119,6 +119,23 @@ def test_interior_counts_against_enumeration():
         assert lattice_counts(p, ns, interior=ns) == closed + inner, (kind, k)
 
 
+@pytest.mark.parametrize("constraints", [
+    ({0, 1, 2}, {2}),
+    ({0, 1}, {0}, {1}, {0, 1, 2}),
+    ({0, 1, 2, 3}, {1, 3}, {3}),
+])
+def test_counts_on_constraints_of_unequal_size(constraints):
+    # the DP finishes axis 0 first, though a later, smaller constraint has
+    # fewer coordinates; in the second family no coordinate has axis 1 or 2
+    # as its lowest constraint, so those axes finish with no step of their own
+    dim = max(max(a) for a in constraints) + 1
+    p = HyperbolicPolytope(dim, tuple(frozenset(a) for a in constraints))
+    ns = list(range(6))
+    closed = [brute_lattice_count(p, n) for n in ns]
+    inner = [brute_lattice_count(p, n, interior=True) for n in ns]
+    assert lattice_counts(p, ns, interior=ns) == closed + inner
+
+
 def test_reciprocity_matches_closed_fit():
     # the polynomial through the closed samples at 0, P, ..., dim*P, taken at
     # -jP, is (-1)**dim times the interior count of the jP-dilate
