@@ -14,7 +14,8 @@ variable is accepted for forward compatibility; all computations run
 sequentially and are deterministic regardless of its value.
 
 Exit status: 0 success, 1 verification failures, 2 usage error (also a
-non-integer LCMSUM_THREADS or an `--out` path that cannot be written),
+non-integer LCMSUM_THREADS or an `--out` path that cannot be written; a
+directory or a missing or read-only parent is refused before computing),
 3 resource budget exceeded (partial report emitted).
 """
 
@@ -269,6 +270,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _unwritable(path: str) -> str | None:
+    """Why `--out path` cannot be written, judged without creating it, or
+    None: a directory, or a parent that is not an existing writable one."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        return f"{path!r} is a directory"
+    if not os.path.isdir(parent):
+        return f"no directory {parent!r}"
+    if not os.access(parent, os.W_OK):
+        return f"directory {parent!r} is not writable"
+    return None
+
+
 def main(argv=None) -> int:
     raw = os.environ.get("LCMSUM_THREADS", "1")
     try:
@@ -278,6 +292,12 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     args = build_parser().parse_args(argv)
+    # refuse an --out that cannot be written before computing; the write
+    # below still reports what this check cannot see (say, a read-only file)
+    reason = args.out and _unwritable(args.out)
+    if reason:
+        print(f"error: cannot write --out: {reason}", file=sys.stderr)
+        return 2
     # exact sums print every digit (S2(10**4) has about 17,000); lift the
     # int-to-str guard (absent before Python 3.10.7) for this command only,
     # so library callers keep it

@@ -261,10 +261,11 @@ def _euler_product_cached(
     for j, bj in sorted(b.items()):
         ztarget = target / (16 * nfac * max(1, abs(bj)))
         # round this share down to a power of two, a quarter to a half of
-        # it.  The kept zeta prefixes are keyed by the term count, which
-        # `_zeta_terms` doubles from 4 whatever the target, so the rounding
-        # shares no cache; it only tightens the target, and it stays because
-        # it decides which targets meet the zeta wall
+        # it.  The zeta cache keeps level sums per (j, dyadic block of odd
+        # n), and every term count `_zeta_terms` picks (a power of two) is
+        # read off whole blocks, so any target reuses the kept blocks and
+        # the rounding saves no division; it only tightens the target, and
+        # it stays because it decides which targets meet the zeta wall
         ztarget = Fraction(1, 2 ** (1 - math.floor(math.log2(ztarget))))
         excess = zeta_value(j, ztarget)
         for p in primes:

@@ -11,10 +11,13 @@ Everything downstream leans on four guarantees provided here:
 * zeta values come with a certified absolute error from a bracketed
   integral tail bound; the partial sum is an exact floor sum, vectorised
   over n as uint64 limbs as wide as the lanes allow (51 bits for n below
-  2**13, 40 below 2**24), and one prefix per j is kept and extended.  The
-  same kernel, `floor_prefix_sums`, takes optional integer weights and
-  returns prefix sums at many marks; the k=2 totient route of `oracle`
-  sums its harmonic numbers and block weights with it.
+  2**13, 40 below 2**24).  Only odd m are divided: the term of n = 2**e * m
+  is the odd term shifted right by j*e, so one kept entry per (j, dyadic
+  block of odd m) holds the block's sum at every level e.  The divisions
+  are one helper, `_quotient_limbs`; `floor_prefix_sums` runs it over
+  every n with optional integer weights and returns prefix sums at many
+  marks, and the k=2 totient route of `oracle` sums its harmonic numbers
+  and block weights with it.
 """
 
 from __future__ import annotations
@@ -391,22 +394,67 @@ def stirling2(k: int, m: int) -> int:
 # Certified zeta values
 # ---------------------------------------------------------------------------
 
+def _quotient_limbs(n: np.ndarray, j: int, bits: int, wn=None,
+                    wmax: int = 1) -> tuple[int, list[np.ndarray]] | None:
+    """floor(wn * 2**bits / n**j) for each lane of n as L-bit limb columns.
+
+    n is an ascending uint64 array of at most ZETA_CHUNK lanes, wn their
+    weights (1 when None) and wmax >= max(wn).  The numerator is held as
+    L-bit limbs, L = 64 - max(bitlen(n[-1]), bitlen(ZETA_CHUNK)), most
+    significant first, and divided j times by n one limb at a time
+    (floor(floor(x/m)/n) = floor(x/(m*n))): every remainder r < n, so
+    (r << L) | limb < 2**64, and a column of the quotient limbs sums below
+    ZETA_CHUNK * 2**L <= 2**64.  Returns (L, limbs), limbs[i] weighing
+    2**(L*(len(limbs) - 1 - i)), or None when every quotient is zero, as it
+    then is for every larger n.
+    """
+    start = int(n[0])
+    L = 64 - max(int(n[-1]).bit_length(), ZETA_CHUNK.bit_length())
+    # limbs[i] weighs 2**(L*(h - i)); wn << (bits % L) may span the two
+    # leading limbs, and a scalar limb is the same for every n
+    s = bits % L
+    if wn is None:
+        lead = [np.uint64(0), np.uint64(1 << s)]
+    else:
+        wn = wn.astype(np.uint64)
+        lead = [wn >> np.uint64(L - s),
+                (wn << np.uint64(s)) & np.uint64((1 << L) - 1)]
+    h = bits // L + 1
+    limbs = lead + [np.uint64(0)] * (h - 1)
+    for k in range(1, j + 1):
+        # every quotient of this step is at most bound, so its limbs above
+        # qtop are zero: the dividend's limbs above qtop form a number
+        # below n, which is the remainder they leave
+        bound = (wmax << bits) // start**k
+        if bound == 0:
+            return None
+        qtop = (bound.bit_length() - 1) // L
+        r = np.zeros_like(n)
+        for limb in limbs[:h - qtop]:
+            r = (r << L) | limb
+        quotients = []
+        for limb in limbs[h - qtop:]:
+            q, r = np.divmod((r << L) | limb, n)
+            quotients.append(q)
+        limbs, h = quotients, qtop
+    return L, limbs
+
+
 def floor_prefix_sums(j: int, bits: int, a: int, marks: Sequence[int],
                       w: np.ndarray | None = None) -> list[int]:
     """sum of floor(w[n] * 2**bits / n**j) over a <= n <= m, exactly, for
     each m of the ascending `marks` (j, a >= 1; w[n] = 1 when w is None).
 
-    Each chunk of n <= stop is a uint64 array.  The numerator is held as
-    L-bit limbs, L = 64 - max(bitlen(stop), bitlen(ZETA_CHUNK)), most
-    significant first, and divided j times by n one limb at a time
-    (floor(floor(x/m)/n) = floor(x/(m*n))): every remainder r < n <= stop,
-    so (r << L) | limb < 2**64.  w[n] << (bits % L) may span the two
-    leading limbs.  Each limb column is then summed, or prefix-summed in a
-    chunk that holds marks, below ZETA_CHUNK * 2**L <= 2**64, and the
-    columns are recombined as Python ints.  At n near 2**24, 2**160 is four
-    40-bit limbs, and j = 2 takes 7 divmods per n (9 with 32-bit limbs).
+    Each chunk of ZETA_CHUNK consecutive n is divided by `_quotient_limbs`.
+    Each limb column is then summed, or prefix-summed in a chunk that holds
+    marks, and the columns are recombined as Python ints.  At n near 2**24,
+    2**160 is four 40-bit limbs, and j = 2 takes 7 divmods per n.
     The input contract is n <= ZETA_MAX_TERMS and w[n] * 2**(bits % 32)
-    below 2**32; inputs past either are refused.
+    below 2**32; inputs past either are refused.  The weight bound is the
+    one the 32-bit limbs of earlier versions needed.  It is kept as the
+    contract, although the L-bit limbs (L >= 37 up to ZETA_MAX_TERMS) would
+    carry any w[n] < 2**L exactly; the one caller with weights, the fast
+    k=2 route of `oracle`, stays inside it.
     """
     out: list[int] = []
     last = marks[-1] if marks else 0
@@ -421,36 +469,12 @@ def floor_prefix_sums(j: int, bits: int, a: int, marks: Sequence[int],
     for start in range(a, last + 1, ZETA_CHUNK):
         stop = min(last, start + ZETA_CHUNK - 1)
         n = np.arange(start, stop + 1, dtype=np.uint64)
-        # limb width: r << L | limb < 2**64 for every remainder r < n <= stop,
-        # and a column of ZETA_CHUNK limbs sums below 2**64
-        L = 64 - max(stop.bit_length(), ZETA_CHUNK.bit_length())
-        # limbs[i] weighs 2**(L*(h - i)); w << (bits % L) may span the two
-        # leading limbs, and a scalar limb is the same for every n
-        s = bits % L
-        if w is None:
-            lead = [np.uint64(0), np.uint64(1 << s)]
-        else:
-            wn = w[start:stop + 1].astype(np.uint64)
-            lead = [wn >> np.uint64(L - s),
-                    (wn << np.uint64(s)) & np.uint64((1 << L) - 1)]
-        h = bits // L + 1
-        limbs = lead + [np.uint64(0)] * (h - 1)
-        for k in range(1, j + 1):
-            # every quotient of this step is at most bound, so its limbs
-            # above qtop are zero: the dividend's limbs above qtop form a
-            # number below n, which is the remainder they leave
-            bound = (wmax << bits) // start**k
-            if bound == 0:  # here and in every later chunk
-                return out + [total] * (len(marks) - len(out))
-            qtop = (bound.bit_length() - 1) // L
-            r = np.zeros_like(n)
-            for limb in limbs[:h - qtop]:
-                r = (r << L) | limb
-            quotients = []
-            for limb in limbs[h - qtop:]:
-                q, r = np.divmod((r << L) | limb, n)
-                quotients.append(q)
-            limbs, h = quotients, qtop
+        quotients = _quotient_limbs(
+            n, j, bits, None if w is None else w[start:stop + 1], wmax)
+        if quotients is None:  # here and in every later chunk
+            break
+        L, limbs = quotients
+        h = len(limbs) - 1
         # marks before the chunk read the total so far, marks inside it add
         # its column prefixes; a mark at its end waits for the total
         inside = bisect.bisect_left(marks, start, len(out))
@@ -467,21 +491,61 @@ def floor_prefix_sums(j: int, bits: int, a: int, marks: Sequence[int],
     return out + [total] * (len(marks) - len(out))
 
 
-def _floor_block(j: int, a: int, b: int) -> int:
-    """sum of floor(2**CERTIFIED_BITS / n**j) over a <= n <= b, exactly."""
-    return floor_prefix_sums(j, CERTIFIED_BITS, a, [b])[0]
+def _odd_level_sums(j: int, lo: int, hi: int, top: int) -> list[int]:
+    """V[e] = sum of floor(2**CERTIFIED_BITS / (2**e * m)**j) over the odd m
+    in [lo, hi] (lo odd), for e = 0..top, exactly.
+
+    floor(2**bits / (2**e * m)**j) = floor(q_m / 2**(j*e)) with
+    q_m = floor(2**bits / m**j), so `_quotient_limbs` divides each odd m
+    once, in chunks of ZETA_CHUNK lanes, and every level is shifted out of
+    the same limbs: over a chunk, sum floor(q / 2**s) =
+    (sum q - sum (q mod 2**s)) >> s, where sum q is the column sums and
+    sum (q mod 2**s) the columns of the limbs below bit s plus one masked
+    sum of the limb that holds bit s.
+    """
+    sums = [0] * (top + 1)
+    for start in range(lo, hi + 1, 2 * ZETA_CHUNK):
+        stop = min(hi, start + 2 * ZETA_CHUNK - 2)
+        quotients = _quotient_limbs(
+            np.arange(start, stop + 1, 2, dtype=np.uint64), j, CERTIFIED_BITS)
+        if quotients is None:  # here and in every later chunk
+            break
+        L, limbs = quotients
+        h = len(limbs) - 1
+        cols = [int(q.sum()) for q in limbs]
+        total = sum(c << L * (h - i) for i, c in enumerate(cols))
+        for e in range(top + 1):
+            s = j * e
+            if total >> s == 0:  # so is every quotient at this level and up
+                break
+            low = 0
+            for i, (q, c) in enumerate(zip(limbs, cols)):
+                t = L * (h - i)  # the limb holds bits t .. t + L - 1 of q
+                if t + L <= s:
+                    low += c << t
+                elif t < s:
+                    low += int((q & np.uint64((1 << s - t) - 1)).sum()) << t
+            sums[e] += (total - low) >> s
+    return sums
 
 
 @lru_cache(maxsize=1024)
-def _floor_sum(j: int, N: int) -> int:
-    """sum of floor(2**CERTIFIED_BITS / n**j) over n <= N, kept per (j, N).
+def _zeta_block(j: int, b: int) -> tuple[int, ...]:
+    """Level sums of the odd m in (2**(b-1), 2**b], kept per (j, b): the
+    terms floor(2**CERTIFIED_BITS / n**j) of every n = 2**e * m up to
+    ZETA_MAX_TERMS, summed per e (see `_odd_level_sums`)."""
+    lo, hi = ((1 << b - 1) + 1, (1 << b) - 1) if b else (1, 1)
+    return tuple(_odd_level_sums(j, lo, hi, ZETA_MAX_TERMS.bit_length() - 1 - b))
 
-    N doubles from 4, so the sum at N is the kept sum at N/2 plus the new
-    half: one prefix per j grows however the targets are ordered.
+
+def _floor_sum(j: int, N: int) -> int:
+    """sum of floor(2**CERTIFIED_BITS / n**j) over n <= N = 2**B, exactly.
+
+    n = 2**e * m with m odd in the block of b is at most 2**B iff
+    e + b <= B, so the sum takes levels 0..B-b of the kept blocks b <= B.
     """
-    if N <= 4:
-        return _floor_block(j, 1, N)
-    return _floor_sum(j, N // 2) + _floor_block(j, N // 2 + 1, N)
+    B = N.bit_length() - 1
+    return sum(sum(_zeta_block(j, b)[:B - b + 1]) for b in range(B + 1))
 
 
 def _zeta_terms(j: int, target: Fraction) -> int:
@@ -505,8 +569,10 @@ def zeta_value(j: int, target_error) -> BoundedReal:
 
     Partial sum of n^-j plus a two-sided integral tail bound N^(1-j)/(j-1),
     at CERTIFIED_BITS; the returned enclosure is rigorous, not heuristic.
-    The partial sum is the exact floor sum of `floor_prefix_sums`,
-    vectorised over n, and one kept prefix per j serves every target.
+    N is a power of two, and the partial sum is the exact floor sum
+    `_floor_sum`: each odd m is divided once and its quotient shifted for
+    every 2**e * m <= N, and the kept level sums of each dyadic block of
+    odd m serve every target in any order.
     """
     if isinstance(j, bool) or not hasattr(j, "__index__"):
         raise TypeError(f"j must be an integer, got {j!r}")

@@ -207,6 +207,22 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, target):
     assert captured.err.startswith("error: cannot write --out")
 
 
+@pytest.mark.parametrize("target", ["dir", "missing/x.txt"])
+def test_unwritable_out_is_refused_before_computing(tmp_path, capsys,
+                                                    monkeypatch, target):
+    def never(args):
+        raise AssertionError("the command ran")
+    monkeypatch.setitem(COMMANDS, "constants", (never, COMMANDS["constants"][1]))
+    path = tmp_path / target
+    if target == "dir":
+        path.mkdir()
+    assert main(["constants", "--k", "4", "--out", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write --out")
+    # the check creates nothing
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        (["dir"] if target == "dir" else [])
+
+
 def test_brute_budget_zero_is_a_budget(capsys):
     # zero must reach the command, not fall back to the default budget
     assert main(["brute", "--k", "2", "--x", "6", "--budget", "0"]) == 3

@@ -169,13 +169,22 @@ def _floor_sum_per_term(j, a, b):
 
 @pytest.mark.parametrize("j", [*range(2, 14), 40])
 def test_floor_sum_equals_per_term_loop(j):
+    # the zeta sums at every N = 2**B <= 2**16: blocks of one odd lane
+    # (b = 0, 2), of none (b = 1), of one whole odd chunk (b = 14) and of
+    # several (b = 15, 16)
+    total = 0
+    for B in range(17):
+        total += _floor_sum_per_term(j, 2**B // 2 + 1, 2**B)
+        assert exactmath._floor_sum(j, 2**B) == total, B
+    # the kernel on every lane: on and past the chunk edges, a block that
+    # starts mid-chunk, and the n = 1 term alone
     for N in (ZETA_CHUNK - 1, ZETA_CHUNK, ZETA_CHUNK + 1, 2 * ZETA_CHUNK + 1):
-        assert exactmath._floor_block(j, 1, N) == _floor_sum_per_term(j, 1, N)
-        assert exactmath._floor_sum(j, N) == _floor_sum_per_term(j, 1, N)
-    # a block that starts mid-chunk, and the n = 1 term alone
+        assert floor_prefix_sums(j, CERTIFIED_BITS, 1, [N]) == \
+            [_floor_sum_per_term(j, 1, N)]
     a, b = ZETA_CHUNK // 2, 3 * ZETA_CHUNK
-    assert exactmath._floor_block(j, a, b) == _floor_sum_per_term(j, a, b)
-    assert exactmath._floor_block(j, 1, 1) == 1 << CERTIFIED_BITS
+    assert floor_prefix_sums(j, CERTIFIED_BITS, a, [b]) == \
+        [_floor_sum_per_term(j, a, b)]
+    assert floor_prefix_sums(j, CERTIFIED_BITS, 1, [1]) == [1 << CERTIFIED_BITS]
 
 
 def _prefix_per_term(j, bits, a, marks, w):
@@ -243,6 +252,25 @@ def test_floor_prefix_sums_where_the_limb_width_changes(j, bits):
                     _prefix_per_term(j, bits, a, marks, w), (a, wmax, w is None)
 
 
+@pytest.mark.parametrize("j", [2, 3, 13])
+def test_odd_level_sums_where_the_limb_width_changes(j):
+    # an odd chunk is ZETA_CHUNK odd lanes from lo; in each window the
+    # second chunk's stop is the first past 2**e, where the limb width
+    # drops by one, and the last window ends the last block at
+    # ZETA_MAX_TERMS.  Level e divides each m once and shifts; the kernel
+    # divides 2**(bits - j*e) by every odd m itself (odd weights 1, even 0)
+    c = 2 * ZETA_CHUNK
+    top = ZETA_MAX_TERMS.bit_length() - 1
+    windows = [(max(1, 2**e - c - 3), 2**e + c + 1, top - e)
+               for e in (13, 17, 20, 24)]
+    windows.append((ZETA_MAX_TERMS - 17999, ZETA_MAX_TERMS - 1, 0))
+    for lo, hi, levels in windows:
+        odd = _Window(lo, np.arange(lo, hi + 1) & 1)
+        expect = [floor_prefix_sums(j, CERTIFIED_BITS - j * e, lo, [hi], odd)[0]
+                  if j * e <= CERTIFIED_BITS else 0 for e in range(levels + 1)]
+        assert exactmath._odd_level_sums(j, lo, hi, levels) == expect, lo
+
+
 def test_floor_prefix_sums_stop_where_every_quotient_is_zero():
     # floor((2**24 - 1) / n**2) is zero from n = 4096 on, so the walk stops
     # in the second chunk and the later marks read the total; zero weights
@@ -292,7 +320,7 @@ def test_zeta_enclosures_pinned_in_any_call_order(order):
         calls.reverse()
     elif order == "shuffled":
         random.Random(8).shuffle(calls)
-    exactmath._floor_sum.cache_clear()
+    exactmath._zeta_block.cache_clear()
     lines = {}
     for e, j in calls:
         try:
