@@ -76,6 +76,7 @@ from .polytope import (
     export_ieqs,
     ieqs_rows,
     lattice_counts,
+    period_bounds,
     volume_of,
     volume_relations_check,
 )

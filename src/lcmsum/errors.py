@@ -18,7 +18,7 @@ class PrecisionError(RuntimeError):
 
 
 class PeriodDetectionError(RuntimeError):
-    """No candidate quasi-polynomial period stabilized; raw counts attached."""
+    """Lattice counts do not fit their certified period bounds; raw counts attached."""
 
     def __init__(self, message, samples=None):
         super().__init__(message)

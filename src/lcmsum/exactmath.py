@@ -602,36 +602,44 @@ def zeta_value(j: int, target_error) -> BoundedReal:
 # Finite differences
 # ---------------------------------------------------------------------------
 
-def finite_differences(values: Sequence[Fraction]) -> list[Fraction]:
-    return [b - a for a, b in zip(values, values[1:])]
-
-
 def leading_coeff_by_differences(
-    samples: Sequence[tuple[int, Fraction]], degree: int
+    samples: Sequence[tuple[int, Fraction]], degree: int,
+    steps: Sequence[int] | None = None,
 ) -> Fraction:
     """Leading coefficient of a degree-`degree` polynomial from its values.
 
-    `samples` must be at equally spaced abscissae; the result is the
-    degree-th finite difference divided by degree! and step**degree,
-    computed in exact rationals.  Extra samples beyond degree+1 are used to
-    cross-check that the difference is stable.
+    `samples` must be at equally spaced abscissae, h apart.  `steps` is the
+    difference schedule s_1..s_degree in units of h (default all 1): the
+    operator Delta_{s_1 h} ... Delta_{s_degree h}, with Delta_m f(x) =
+    f(x + m) - f(x), takes a x**degree to degree! * prod(s_j h) * a, and
+    the result is that value divided back, in exact rationals.  The operator
+    also takes a quasi-polynomial's term c_i(x) x**i, i < degree, to zero
+    when at least i + 1 of the steps are multiples of the period of c_i, so
+    with steps of unequal size it reads the leading coefficient of a
+    quasi-polynomial whose coefficients have unequal periods.
+
+    It reads sum(s_j) + 1 samples; each extra sample shifts the window by h
+    and must give the same difference, a cross-check that the samples fit.
     """
-    if len(samples) < degree + 1:
+    steps = (1,) * degree if steps is None else tuple(steps)
+    if len(steps) != degree or any(s < 1 for s in steps):
+        raise ValueError(f"need {degree} positive steps, got {steps}")
+    if len(samples) < sum(steps) + 1:
         raise ValueError(
-            f"need at least {degree + 1} samples for degree {degree}, "
-            f"got {len(samples)}")
+            f"need at least {sum(steps) + 1} samples for degree {degree} "
+            f"at steps {steps}, got {len(samples)}")
     xs = [s[0] for s in samples]
-    steps = {b - a for a, b in zip(xs, xs[1:])}
-    if len(steps) != 1:
+    spacings = {b - a for a, b in zip(xs, xs[1:])}
+    if len(spacings) != 1:
         raise ValueError("samples must be equally spaced")
-    step = steps.pop()
-    if step <= 0:
+    h = spacings.pop()
+    if h <= 0:
         raise ValueError("abscissae must be increasing")
     vals = [Fraction(s[1]) for s in samples]
-    for _ in range(degree):
-        vals = finite_differences(vals)
+    for s in steps:
+        vals = [b - a for a, b in zip(vals, vals[s:])]
     if any(v != vals[0] for v in vals[1:]):
         raise ValueError(
-            "degree-th differences disagree; samples are not a polynomial "
-            f"of degree {degree}")
-    return vals[0] / (math.factorial(degree) * Fraction(step) ** degree)
+            "the differences of the shifted windows disagree; samples are not "
+            f"a quasi-polynomial of degree {degree} killed by steps {steps}")
+    return vals[0] / (math.factorial(degree) * math.prod(s * h for s in steps))

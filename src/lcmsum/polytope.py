@@ -2,18 +2,25 @@
 
 A polytope here is {t in [0, inf)^dim : sum_{j in A_i} t_j <= 1} for a
 family of 0/1 constraint sets A_i.  Its volume is recovered exactly from
-lattice-point counts of integer dilates: the counting function E(n) is a
-quasi-polynomial whose every-period restriction is a true polynomial of
-degree dim with leading coefficient vol * period**dim / dim!, so the dim-th
-finite difference of counts sampled along one residue class hands back the
-volume as an exact rational.
+lattice-point counts of integer dilates.  The counting function is a
+quasi-polynomial E(n) = sum_i c_i(n) n**i with c_dim = vol, and by
+McMullen's theorem the period of c_i divides the i-index of the polytope.
+`period_bounds` certifies a multiple D_i of every i-index from the
+constraint matrix alone, with D_{i+1} dividing D_i, and the mixed-step
+difference Delta_{D_0} Delta_{D_1} ... Delta_{D_{dim-1}} then takes every
+c_i(n) n**i with i < dim to zero and E to dim! * prod(D_i) * vol, which
+hands back the volume as an exact rational.  When every D_i is 1 this is
+the plain dim-th difference.
 
-The samples sit on both sides of 0.  Ehrhart-Macdonald reciprocity gives
-E(-n) = (-1)**dim * #interior(n-dilate), and the interior points of the
-n-dilate (t >= 1, every constraint sum <= n - 1) become, under t = s + 1,
-the lattice points of the same polytope with budget n - 1 - |A_i| on
-constraint i.  Splitting the dim + 3 samples of a period between negative
-and positive dilates roughly halves the largest budget the counts need.
+The samples are consecutive dilates on both sides of 0.  Ehrhart-Macdonald
+reciprocity gives E(-n) = (-1)**dim * #interior(n-dilate), and the interior
+points of the n-dilate (t >= 1, every constraint sum <= n - 1) become,
+under t = s + 1, the lattice points of the same polytope with budget
+n - 1 - |A_i| on constraint i.  Splitting the samples between negative and
+positive dilates roughly halves the largest budget the counts need.  Two
+samples beyond the operator's span shift its window by one dilate each,
+and all three windows must agree, so a bound that is too small raises
+`PeriodDetectionError` instead of returning a volume.
 
 Counts come from a budget dynamic program: the state is the tuple of
 per-constraint partial sums, one array axis per constraint, each axis as
@@ -66,13 +73,6 @@ PRIME_CAP = 2**31 - 1
 # 2*(m - 1), which a uint32 holds, so one conditional subtraction reduces it
 assert 2 * (PRIME_CAP - 1) < 2**32
 
-#: candidate quasi-polynomial periods, tried in order.  Vertex coordinates
-#: solve 0/1 subsystems of size <= 4 whose determinants are at most 3, so
-#: every true period divides 6; stabilization testing keeps acceptance
-#: independent of this argument.
-PERIOD_CANDIDATES = (1, 2, 6)
-
-
 @dataclass(frozen=True)
 class HyperbolicPolytope:
     """{t >= 0 : sum over each constraint set <= 1}, constraints as 0-based sets."""
@@ -96,20 +96,25 @@ class HyperbolicPolytope:
 
 @dataclass(frozen=True)
 class EhrhartSamples:
-    """Counts sampled on one residue class of a candidate period P.
+    """Counts at consecutive dilates, read under the period bounds D_0..D_{dim-1}.
 
-    `counts` are the closed counts L(0), L(P), ...; `interior_counts` are the
-    interior point counts of the `interior_dilates` P, 2P, ..., which by
-    reciprocity are (-1)**dim times the counting function at -P, -2P, ...
+    `bounds` are the certified bounds of `period_bounds`; `counts` are the
+    closed counts L(0), L(1), ...; `interior_counts` are the interior point
+    counts of the `interior_dilates` 1, 2, ..., which by reciprocity are
+    (-1)**dim times the counting function at -1, -2, ...
     """
 
-    period: int
+    bounds: tuple[int, ...]
     counts: tuple[int, ...]
     stabilized: bool
     interior_dilates: tuple[int, ...] = ()
     interior_counts: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if any(b < 1 for b in self.bounds):
+            raise ValueError("period bounds must be positive")
+        if any(a % b for a, b in zip(self.bounds, self.bounds[1:])):
+            raise ValueError("each period bound must divide the one before")
         if self.counts[0] != 1:
             raise ValueError("L(0) must be 1")
         if any(b < a for a, b in zip(self.counts, self.counts[1:])):
@@ -284,60 +289,179 @@ def lattice_counts(
 
 
 # ---------------------------------------------------------------------------
+# Period bounds
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=4096)
+def _echelon_insert(
+    basis: tuple[tuple[int, tuple[int, ...]], ...], v: tuple[int, ...]
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """An echelon Z-basis of the lattice spanned by `basis` and v.
+
+    `basis` holds (pivot, vector) pairs with increasing pivots, each vector
+    zero before its positive pivot entry.  v is reduced against each pivot
+    it reaches by a unimodular extended-gcd step, and what is left of it
+    becomes a new basis vector.
+    """
+    out = []
+    rest = list(basis)
+    while rest and any(v):
+        piv, b = rest[0]
+        lead = next(j for j, x in enumerate(v) if x)
+        if lead < piv:
+            break
+        rest.pop(0)
+        if lead == piv:
+            # x*b_p + y*v_p = g > 0; the 2x2 step has determinant 1
+            g, x, y = _egcd(b[piv], v[piv])
+            bp, vp = b[piv] // g, v[piv] // g
+            b, v = (tuple(x * s + y * t for s, t in zip(b, v)),
+                    tuple(bp * t - vp * s for s, t in zip(b, v)))
+        out.append((piv, b))
+    if any(v):
+        lead = next(j for j, x in enumerate(v) if x)
+        out.append((lead, v if v[lead] > 0 else tuple(-x for x in v)))
+    return tuple(out + rest)
+
+
+def _egcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+@lru_cache(maxsize=4096)
+def _least_multiple(basis: tuple[tuple[int, tuple[int, ...]], ...],
+                    m: int) -> int | None:
+    """Least D > 0 with D * (1, ..., 1) (length m) in the lattice of an
+    echelon basis, or None if (1, ..., 1) is not in its rational span.
+
+    Over Q the coordinates of 1 in the basis have denominators dividing the
+    product P of the pivots, so P * 1 reduces with integer coefficients
+    P * a_k, and the least D is P / gcd(P, P * a_1, ..., P * a_r).
+    """
+    scale = math.prod(b[piv] for piv, b in basis)
+    w = [scale] * m
+    g = scale
+    for piv, b in basis:
+        if any(w[:piv]):
+            return None
+        a = w[piv] // b[piv]  # exact, see above
+        g = math.gcd(g, a)
+        w = [s - a * t for s, t in zip(w, b)]
+    return None if any(w) else scale // g
+
+
+def _subspace_classes(p: HyperbolicPolytope):
+    """Every class of subspaces {t_Z = 0, sum_{A_r} t = 1 for r in I} the
+    bound search visits, as (T, D, top).
+
+    Coordinate j restricted to I is a 0/1 column type; a subspace's free
+    coordinates have types T (zero type aside), its least D (D * 1 in the
+    integer span of T, None if 1 is not even in the rational span) depends
+    on T alone, and its dimension is the number of free coordinates less
+    rank(T), at most `top` when every coordinate of a type in T or of zero
+    type is free.  For each non-empty I the type sets are searched depth
+    first, one column added to the parent's echelon basis at a time.  A set
+    with D = 1 is yielded but not extended: a larger set spans a larger
+    lattice, so it has D = 1 too and can raise no bound.
+    """
+    nc = len(p.constraints)
+    for rows in range(1, 1 << nc):
+        cols = [tuple(int(j in a) for r, a in enumerate(p.constraints)
+                      if rows >> r & 1) for j in range(p.dim)]
+        zero = (0,) * len(cols[0])
+        counts = {t: cols.count(t) for t in sorted(set(cols)) if t != zero}
+        types = list(counts)
+        stack = [(0, (), (), cols.count(zero))]
+        while stack:
+            start, chosen, basis, free = stack.pop()
+            for i in range(start, len(types)):
+                t = types[i]
+                grown = _echelon_insert(basis, t)
+                d = _least_multiple(grown, len(t))
+                top = free + counts[t] - len(grown)
+                yield chosen + (t,), d, top
+                if d != 1:
+                    stack.append((i + 1, chosen + (t,), grown, free + counts[t]))
+
+
+def period_bounds(p: HyperbolicPolytope) -> tuple[int, ...]:
+    """(D_0, ..., D_{dim-1}): the period of the Ehrhart coefficient c_i
+    divides D_i, and D_{i+1} divides D_i.
+
+    McMullen: the period of c_i divides the i-index, the least D such that
+    the affine hull of every i-dimensional face of D * P holds an integer
+    point.  The affine hull of a face is a subspace {t_Z = 0, sum_{A_r} t = 1
+    for r in I}, and D times it holds an integer point exactly when D * 1 is
+    in the integer span of the free columns restricted to I.  D_i is the lcm
+    of that least D over every such subspace of dimension i or more, faces
+    or not, so it is a multiple of every j-index with j >= i.
+    """
+    needed: dict[int, int] = {}  # least D > 1 -> largest dimension needing it
+    for _, d, top in _subspace_classes(p):
+        if d is not None and d > 1 and top > needed.get(d, -1):
+            needed[d] = top
+    return tuple(math.lcm(*(d for d, top in needed.items() if top >= i))
+                 for i in range(p.dim))
+
+
+# ---------------------------------------------------------------------------
 # Volume extraction
 # ---------------------------------------------------------------------------
 
-def _sample_window(p: HyperbolicPolytope, period: int) -> tuple[list[int], list[int]]:
-    """Closed dilates 0, P, ..., bP and interior dilates P, ..., aP, a + b = dim + 2.
+def _sample_window(
+    p: HyperbolicPolytope, bounds: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Closed dilates 0..b and interior dilates 1..a, a + b = sum(bounds) + 2.
 
-    Together they are the dim + 3 equally spaced samples -aP..bP of the
-    counting function; a is chosen to minimise the largest per-constraint
-    budget, max(bP, aP - 1 - min |A_i|), preferring fewer interior samples.
+    Together they are the consecutive samples -a..b of the counting
+    function: the span of the difference operator plus two shifted windows.
+    a is chosen to minimise the largest per-constraint budget,
+    max(b, a - 1 - min |A_i|), preferring fewer interior samples.
     """
-    last = p.dim + 2
+    last = sum(bounds) + 2
     smallest = min(len(a) for a in p.constraints)
-    a = min(range(last + 1), key=lambda a: (
-        max((last - a) * period, a * period - 1 - smallest), a))
-    return ([j * period for j in range(last - a + 1)],
-            [j * period for j in range(1, a + 1)])
+    a = min(range(last + 1), key=lambda a: (max(last - a, a - 1 - smallest), a))
+    return list(range(last - a + 1)), list(range(1, a + 1))
 
 
 def ehrhart_data(p: HyperbolicPolytope) -> tuple[Fraction, EhrhartSamples]:
     """Exact volume plus the count samples that certified it.
 
-    For each candidate period P the counting function at -aP, ..., bP
-    (a + b = dim + 2, see `_sample_window`) gives three sliding windows of
-    dim-th finite differences; the values at negative dilates are interior
-    counts by reciprocity.  The candidate is accepted only if all three
-    windows agree (the shifted windows are the cross-validation), and then
-    vol = diff / (dim! * P**dim), extracted in exact rationals.
+    The counts at -a..b (see `_sample_window`; the values at negative
+    dilates are interior counts by reciprocity) go through the difference
+    operator of steps `period_bounds(p)` at three consecutive offsets.  The
+    three windows must agree (the shifted windows are the cross-validation),
+    and then vol = diff / (dim! * prod(D_i)), in exact rationals.
     """
     v = p.dim
     if v == 0:
-        return Fraction(1), EhrhartSamples(1, (1,), True)
+        return Fraction(1), EhrhartSamples((), (1,), True)
+    bounds = period_bounds(p)
+    ns, inner = _sample_window(p, bounds)
+    counts = lattice_counts(p, ns, interior=inner)
+    samples = EhrhartSamples(bounds, tuple(counts[:len(ns)]), False,
+                             tuple(inner), tuple(counts[len(ns):]))
     sign = (-1) ** v
-    last = None
-    for period in PERIOD_CANDIDATES:
-        ns, inner = _sample_window(p, period)
-        counts = lattice_counts(p, ns, interior=inner)
-        samples = EhrhartSamples(period, tuple(counts[:len(ns)]), False,
-                                 tuple(inner), tuple(counts[len(ns):]))
-        points = ([(-n, Fraction(sign * c)) for n, c in
-                   zip(reversed(inner), reversed(samples.interior_counts))]
-                  + [(n, Fraction(c)) for n, c in zip(ns, samples.counts)])
-        try:
-            # raises if the sliding-window differences disagree
-            vol = leading_coeff_by_differences(points, v)
-        except ValueError:
-            last = samples
-            continue
-        if vol <= 0:
-            raise PeriodDetectionError(
-                f"degenerate leading coefficient {vol} at period {period}",
-                samples=samples)
-        return vol, replace(samples, stabilized=True)
-    raise PeriodDetectionError(
-        f"no candidate period in {PERIOD_CANDIDATES} stabilized", samples=last)
+    points = ([(-n, Fraction(sign * c)) for n, c in
+               zip(reversed(inner), reversed(samples.interior_counts))]
+              + [(n, Fraction(c)) for n, c in zip(ns, samples.counts)])
+    try:
+        vol = leading_coeff_by_differences(points, v, bounds)
+    except ValueError as exc:
+        raise PeriodDetectionError(
+            f"period bounds {bounds} do not fit the counts: {exc}",
+            samples=samples) from exc
+    if vol <= 0:
+        raise PeriodDetectionError(
+            f"degenerate leading coefficient {vol} under period bounds {bounds}",
+            samples=samples)
+    return vol, replace(samples, stabilized=True)
 
 
 def ehrhart_volume(p: HyperbolicPolytope) -> Fraction:

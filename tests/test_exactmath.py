@@ -353,6 +353,33 @@ def test_leading_coeff_arity_and_spacing_errors():
             [(0, Fraction(0)), (1, Fraction(1)), (3, Fraction(9))], 2)
 
 
+@pytest.mark.parametrize("start", [-9, 0, 4])
+def test_mixed_steps_read_a_quasi_polynomial(start):
+    # f(n) = lead n^2 + c_1(n) n + c_0(n), c_1 of period 2 and c_0 of
+    # period 6: Delta_6 Delta_2 kills both lower terms
+    c0 = [Fraction(v, 7) for v in (3, -1, 4, 1, -5, 9)]
+    c1 = [Fraction(2), Fraction(-3, 2)]
+    lead = Fraction(5, 3)
+
+    def f(n):
+        return lead * n * n + c1[n % 2] * n + c0[n % 6]
+
+    pts = [(n, f(n)) for n in range(start, start + 6 + 2 + 3)]
+    assert leading_coeff_by_differences(pts, 2, steps=(6, 2)) == lead
+    assert leading_coeff_by_differences(pts[:9], 2, steps=(2, 6)) == lead
+    # too few even steps for c_1, a step that misses c_0's period 3
+    for steps in [(6, 1), (2, 2), (1, 1)]:
+        with pytest.raises(ValueError, match="disagree"):
+            leading_coeff_by_differences(pts, 2, steps=steps)
+    # the span of the steps plus one sample, and one step per degree
+    with pytest.raises(ValueError, match="at least 9 samples"):
+        leading_coeff_by_differences(pts[:8], 2, steps=(6, 2))
+    with pytest.raises(ValueError, match="positive steps"):
+        leading_coeff_by_differences(pts, 2, steps=(6,))
+    with pytest.raises(ValueError, match="positive steps"):
+        leading_coeff_by_differences(pts, 2, steps=(6, 0))
+
+
 @given(
     coeffs=st.lists(st.integers(-50, 50), min_size=1, max_size=6),
     lead=st.integers(1, 50),

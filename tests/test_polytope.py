@@ -19,6 +19,7 @@ from lcmsum.polytope import (
     export_ieqs,
     ieqs_rows,
     lattice_counts,
+    period_bounds,
     volume_of,
     volume_relations_check,
 )
@@ -37,6 +38,17 @@ def brute_lattice_count(p: HyperbolicPolytope, n: int, interior: bool = False) -
 
 ALL_KINDS_K = [(kind, k) for kind in ("D", "D_star", "D_star2", "D_star3", "T")
                for k in (2, 3)]
+
+UNEQUAL_FAMILIES = [
+    ({0, 1, 2}, {2}),
+    ({0, 1}, {0}, {1}, {0, 1, 2}),
+    ({0, 1, 2, 3}, {1, 3}, {3}),
+]
+
+
+def family_polytope(constraints) -> HyperbolicPolytope:
+    dim = max(max(a) for a in constraints) + 1
+    return HyperbolicPolytope(dim, tuple(frozenset(a) for a in constraints))
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +131,12 @@ def test_interior_counts_against_enumeration():
         assert lattice_counts(p, ns, interior=ns) == closed + inner, (kind, k)
 
 
-@pytest.mark.parametrize("constraints", [
-    ({0, 1, 2}, {2}),
-    ({0, 1}, {0}, {1}, {0, 1, 2}),
-    ({0, 1, 2, 3}, {1, 3}, {3}),
-])
+@pytest.mark.parametrize("constraints", UNEQUAL_FAMILIES)
 def test_counts_on_constraints_of_unequal_size(constraints):
     # the DP finishes axis 0 first, though a later, smaller constraint has
     # fewer coordinates; in the second family no coordinate has axis 1 or 2
     # as its lowest constraint, so those axes finish with no step of their own
-    dim = max(max(a) for a in constraints) + 1
-    p = HyperbolicPolytope(dim, tuple(frozenset(a) for a in constraints))
+    p = family_polytope(constraints)
     ns = list(range(6))
     closed = [brute_lattice_count(p, n) for n in ns]
     inner = [brute_lattice_count(p, n, interior=True) for n in ns]
@@ -138,9 +145,10 @@ def test_counts_on_constraints_of_unequal_size(constraints):
 
 def test_reciprocity_matches_closed_fit():
     # the polynomial through the closed samples at 0, P, ..., dim*P, taken at
-    # -jP, is (-1)**dim times the interior count of the jP-dilate
+    # -jP, is (-1)**dim times the interior count of the jP-dilate; every
+    # coefficient's period divides P = D_0
     p = build_polytope("D", 3)
-    period, d = ehrhart_data(p)[1].period, p.dim
+    period, d = ehrhart_data(p)[1].bounds[0], p.dim
     ys = lattice_counts(p, [i * period for i in range(d + 1)])
 
     def fit(x):
@@ -160,31 +168,144 @@ def test_reciprocity_matches_closed_fit():
 
 
 def test_accepted_periods_k3():
-    # D and D_star have period-2 counts, so the period-1 candidate must fail
-    got = {kind: ehrhart_data(build_polytope(kind, 3))[1].period
+    # D and D_star have a period-2 constant term (vertices with coordinate
+    # 1/2), every other coefficient and all of T has period 1
+    got = {kind: ehrhart_data(build_polytope(kind, 3))[1].bounds
            for kind in ("D", "D_star", "T")}
-    assert got == {"D": 2, "D_star": 2, "T": 1}
+    assert got == {"D": (2,) + (1,) * 6, "D_star": (2,) + (1,) * 5, "T": (1,) * 7}
 
 
 def test_period_detection_error_carries_both_halves(monkeypatch):
-    monkeypatch.setattr(polytope, "PERIOD_CANDIDATES", (1,))
-    with pytest.raises(PeriodDetectionError) as info:
+    # the true period of c_0 for D_3 is 2, so all-ones bounds are too small
+    monkeypatch.setattr(polytope, "period_bounds", lambda p: (1,) * p.dim)
+    with pytest.raises(PeriodDetectionError, match=r"\(1, 1, 1, 1, 1, 1, 1\)") as info:
         ehrhart_data(build_polytope("D", 3))
     samples = info.value.samples
-    assert samples.period == 1 and not samples.stabilized
+    assert samples.bounds == (1,) * 7 and not samples.stabilized
     assert len(samples.counts) + len(samples.interior_counts) == 7 + 3
     assert samples.interior_dilates == tuple(range(1, len(samples.interior_counts) + 1))
 
 
+@pytest.mark.parametrize("kind, k, bounds", [
+    ("D_star", 3, (1,) * 6),          # c_0 has period 2
+    ("D", 4, (2,) * 15),              # c_0 has period 6
+    ("D", 4, (6,) + (1,) * 14),       # c_1 has period 2, one even step
+    ("D_star2", 4, (6, 2, 2) + (1,) * 8),  # c_3 has period 2
+])
+def test_too_small_bounds_never_return_a_volume(monkeypatch, kind, k, bounds):
+    p = build_polytope(kind, k)
+    assert len(bounds) == p.dim
+    # somewhere below the certified bound
+    assert any(b % a for a, b in zip(period_bounds(p), bounds))
+    monkeypatch.setattr(polytope, "period_bounds", lambda _: bounds)
+    with pytest.raises(PeriodDetectionError) as info:
+        ehrhart_data(p)
+    assert info.value.samples.bounds == bounds
+    assert str(bounds) in str(info.value)
+
+
 def test_k4_sample_plan_halves_the_largest_budget():
     # plan only, no DP: D_4 at period 6 needed dilate 102 with closed samples
+    # and 48 split across both sides; the certified bounds need 9
     p = build_polytope("D", 4)
-    ns, inner = polytope._sample_window(p, 6)
-    assert len(ns) + len(inner) == p.dim + 3
-    assert max(ns) <= 48
+    bounds = period_bounds(p)
+    assert bounds == (6, 2, 2, 2, 2) + (1,) * 10
+    ns, inner = polytope._sample_window(p, bounds)
+    assert len(ns) + len(inner) == sum(bounds) + 3 == 27
+    assert ns == list(range(len(ns))) and inner == list(range(1, len(inner) + 1))
     budgets = polytope._budgets(p, ns, inner)
-    assert max(max(b) for b in budgets) <= 48
-    assert 49 ** len(p.constraints) * BYTES_PER_STATE <= STATE_BUDGET
+    assert max(max(b) for b in budgets) <= 9
+    assert 10 ** len(p.constraints) * BYTES_PER_STATE <= STATE_BUDGET
+
+
+def rref(rows):
+    """Reduced row echelon form over Q and its pivot columns."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for j in range(len(a[0])):
+        i = len(pivots)
+        piv = next((r for r in range(i, len(a)) if a[r][j]), None)
+        if piv is None:
+            continue
+        a[i], a[piv] = a[piv], a[i]
+        a[i] = [x / a[i][j] for x in a[i]]
+        for r in range(len(a)):
+            if r != i and a[r][j]:
+                f = a[r][j]
+                a[r] = [x - f * y for x, y in zip(a[r], a[i])]
+        pivots.append(j)
+    return a, pivots
+
+
+def least_multiple_by_fractions(types):
+    """Least D with D * 1 in the integer span of `types`, by one rational
+    elimination of [types | 1]: its pivot columns are a rational basis B,
+    and every other column holds its coordinates in B.  In those
+    coordinates the lattice is Z^r plus the types' coordinates, so D * 1 is
+    in it exactly when D * c mod 1 lies in the group they generate mod 1."""
+    m = len(types[0])
+    a, pivots = rref([[t[i] for t in types] + [1] for i in range(m)])
+    if pivots and pivots[-1] == len(types):
+        return None  # 1 is not in the rational span
+    coords = [tuple(a[i][j] % 1 for i in range(len(pivots)))
+              for j in range(len(types) + 1)]
+    c, gens = coords[-1], coords[:-1]
+    zero = (Fraction(0),) * len(pivots)
+    group, frontier = {zero}, [zero]
+    while frontier:
+        g = frontier.pop()
+        for h in gens:
+            s = tuple((x + y) % 1 for x, y in zip(g, h))
+            if s not in group:
+                group.add(s)
+                frontier.append(s)
+    d = 1
+    while tuple(d * x % 1 for x in c) not in group:
+        d += 1
+    return d
+
+
+def test_least_multiple_agrees_with_fraction_solve():
+    # every (I, type set) the bound search visits on the k = 4 families;
+    # the least D depends on the type set alone
+    seen = {}
+    for kind in polytope.KINDS:
+        for types, d, _ in polytope._subspace_classes(build_polytope(kind, 4)):
+            assert seen.setdefault(types, d) == d
+    assert len(seen) > 1000
+    assert {d for d in seen.values()} == {None, 1, 2, 3}
+    for types, d in seen.items():
+        assert least_multiple_by_fractions(types) == d, types
+
+
+def fitted_periods(p, modulus=6):
+    """Periods of c_0..c_dim fitted from exact counts at every dilate up to
+    modulus * (dim + 2) - 1: one polynomial in n per residue class, checked
+    on one more sample of its class, so modulus is a period of the counts."""
+    d = p.dim
+    counts = lattice_counts(p, range(modulus * (d + 2)))
+    coeffs = []
+    for r in range(modulus):
+        ns = [r + modulus * j for j in range(d + 2)]
+        a, _ = rref([[n ** i for i in range(d + 1)] + [counts[n]] for n in ns[:-1]])
+        cs = [row[-1] for row in a]
+        assert sum(c * ns[-1] ** i for i, c in enumerate(cs)) == counts[ns[-1]]
+        coeffs.append(cs)
+    return [min(q for q in range(1, modulus + 1) if modulus % q == 0
+                and all(coeffs[r][i] == coeffs[(r + q) % modulus][i]
+                        for r in range(modulus)))
+            for i in range(d + 1)]
+
+
+@pytest.mark.parametrize("p", [build_polytope(kind, k) for kind, k in ALL_KINDS_K]
+                         + [family_polytope(c) for c in UNEQUAL_FAMILIES])
+def test_period_bounds_are_multiples_of_fitted_periods(p):
+    bounds = period_bounds(p)
+    assert len(bounds) == p.dim
+    periods = fitted_periods(p)
+    assert periods[p.dim] == 1
+    assert all(b % q == 0 for b, q in zip(bounds, periods)), (bounds, periods)
+    assert all(a % b == 0 for a, b in zip(bounds, bounds[1:]))
 
 
 def test_lattice_counts_empty():
@@ -206,9 +327,31 @@ def test_crt_primes_are_the_largest_primes_below_the_cap(cap, bound, primes):
     assert polytope._crt_primes(cap, bound) == primes
 
 
-# sha256 of every (ns, interior, counts) that `ehrhart_data` asks
+def period_trial_window(p, period):
+    # the sample plan of the period-trial extraction: closed dilates
+    # 0, P, ..., bP and interior dilates P, ..., aP with a + b = dim + 2, a
+    # minimising the largest budget and preferring fewer interior samples
+    last = p.dim + 2
+    smallest = min(len(a) for a in p.constraints)
+    a = min(range(last + 1), key=lambda a: (
+        max((last - a) * period, a * period - 1 - smallest), a))
+    return ([j * period for j in range(last - a + 1)],
+            [j * period for j in range(1, a + 1)])
+
+
+#: the period the trial extraction accepted, after trying every smaller one
+#: of 1, 2, 6; D_star3 at k = 2 has dimension 0 and was never counted
+TRIAL_PERIODS = {
+    2: {"D": 1, "D_star": 1, "D_star2": 1, "T": 1},
+    3: {"D": 2, "D_star": 2, "D_star2": 2, "D_star3": 2, "T": 1},
+    4: {"D": 6, "D_star": 6, "D_star2": 6, "D_star3": 6, "T": 1},
+}
+
+# sha256 of every (ns, interior, counts) the period-trial extraction asked
 # `lattice_counts` for, kind by kind in KINDS order, over every period it
-# tries; recorded from the int32 DP with a full `%` pass per coordinate
+# tried; recorded from the int32 DP with a full `%` pass per coordinate.
+# The calls are made directly at those dilates, so the DP at the large
+# budgets of period 6 stays pinned.
 EHRHART_COUNT_DIGESTS = {
     2: "ffd35c8b6a2315b5c93d6f4e22ce7abc38ba7f56939d6e4b86d1fd4ea4b45b9f",
     3: "f8552b65f3504655b2dbb8f24ac6e025f9a82d1fb2cf766d7547f6053d5250e2",
@@ -217,7 +360,34 @@ EHRHART_COUNT_DIGESTS = {
 
 
 @pytest.mark.parametrize("k", [2, 3, pytest.param(4, marks=pytest.mark.slow)])
-def test_ehrhart_counts_pinned(monkeypatch, k):
+def test_ehrhart_counts_pinned(k):
+    calls = []
+    for kind in polytope.KINDS:
+        calls.append(kind)
+        p = build_polytope(kind, k)
+        if kind not in TRIAL_PERIODS[k]:
+            continue
+        for period in (1, 2, 6):
+            if period > TRIAL_PERIODS[k][kind]:
+                break
+            ns, inner = period_trial_window(p, period)
+            out = lattice_counts(p, ns, inner)
+            calls.append((tuple(ns), tuple(inner), tuple(out)))
+    digest = hashlib.sha256(repr(calls).encode()).hexdigest()
+    assert digest == EHRHART_COUNT_DIGESTS[k]
+
+
+# sha256 of the bounds and every (ns, interior, counts) that `ehrhart_data`
+# asks `lattice_counts` for, kind by kind in KINDS order
+CERTIFIED_COUNT_DIGESTS = {
+    2: "dcff1216bdb6402c8205e6575a1c9225fc9a1c00d1be0a878b8d9259ff5a84d0",
+    3: "20e470ac22fa88641d43e62fc693919518a09a3d9d8cbe7c3072b79dbda88ce9",
+    4: "b12a478179203bad3b954e0c7c6e4bdb133ab1990f6a7d03ed90335ccf27614c",
+}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_certified_plan_counts_pinned(monkeypatch, k):
     calls = []
 
     def recording(p, ns, interior=()):
@@ -228,9 +398,9 @@ def test_ehrhart_counts_pinned(monkeypatch, k):
     monkeypatch.setattr(polytope, "lattice_counts", recording)
     for kind in polytope.KINDS:
         calls.append(kind)
-        ehrhart_data(build_polytope(kind, k))
+        calls.append(ehrhart_data(build_polytope(kind, k))[1].bounds)
     digest = hashlib.sha256(repr(calls).encode()).hexdigest()
-    assert digest == EHRHART_COUNT_DIGESTS[k]
+    assert digest == CERTIFIED_COUNT_DIGESTS[k]
 
 
 @pytest.mark.parametrize("kind", ["D", "D_star", "D_star2"])
@@ -296,7 +466,7 @@ def test_k4_period6_dp_crt_prime_counts(monkeypatch):
     for kind in ("D", "D_star", "D_star2"):
         p = build_polytope(kind, 4)
         calls.clear()
-        lattice_counts(p, *polytope._sample_window(p, 6))
+        lattice_counts(p, *period_trial_window(p, 6))
         got[kind] = len(calls)
     assert got == {"D": 3, "D_star": 3, "D_star2": 2}
 
@@ -365,26 +535,30 @@ def test_ehrhart_samples_invariants():
     assert samples.counts[0] == 1
     assert list(samples.counts) == sorted(samples.counts)
     with pytest.raises(ValueError):
-        EhrhartSamples(1, (2, 3), True)
+        EhrhartSamples((1,), (2, 3), True)
     with pytest.raises(ValueError):
-        EhrhartSamples(1, (1, 0), True)
+        EhrhartSamples((1,), (1, 0), True)
+    with pytest.raises(ValueError):
+        EhrhartSamples((0,), (1, 2), True)
+    with pytest.raises(ValueError):
+        EhrhartSamples((2, 3), (1, 2), True)  # 3 does not divide 2
 
 
 def test_ehrhart_samples_interior_invariants():
     _, samples = ehrhart_data(build_polytope("D", 3))
     m = len(samples.interior_counts)
     assert m > 0
-    assert samples.interior_dilates == tuple(samples.period * j for j in range(1, m + 1))
-    assert len(samples.counts) + m == 7 + 3
+    assert samples.interior_dilates == tuple(range(1, m + 1))
+    assert len(samples.counts) + m == sum(samples.bounds) + 3 == 8 + 3
     assert list(samples.interior_counts) == sorted(samples.interior_counts)
     with pytest.raises(ValueError):
-        EhrhartSamples(1, (1, 2), True, (1, 2), (1, 0))
+        EhrhartSamples((1,), (1, 2), True, (1, 2), (1, 0))
     with pytest.raises(ValueError):
-        EhrhartSamples(1, (1, 2), True, (1,), (-1,))
+        EhrhartSamples((1,), (1, 2), True, (1,), (-1,))
     with pytest.raises(ValueError):
-        EhrhartSamples(1, (1, 2), True, (1,), ())
+        EhrhartSamples((1,), (1, 2), True, (1,), ())
     with pytest.raises(ValueError):
-        EhrhartSamples(1, (1, 2), True, (2, 1), (0, 0))
+        EhrhartSamples((1,), (1, 2), True, (2, 1), (0, 0))
 
 
 def test_volume_invariant_under_coordinate_permutation():
