@@ -442,19 +442,23 @@ def _quotient_limbs(n: np.ndarray, j: int, bits: int, wn=None,
 
 def floor_prefix_sums(j: int, bits: int, a: int, marks: Sequence[int],
                       w: np.ndarray | None = None) -> list[int]:
-    """sum of floor(w[n] * 2**bits / n**j) over a <= n <= m, exactly, for
-    each m of the ascending `marks` (j, a >= 1; w[n] = 1 when w is None).
+    """sum of floor(w_n * 2**bits / n**j) over a <= n <= m, exactly, for
+    each m of the ascending `marks` (j, a >= 1).  The weights start at a:
+    w[i] weighs n = a + i, so w needs no entries below a (w_n = 1 when w
+    is None).
 
     Each chunk of ZETA_CHUNK consecutive n is divided by `_quotient_limbs`.
     Each limb column is then summed, or prefix-summed in a chunk that holds
     marks, and the columns are recombined as Python ints.  At n near 2**24,
     2**160 is four 40-bit limbs, and j = 2 takes 7 divmods per n.
-    The input contract is n <= ZETA_MAX_TERMS and w[n] * 2**(bits % 32)
+    The input contract is n <= ZETA_MAX_TERMS and w_n * 2**(bits % 32)
     below 2**32; inputs past either are refused.  The weight bound is the
     one the 32-bit limbs of earlier versions needed.  It is kept as the
     contract, although the L-bit limbs (L >= 37 up to ZETA_MAX_TERMS) would
-    carry any w[n] < 2**L exactly; the one caller with weights, the fast
-    k=2 route of `oracle`, stays inside it.
+    carry any w_n < 2**L exactly; the one caller with weights, the fast
+    k=2 route of `oracle`, stays inside it.  That caller passes one totient
+    sieve segment at a time as w, with a at the segment's first n, so no
+    weight array longer than a segment exists.
     """
     out: list[int] = []
     last = marks[-1] if marks else 0
@@ -462,15 +466,15 @@ def floor_prefix_sums(j: int, bits: int, a: int, marks: Sequence[int],
         raise ValueError(f"n = {last} exceeds the lane bound {ZETA_MAX_TERMS}")
     wmax = 1
     if w is not None and last >= a:
-        wmax = int(w[a:last + 1].max())
-        if w[a:last + 1].min() < 0 or wmax << bits % 32 >= 1 << 32:
+        wmax = int(w[:last - a + 1].max())
+        if w[:last - a + 1].min() < 0 or wmax << bits % 32 >= 1 << 32:
             raise ValueError("weights must lie in [0, 2**(32 - bits % 32))")
     total = 0
     for start in range(a, last + 1, ZETA_CHUNK):
         stop = min(last, start + ZETA_CHUNK - 1)
         n = np.arange(start, stop + 1, dtype=np.uint64)
         quotients = _quotient_limbs(
-            n, j, bits, None if w is None else w[start:stop + 1], wmax)
+            n, j, bits, None if w is None else w[start - a:stop - a + 1], wmax)
         if quotients is None:  # here and in every later chunk
             break
         L, limbs = quotients

@@ -54,6 +54,7 @@ constant density * vol(D_star2), and the exact power-saving exponents.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -367,29 +368,73 @@ def brute_prod_over_lcm_sum(k: int, x: int, budget: int = TUPLE_BUDGET) -> Fract
 # Totient-formula fast route for k = 2
 # ---------------------------------------------------------------------------
 
-#: entries of phi scanned at a time for the primes above sqrt(x)
-_PHI_SCAN = 1 << 16
+#: entries of phi per segment of the totient sieve
+_PHI_SEG = 1 << 15
+
+#: primes below this get one slice update per segment; the primes from
+#: here to sqrt(x) have few multiples in a segment, so a slice per prime
+#: would cost more in call overhead than its work
+_PHI_SLICED = 1 << 7
 
 
-def _phi_sieve(x: int) -> np.ndarray:
-    """Euler's phi(n) for n = 0..x (phi[0] = 0)."""
-    phi = np.arange(x + 1, dtype=np.int64)
+def _in_runs(counts: np.ndarray) -> np.ndarray:
+    """Each element's position in its run, for runs of the given lengths."""
+    starts = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) - np.repeat(starts, counts)
+
+
+def _phi_segments(x: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, phi[lo:lo + _PHI_SEG]) for lo = 0, _PHI_SEG, ... up to x, the
+    last segment cut at x: Euler's phi(n) for n = 0..x (phi[0] = 0), one
+    segment in memory at a time (segmented as in Bays and Hudson, BIT 17,
+    1977).
+
+    Each segment starts as n and takes the factor 1 - 1/p of every prime
+    p <= r = isqrt(x) dividing n: by phi[n] -= phi[n] // p over a slice for
+    p < _PHI_SLICED, and for the larger p at once, as the products of the p
+    and of the p - 1 dividing each n (phi stays divisible by the product of
+    the primes it has not yet taken).  Every composite n <= x has a prime
+    factor <= r, so the n > r that are then still n are the primes above r;
+    they are read before the next step and kept, ascending, in a buffer
+    sized by pi(x) < 1.25506 x / log x (Rosser and Schoenfeld, 1962).  Such
+    a prime divides n = p*m only with m <= x // (r + 1) < p, and n has no
+    other prime factor above r, so one searchsorted per segment finds, for
+    every m, the kept primes with p*m in the segment, and each of their n
+    is updated once."""
     r = math.isqrt(x)
-    for p in range(2, r + 1):
-        if phi[p] == p:  # p untouched so far means prime
-            phi[p::p] -= phi[p::p] // p
-    # every composite n <= x has a prime factor <= r, so the n > r still
-    # equal to phi[n] are the primes above r; scanned by chunks
-    large = np.concatenate([np.zeros(0, np.int64)] + [
-        np.flatnonzero(phi[lo:lo + _PHI_SCAN] == np.arange(lo, min(lo + _PHI_SCAN, x + 1))) + lo
-        for lo in range(r + 1, x + 1, _PHI_SCAN)])
-    # such a prime divides n = p*m with m < p, and n has no other prime
-    # factor above r, so each m updates distinct entries once
-    for m in range(1, x // (r + 1) + 1):
-        ps = large[:np.searchsorted(large, x // m, side="right")]
-        n = ps * m
+    primes = sieve(r).primes if r >= 2 else np.zeros(0, np.int64)
+    sliced = primes[primes < _PHI_SLICED].tolist()
+    rest = primes[primes >= _PHI_SLICED]
+    ms = np.arange(1, x // (r + 1) + 1)
+    large = np.empty(int(1.25506 * x / math.log(x)) + 16 if x > 1 else 0, np.int64)
+    kept = 0
+    for lo in range(0, x + 1, _PHI_SEG):
+        hi = min(lo + _PHI_SEG, x + 1)
+        phi = np.arange(lo, hi, dtype=np.int64)
+        for p in sliced:
+            block = phi[-lo % p::p]
+            block -= block // p
+        # the multiples lo + n of each rest prime p, n = -lo % p + i*p
+        off = -lo % rest
+        counts = (hi - lo - 1 - off) // rest + 1
+        ps = np.repeat(rest, counts)
+        n = np.repeat(off, counts) + _in_runs(counts) * ps
+        dp, dq = np.ones((2, hi - lo), np.int64)
+        np.multiply.at(dp, n, ps)
+        np.multiply.at(dq, n, ps - 1)
+        phi //= dp
+        phi *= dq
+        first = max(lo, r + 1) - lo
+        new = np.flatnonzero(phi[first:] == np.arange(lo + first, hi)) + lo + first
+        large[kept:kept + len(new)] = new
+        kept += len(new)
+        # for each m, the kept primes p with lo <= p*m < hi
+        a = np.searchsorted(large[:kept], -(-lo // ms))
+        counts = np.searchsorted(large[:kept], -(-hi // ms)) - a
+        ps = large[np.repeat(a, counts) + _in_runs(counts)]
+        n = ps * np.repeat(ms, counts) - lo
         phi[n] -= phi[n] // ps
-    return phi
+        yield lo, phi
 
 
 def _ratio_sum(num: list[int], den: list[int], lo: int, hi: int) -> tuple[int, int]:
@@ -458,23 +503,41 @@ def fast_recip_lcm_sum2(x: int):
     is short by less than q and each w by less than the block length, so
     lo += h^2*w and hi += (h + q)^2 * (w + length) give a dyadic enclosure
     at FAST_S2_BITS.
+
+    phi comes from the segmented sieve `_phi_segments`.  P is summed one
+    segment at a time, read at the block ends inside the segment and
+    carried across segments, so no array as long as x exists: the route
+    holds a segment, the primes above sqrt(x) and the block lists.  The
+    exact branch joins the segments; one segment covers every x up to
+    FAST_S2_EXACT_LIMIT.
     """
     if x < 1:
         raise ValueError("x must be positive")
     if x > FAST_S2_MAX:
         raise ResourceLimitError(f"x = {x} exceeds {FAST_S2_MAX}")
-    phi = _phi_sieve(x)
     # block i is ends[i + 1] < d <= ends[i], sharing q = qs[i]; ascending q
     qs, ends = [], [x]
     while ends[-1]:
         qs.append(x // ends[-1])
         ends.append(x // (qs[-1] + 1))
     if x <= FAST_S2_EXACT_LIMIT:
+        phi = np.concatenate([seg for _, seg in _phi_segments(x)])
         return _exact_s2(x, phi, qs, ends)
     s = 1 << FAST_S2_BITS
     t = s << 32
     hs = floor_prefix_sums(1, FAST_S2_BITS, 1, qs)
-    ps = floor_prefix_sums(2, FAST_S2_BITS + 32, 1, ends[::-1], phi)
+    # P at the ascending block ends, one sieve segment at a time: P(0) = 0,
+    # then each segment's prefixes from its first n, plus the P carried in
+    marks = ends[-2::-1]
+    ps, carry, i = [0], 0, 0
+    for lo, phi in _phi_segments(x):
+        a, last = max(lo, 1), lo + len(phi) - 1
+        j = bisect.bisect_right(marks, last, i)
+        *inside, total = floor_prefix_sums(2, FAST_S2_BITS + 32, a,
+                                           marks[i:j] + [last], phi[a - lo:])
+        ps += [carry + p for p in inside]
+        carry += total
+        i = j
     ps.reverse()  # ps[i] = P(ends[i])
     lo = hi = 0
     for q, h, d_hi, d_lo, p_hi, p_lo in zip(qs, hs, ends, ends[1:], ps, ps[1:]):

@@ -139,7 +139,7 @@ def reference_exact_s2(x):
     # the per-term Python-int route that binary splitting replaced: h at
     # scale s = lcm(1..x), the block weights at scale t = s^2, so the loop
     # sums at s^4
-    phi = oracle._phi_sieve(x)
+    phi = reference_phi_sieve(x)
     qs, ends = [], [x]
     while ends[-1]:
         qs.append(x // ends[-1])
@@ -237,11 +237,31 @@ def reference_phi_sieve(x):
 
 
 def test_phi_sieve_equals_the_per_p_loop():
-    for x in list(range(1, 400)) + [10**4, 123_457]:
-        assert np.array_equal(oracle._phi_sieve(x), reference_phi_sieve(x)), x
-    # chunk edges of the scan for primes above sqrt(x)
-    for x in (oracle._PHI_SCAN + 300, 2 * oracle._PHI_SCAN + 1):
-        assert np.array_equal(oracle._phi_sieve(x), reference_phi_sieve(x)), x
+    seg = oracle._PHI_SEG
+    # segment edges; then x = q*q - 1 for primes q, so the smallest prime
+    # above isqrt(x) = q - 1 is q and takes every m <= q - 1: q = 181 lies
+    # in x's one segment, and q = 401 gives q*(q - 1) in the fifth and last
+    xs = [*range(1, 400), 10**4, 123_457, seg - 1, seg, seg + 1, 2 * seg + 1,
+          181**2 - 1, 401**2 - 1]
+    for x in xs:
+        segments = list(oracle._phi_segments(x))
+        assert [lo for lo, _ in segments] == list(range(0, x + 1, seg)), x
+        assert all(len(phi) == seg for _, phi in segments[:-1]), x
+        phi = np.concatenate([phi for _, phi in segments])
+        assert np.array_equal(phi, reference_phi_sieve(x)), x
+
+
+def test_fast_route_memory_stays_bounded():
+    # phi(0..10**6) as one int64 array alone takes 7.6 MiB; the segmented
+    # sieve holds a segment and the primes above 1000
+    fast_recip_lcm_sum2(10**6)  # warm-up: caches and first-call allocations
+    tracemalloc.start()
+    try:
+        fast_recip_lcm_sum2(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak
 
 
 def test_fast_route_resource_guard():

@@ -584,7 +584,6 @@ def test_volume_of_product_factorizes():
 # k = 4 (the heavy family; values cached for the acceptance run)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.slow
 def test_volumes_k4_published():
     assert volume_of("D_star3", 4) == Fraction(299 * 11, 479001600)
     assert volume_of("D_star2", 4) == Fraction(299, 479001600)
