@@ -18,13 +18,15 @@ bucket, lcm and product of a build at X lies below X**(k+1), the brute
 product sum below X**(2k-1), and a build with either at or past 2**63 is
 refused.  They count the tuples or leaves per distinct (bucket, lcm) key
 with integer reductions only, then take one big-integer step,
-count * (lcm(1..X) // lcm), per key: at X = 90 the k = 3 constrained
-search has 729,000 leaves and 37,579 keys.  Past `_KEYS` kept keys they
-fold the keys into per-bucket sums, so their memory stays bounded at any
-X.  The brute product sum takes no big-int step: it is summed per bucket
-in int64.  The direct search `gwise_sum_with_count` stays a
-plain-Python depth-first search, so the routes that must agree share no
-arithmetic.
+count * (lcm(1..X) // lcm), per key.  Both use the symmetry of the sums
+in the k entries: brute visits sorted tuples, and the constrained search
+makes one leaf per S_k orbit, weighted by the orbit's size; at X = 90
+the k = 3 constrained search tallies 125,580 such leaves (for its 729,000
+tuples) under 37,579 keys.  Past `_KEYS` kept keys they fold the keys
+into per-bucket sums, so their memory stays bounded at any X.  The
+brute product sum takes no big-int step: it is summed per bucket in
+int64.  The direct search `gwise_sum_with_count` stays a plain-Python
+depth-first search, so the routes that must agree share no arithmetic.
 
 Both the brute sums and `gwise_constrained_sum` answer from a whole-range
 result: one search at X buckets each brute tuple by its largest entry and
@@ -563,9 +565,13 @@ def _search_plan(k: int, pinned: bool):
     """The label order of the constrained search (most-constrained first)
     and, per position, the constraints the label enters, its graph
     neighbours assigned earlier in the order, and whether it is the pinned
-    top label."""
+    top label.  The order ends with the k singletons 1, 2, 4, ... in
+    coordinate order, so the last label enters constraint k - 1 alone."""
     g = build_coprimality_graph(k)
     order = sorted(range(1, g.v + 1), key=lambda j: (-j.bit_count(), j))
+    if order[-k:] != [1 << i for i in range(k)]:
+        # the range build's leaf position relies on it: see `_search_chunks`
+        raise InvariantViolation("the search must end with the singletons in order")
     touching = [[i for i in range(k) if j in g.constraints[i]] for j in order]
     earlier = [[l for l in order[:pos] if g.adjacency[j] >> l & 1]
                for pos, j in enumerate(order)]
@@ -617,9 +623,11 @@ def _gwise_range(k: int, pinned: bool, top: int,
     `_search_chunks` assigns the plan's labels one position at a time,
     depth first over chunks of int64 columns: a row's children a = 1..hi
     (hi keeps every partial product <= top) are kept when a is coprime to
-    the product of the earlier neighbours' parts.  Nodes are counted per
-    bucket as they are made, and the build raises ResourceLimitError once
-    the count passes `node_budget`, before the next position is expanded.
+    the product of the earlier neighbours' parts.  It makes one leaf per
+    S_k orbit, weighted by the orbit's size (see there); each node adds its
+    weight to the node count, and each leaf to the leaf count, of its
+    bucket.  The build raises ResourceLimitError once the weighted node
+    count passes `node_budget`, before the next position is expanded.
     Leaves are counted per distinct key (bucket, product of the parts), the
     product being the tuple's lcm, which divides `big`; the sums take one
     big-int step per key.
@@ -641,16 +649,16 @@ def _gwise_range(k: int, pinned: bool, top: int,
     leaves = _Tally(len(kinds), top, scale, big)
     visited = 1
     one = np.ones(1, np.int64)
-    for bucket, rest, lcm in _search_chunks(plan, top, 0, np.ones((k, 1), np.int64),
-                                            one, {}, np.zeros(1, bool)):
-        visited += len(bucket)
+    for bucket, rest, lcm, weight in _search_chunks(
+            plan, top, 0, np.ones((k, 1), np.int64), one, {}, np.zeros(1, bool)):
+        visited += int(weight.sum())
         if visited > node_budget:
             raise _node_limit(node_budget)
-        nodes[0] += np.bincount(bucket, minlength=top + 1)
+        np.add.at(nodes[0], bucket, weight)
         if not pinned:
-            nodes[1] += np.bincount(bucket[~rest], minlength=top + 1)
+            np.add.at(nodes[1], bucket[~rest], weight[~rest])
         if lcm is not None:
-            counts = np.ones((len(kinds), len(bucket)), np.int64)
+            counts = np.tile(weight, (len(kinds), 1))
             counts[1:, rest] = 0  # the pinned part's column
             leaves.add((bucket - 1) * scale + lcm - 1, counts)
     sums, counts = leaves.columns()
@@ -658,19 +666,51 @@ def _gwise_range(k: int, pinned: bool, top: int,
             for c, p in enumerate(kinds)}
 
 
+def _orbit_sizes(n: np.ndarray) -> np.ndarray:
+    """The size of the S_k orbit of each column of the k-row array n: k!
+    over the number of coordinate permutations fixing the column, which is
+    the product over i of #{j <= i : n_j = n_i} (m! for m equal entries)."""
+    fixing = np.ones(n.shape[1], np.int64)
+    for i in range(1, len(n)):
+        fixing *= 1 + np.count_nonzero(n[:i] == n[i], axis=0)
+    return math.factorial(len(n)) // fixing
+
+
 def _search_chunks(plan, top: int, pos: int, prods: np.ndarray, denom: np.ndarray,
                    parts: dict[int, np.ndarray], rest: np.ndarray
-                   ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
-    """Chunks (bucket, rest, lcm) of int64 columns: the nodes of the
+                   ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None,
+                                   np.ndarray]]:
+    """Chunks (bucket, rest, lcm, weight) of int64 columns: the nodes of the
     constrained search below the frontier rows at position `pos`, depth
     first, each chunk yielded before its subtree is expanded.  A frontier
     row has partial constraint products prods[i], the product `denom` of
     its parts, the parts that later labels must be coprime to, and `rest`
-    set outside the pinned part.  lcm, the product of a leaf's parts, is
-    None above the leaves."""
+    set outside the pinned part.  lcm is None above the leaves.  weight is
+    the number of nodes of the search a node stands for: 1 above the
+    leaves, and at the leaves the size of the leaf's S_k orbit.
+
+    At the leaves only one member of each S_k orbit is made.  Permuting the
+    k coordinates permutes the labels (subsets of {0..k-1}) and keeps their
+    containment, so it maps the coprimality graph and the constraints onto
+    themselves, and the bijection between tuples and coprime assignments
+    commutes with it.  A leaf's bucket (max n_i), lcm (the product of its
+    parts) and pinned flag (the all-ones label is fixed) are invariant, so
+    the orbit of the leaf whose constraint products are sorted,
+    n_0 >= n_1 >= ... >= n_{k-1}, stands for the whole orbit with weight
+    `_orbit_sizes`.  The last label of the plan is the singleton of
+    coordinate k - 1, so at the leaf position n_0..n_{k-2} are final: rows
+    that are not sorted get no child, and the others have their
+    n_{k-1} = lim * a capped at n_{k-2}."""
     order, touching, earlier, pins = plan
     j, cons = order[pos], touching[pos]
-    hi = np.ones_like(denom) if pins[pos] else np.min(top // prods[cons], axis=0)
+    leaf = pos == len(order) - 1
+    if pins[pos]:
+        hi = np.ones_like(denom)
+    elif leaf:
+        ranked = np.all(prods[:-2] >= prods[1:-1], axis=0)  # n_0 >= .. >= n_k-2
+        hi = np.where(ranked, prods[-2] // prods[-1], 0)
+    else:
+        hi = np.min(top // prods[cons], axis=0)
     if earlier[pos]:
         # a part must be coprime to every neighbour's part, so to their product
         fixed = np.prod([parts[l] for l in earlier[pos]], axis=0)
@@ -683,10 +723,11 @@ def _search_chunks(plan, top: int, pos: int, prods: np.ndarray, denom: np.ndarra
             row, a = row[ok], a[ok]
         bucket = np.maximum(bucket_of[row], lim[row] * a)
         rest_a = a > 1 if pos == 0 else rest[row]
-        if pos == len(order) - 1:
-            yield bucket, rest_a, denom[row] * a
+        if leaf:
+            n = np.vstack((prods[:-1, row], lim[row] * a))
+            yield bucket, rest_a, denom[row] * a, _orbit_sizes(n)
             continue
-        yield bucket, rest_a, None
+        yield bucket, rest_a, None, np.ones_like(a)
         sub = prods[:, row]
         sub[cons] *= a
         kept = {l: parts[l][row] for l in needed if l in parts}

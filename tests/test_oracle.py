@@ -192,6 +192,20 @@ def test_fast_route_enclosure_branch(monkeypatch):
     assert enc.abs_error < Fraction(1, 10**15)
 
 
+@pytest.mark.parametrize("bits", [4, 8, 16])
+def test_fast_route_enclosure_holds_at_few_bits(bits, monkeypatch):
+    # at few bits the floor deficit of each h (under q per block) is far
+    # above the rounding, so the enclosure holds only with its (h + q) term
+    x = 10**4 + 37
+    monkeypatch.setattr(oracle, "FAST_S2_BITS", bits)
+    enc = fast_recip_lcm_sum2(x)
+    assert enc.bits == bits
+    monkeypatch.setattr(oracle, "FAST_S2_EXACT_LIMIT", x)
+    exact = fast_recip_lcm_sum2(x)
+    assert isinstance(exact, Fraction)
+    assert enc.contains(exact)
+
+
 # Enclosure endpoints at FAST_S2_BITS from the per-d route that the
 # floor-quotient block loop replaced; the block loop must not widen them.
 PINNED_S2_ENCLOSURES = {
@@ -520,6 +534,33 @@ def test_gwise_range_refuses_iff_its_nodes_pass_the_budget(k, pinned, top, chunk
         oracle._gwise_range(k, pinned, top, nodes - 1)
 
 
+@pytest.mark.parametrize("pinned", [False, True])
+@pytest.mark.parametrize("k", [2, 3])
+def test_search_plan_ends_with_the_singletons_in_order(k, pinned):
+    # the range build's leaf position relies on it: there n_0..n_{k-2} are
+    # final and the last label enters constraint k - 1 alone
+    order, touching, _, pins = oracle._search_plan(k, pinned)
+    assert order[-k:] == [1 << i for i in range(k)]
+    assert touching[-k:] == [[i] for i in range(k)]
+    assert not any(pins[-k:])
+
+
+def test_range_build_tallies_one_leaf_per_orbit(monkeypatch):
+    # the k = 3 build at 30 tallies one leaf per sorted (n_0, n_1, n_2),
+    # C(32, 3) of them, and its rows still count all 30**3 leaves
+    tallied = []
+    add = oracle._Tally.add
+
+    def counted(self, keys, counts):
+        tallied.append(len(keys))
+        add(self, keys, counts)
+
+    monkeypatch.setattr(oracle._Tally, "add", counted)
+    built = oracle._gwise_range(3, False, 30, oracle.GWISE_NODE_BUDGET)
+    assert sum(tallied) == math.comb(32, 3) == 4960
+    assert built[False].rows[30][1] == 30**3
+
+
 def test_range_builds_refuse_what_int64_cannot_hold(monkeypatch):
     # top**max(k+1, 2k-1) >= 2**63 is refused before lcm(1..top) or any
     # array is made
@@ -548,8 +589,8 @@ def test_range_builds_refuse_what_int64_cannot_hold(monkeypatch):
     lambda: oracle._brute_range(3, 90),
 ], ids=["gwise", "brute"])
 def test_range_build_memory_stays_chunked(build):
-    # unchunked, the 729,000 leaves of the gwise build alone take several
-    # 5.8 MB columns at once
+    # unchunked, the 125,580 tallied leaves of the gwise build alone take
+    # several 1 MB columns at once
     oracle._lcm_upto(90)
     tracemalloc.start()
     try:
@@ -581,8 +622,10 @@ def test_tallies_fold_their_keys_to_stay_bounded(monkeypatch):
     monkeypatch.setattr(oracle._Tally, "add", tracked_add)
     monkeypatch.setattr(oracle._Tally, "_fold", tracked_fold)
     assert oracle._brute_range(2, 256).rows == reference_brute_rows(2, 256)
-    built = oracle._gwise_range(2, False, 90, oracle.GWISE_NODE_BUDGET)
-    assert {p: r.rows for p, r in built.items()} == reference_gwise_rows(2, False, 90)
+    for top in (90, 256):
+        built = oracle._gwise_range(2, False, top, oracle.GWISE_NODE_BUDGET)
+        assert ({p: r.rows for p, r in built.items()}
+                == reference_gwise_rows(2, False, top))
     assert max(held) <= cap + max(wait, cap // 4)
     assert sum(f > cap for f in folds) >= 10
 
