@@ -16,17 +16,17 @@ The range builds behind the brute sums and the constrained search
 enumerate in int64 numpy chunks of at most `_CHUNK` children: every
 bucket, lcm and product of a build at X lies below X**(k+1), the brute
 product sum below X**(2k-1), and a build with either at or past 2**63 is
-refused.  They count the tuples or leaves per distinct (bucket, lcm) key
-with integer reductions only, then take one big-integer step,
-count * (lcm(1..X) // lcm), per key.  Both use the symmetry of the sums
-in the k entries: brute visits sorted tuples, and the constrained search
-makes one leaf per S_k orbit, weighted by the orbit's size; at X = 90
-the k = 3 constrained search tallies 125,580 such leaves (for its 729,000
-tuples) under 37,579 keys.  Past `_KEYS` kept keys they fold the keys
-into per-bucket sums, so their memory stays bounded at any X.  The
-brute product sum takes no big-int step: it is summed per bucket in
-int64.  The direct search `gwise_sum_with_count` stays a plain-Python
-depth-first search, so the routes that must agree share no arithmetic.
+refused.  They tally count * (lcm(1..X) // lcm) per bucket in exact
+int64 limb columns (`_Tally`): each chunk long-divides lcm(1..X) by its
+lcm column one limb at a time, so no tuple or leaf takes a big-integer
+step, and a tally holds kinds * limbs * X int64 at any X.  Both use the
+symmetry of the sums in the k entries: brute visits sorted tuples, and
+the constrained search makes one leaf per S_k orbit, weighted by the
+orbit's size; at X = 90 the k = 3 constrained search tallies 125,580
+such leaves (for its 729,000 tuples), four limbs each.  The brute
+product sum is summed per bucket in int64 too.  The direct search
+`gwise_sum_with_count` stays a plain-Python depth-first search, so the
+routes that must agree share no arithmetic.
 
 Both the brute sums and `gwise_constrained_sum` answer from a whole-range
 result: one search at X buckets each brute tuple by its largest entry and
@@ -59,7 +59,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -165,21 +164,14 @@ def _range_for(key: tuple, x: int,
 
 #: candidate children expanded at a time by the range builds.  A chunk's
 #: int64 columns take 32 KB each; the depth-first search holds one chunk
-#: per level, so a k = 3 build at top 90 peaks near 5 MB of arrays
+#: per level, so a k = 3 build at top 90 peaks near 1.5 MiB of arrays
 _CHUNK = 1 << 12
-
-#: key entries a `_Tally` holds unmerged, at least; it also waits for a
-#: quarter of its merged keys, so each merge's sort is paid for by new entries
-_MERGE_AT = 4 * _CHUNK
-
-#: distinct keys a `_Tally` holds before it folds them into per-bucket sums
-#: and drops them, which bounds a build's memory at any top
-_KEYS = 1 << 16
 
 
 def _check_int64(k: int, top: int) -> None:
-    # every bucket, lcm, product and key of a range build is below top**(k+1),
-    # and brute's product sum V(top) is at most top**(2k-1)
+    # every bucket, lcm and product of a range build is below top**(k+1),
+    # which leaves `_Tally` limbs of at least one bit, and brute's product
+    # sum V(top) is at most top**(2k-1)
     e = max(k + 1, 2 * k - 1)
     if top**e >= 1 << 63:
         raise ResourceLimitError(
@@ -205,84 +197,52 @@ def _pieces(hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 
 class _Tally:
-    """Exact per-bucket sums over int64 keys (bucket - 1) * scale + (n - 1):
-    per count kind j and bucket b, the sum of count_j * (big // n) and the
-    sum of count_j.
+    """Exact per-bucket sums: per count kind c and bucket b, the sum of
+    count_c * (big // n) and the sum of count_c over the entries (b, n).
 
-    Each chunk is reduced on arrival by sorting and integer reductions
-    (never float weights); the sorted chunk results are merged into the
-    kept keys once they pass _MERGE_AT entries and a quarter of the kept
-    keys.  Past _KEYS kept keys, the keys are folded into the per-bucket
-    sums, in blocks of at most _CHUNK keys, with one big-int share and
-    product per key, and dropped.  So a build with at most _KEYS keys takes
-    one big-int step per distinct key, and any build's memory stays
-    bounded."""
+    `big` is split once into h limbs of L = 63 - bitlen(scale) bits, most
+    significant first.  Each chunk long-divides big by its n column one
+    limb at a time, q, r = divmod((r << L) | limb, n) (short division,
+    Knuth, TAOCP vol. 2, 4.3.1), and adds each quotient limb times each
+    count into an int64 column cols[c, limb, b]; `columns` recombines each
+    bucket's limbs as Python ints.  So no entry takes a big-int step, and
+    the tally holds kinds * h * top int64 at any number of distinct (b, n).
+
+    It is exact when every n is at most `scale` and every bucket's total
+    count of each kind is at most `scale`, which the builds' scale top**k
+    gives (every lcm, and the tuples or leaves of one bucket, are at most
+    top**k): a dividend is below n * 2**L < 2**63, a quotient limb below
+    2**L, and so a column sum below scale * 2**L < 2**63.  `_check_int64`
+    keeps top**(k+1) below 2**63, so top**k < 2**62 for top >= 2, and
+    L >= 1."""
 
     def __init__(self, kinds: int, top: int, scale: int, big: int) -> None:
-        self.scale, self.big = scale, big
-        self.keys = np.zeros(0, np.int64)
-        self.counts = np.zeros((kinds, 0), np.int64)
-        self.pending: list[tuple[np.ndarray, np.ndarray]] = []
-        self.waiting = 0
-        self.sums = [[0] * top for _ in range(kinds)]
+        self.bits = 63 - scale.bit_length()
+        h = -(-big.bit_length() // self.bits)
+        mask = (1 << self.bits) - 1
+        self.limbs = [big >> (self.bits * i) & mask for i in reversed(range(h))]
+        self.cols = np.zeros((kinds, h, top), np.int64)
         self.tallied = np.zeros((kinds, top), np.int64)
 
-    def add(self, keys: np.ndarray, counts: np.ndarray) -> None:
-        """Add counts[c, i] to the count of kind c of keys[i]."""
-        self.pending.append(_reduce(keys, counts))
-        self.waiting += len(self.pending[-1][0])
-        if self.waiting > max(_MERGE_AT, len(self.keys) // 4):
-            self._merge()
-            if len(self.keys) > _KEYS:
-                self._fold()
+    def add(self, bucket: np.ndarray, n: np.ndarray, counts: np.ndarray) -> None:
+        """Add counts[c, i] entries (bucket[i], n[i]) of kind c."""
+        b, r = bucket - 1, np.zeros_like(n)
+        for c, col in zip(counts, self.tallied):
+            np.add.at(col, b, c)
+        for i, limb in enumerate(self.limbs):
+            q, r = np.divmod(r << self.bits | limb, n)
+            for c, col in zip(counts, self.cols[:, i]):
+                np.add.at(col, b, c * q)
 
     def columns(self) -> tuple[list[list[int]], list[list[int]]]:
         """Per kind, the per-bucket sums and counts of buckets 1..top."""
-        self._merge()
-        self._fold()
-        return self.sums, self.tallied.tolist()
-
-    def _merge(self) -> None:
-        if self.pending:
-            runs = [(self.keys, self.counts)] + self.pending
-            self.keys = self.counts = self.pending = None
-            keys = np.concatenate([k for k, _ in runs])
-            counts = np.concatenate([c for _, c in runs], axis=1)
-            del runs  # freed before the sort, which then reuses their memory
-            # sorted runs, which the stable sort (timsort) merges
-            self.keys, self.counts = _reduce(keys, counts, "stable")
-            self.pending, self.waiting = [], 0
-
-    def _fold(self) -> None:
-        for lo in range(0, len(self.keys), _CHUNK):
-            bucket, n = np.divmod(self.keys[lo:lo + _CHUNK], self.scale)
-            counts = self.counts[:, lo:lo + _CHUNK]
-            # the block's keys are sorted, so each bucket's keys are a run
-            starts = np.flatnonzero(np.diff(bucket, prepend=-1))
-            buckets = bucket[starts]
-            self.tallied[:, buckets] += np.add.reduceat(counts, starts, axis=1)
-            shares = [self.big // m for m in (n + 1).tolist()]
-            runs = list(zip(buckets.tolist(), starts.tolist(),
-                            starts[1:].tolist() + [len(n)]))
-            for col, out in zip(counts.tolist(), self.sums):
-                for b, i, j in runs:
-                    out[b] += sum(map(operator.mul, col[i:j], shares[i:j]))
-        self.keys = np.zeros(0, np.int64)
-        self.counts = np.zeros((len(self.counts), 0), np.int64)
-
-
-def _reduce(keys: np.ndarray, counts: np.ndarray,
-            kind: str = "quicksort") -> tuple[np.ndarray, np.ndarray]:
-    # the distinct keys, ascending, and each kind's counts summed per key
-    if not len(keys):
-        return keys, counts
-    order = np.argsort(keys, kind=kind)
-    keys = keys[order]
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    out = np.empty((len(counts), len(first)), np.int64)
-    for c, o in zip(counts, out):
-        np.add.reduceat(c[order], first, out=o)
-    return keys[first], out
+        sums = []
+        for limbs in self.cols:
+            acc = [0] * limbs.shape[1]
+            for col in limbs.tolist():
+                acc = [(a << self.bits) + v for a, v in zip(acc, col)]
+            sums.append(acc)
+        return sums, self.tallied.tolist()
 
 
 def _prefix_rows(columns: list[list[int]]) -> list[tuple[int, ...]]:
@@ -316,20 +276,21 @@ def _brute_range(k: int, top: int) -> _Range:
 
     The tuples come from `_sorted_tuples` in chunks of int64 columns; entry
     i + 1 ranges over 1..(entry i).  Each tuple's bucket is its largest
-    entry m.  The reciprocal sums count the tuples per distinct key
-    (m, lcm), so they take one big-int step per key.  The product sum adds
-    w * (prod // lcm) into an int64 column per bucket: V(top) is at most
-    top**(2k-1), which `_check_int64` keeps below 2**63."""
+    entry m.  The reciprocal sums add w * (big // lcm) per bucket in the
+    limb columns of a `_Tally`; a bucket holds m**k - (m-1)**k <= top**k
+    tuples.  The product sum adds w * (prod // lcm) into an int64 column
+    per bucket: V(top) is at most top**(2k-1), which `_check_int64` keeps
+    below 2**63."""
     _check_int64(k, top)
     big = _lcm_upto(top)
-    scale = top**k  # above every lcm
+    scale = top**k  # at least every lcm and every bucket's count
     every = _Tally(2, top, scale, big)  # (all, gcd 1)
     prod_lcm = np.zeros(top, np.int64)
     one, zero = np.ones(1, np.int64), np.zeros(1, np.int64)
     root = np.array([top], np.int64)  # the first entry ranges over 1..top
     for m, w, lcm, gcd, prod in _sorted_tuples(k, 0, zero, root, zero, one,
                                                one, zero, one):
-        every.add((m - 1) * scale + lcm - 1, np.stack((w, np.where(gcd == 1, w, 0))))
+        every.add(m, lcm, np.stack((w, np.where(gcd == 1, w, 0))))
         np.add.at(prod_lcm, m - 1, w * (prod // lcm))
     (recip, recip_coprime), (tuples, coprime_tuples) = every.columns()
     return _Range(top, big, _prefix_rows([recip, recip_coprime, prod_lcm.tolist(),
@@ -628,9 +589,9 @@ def _gwise_range(k: int, pinned: bool, top: int,
     weight to the node count, and each leaf to the leaf count, of its
     bucket.  The build raises ResourceLimitError once the weighted node
     count passes `node_budget`, before the next position is expanded.
-    Leaves are counted per distinct key (bucket, product of the parts), the
-    product being the tuple's lcm, which divides `big`; the sums take one
-    big-int step per key.
+    Each leaf adds weight * (big // product of its parts) to its bucket in
+    the limb columns of a `_Tally`: the product is the tuple's lcm, which
+    divides `big`, and a bucket's leaves stand for at most top**k tuples.
 
     The pinned top label comes first in the order, so the pinned search is
     the root and the subtree of a = 1 at position 0, node for node.  That
@@ -641,7 +602,7 @@ def _gwise_range(k: int, pinned: bool, top: int,
     _check_int64(k, top)
     plan = _search_plan(k, pinned)
     big = _lcm_upto(top)
-    scale = top**k  # above every lcm
+    scale = top**k  # at least every lcm and every bucket's count
     # count columns: the whole search, and the pinned part of a plain one
     kinds = (True,) if pinned else (False, True)
     nodes = np.zeros((len(kinds), top + 1), np.int64)
@@ -660,7 +621,7 @@ def _gwise_range(k: int, pinned: bool, top: int,
         if lcm is not None:
             counts = np.tile(weight, (len(kinds), 1))
             counts[1:, rest] = 0  # the pinned part's column
-            leaves.add((bucket - 1) * scale + lcm - 1, counts)
+            leaves.add(bucket, lcm, counts)
     sums, counts = leaves.columns()
     return {p: _Range(top, big, _prefix_rows([sums[c], counts[c], nodes[c, 1:].tolist()]))
             for c, p in enumerate(kinds)}

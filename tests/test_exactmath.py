@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lcmsum import exactmath
 from lcmsum.errors import PrecisionError, ResourceLimitError
@@ -393,16 +393,30 @@ fractions_st = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997)
 
 
-@given(a=fractions_st, b=fractions_st)
-def test_bounded_real_ops_contain_truth(a, b):
-    x = BoundedReal.exact(a, 64)
-    y = BoundedReal.exact(b, 64)
+#: dyadic inputs are exact at enough bits, so no input slack hides a
+#: rounding step of the operation itself
+dyadics_st = st.builds(lambda n, e: Fraction(n, 1 << e),
+                       st.integers(-2**20, 2**20), st.integers(0, 24))
+
+
+# at 8 bits, each of these rounds outward past the truth: the hi of
+# 1/3 * 1/3 (28.9 up, truth 28.4), the lo of 1 / 3 (85.3 down) and the hi
+# of 1/3 rescaled to 4 bits (5.4 up, truth 5.3)
+@example(a=Fraction(1, 3), b=Fraction(1, 3), bits=8, fewer=4)
+@example(a=Fraction(1), b=Fraction(3), bits=8, fewer=4)
+@given(a=st.one_of(fractions_st, dyadics_st), b=st.one_of(fractions_st, dyadics_st),
+       bits=st.sampled_from([8, 16, 64]), fewer=st.integers(1, 8))
+def test_bounded_real_ops_contain_truth(a, b, bits, fewer):
+    x = BoundedReal.exact(a, bits)
+    y = BoundedReal.exact(b, bits)
     assert (x + y).contains(a + b)
     assert (x - y).contains(a - b)
     assert (x * y).contains(a * b)
     assert (x**3).contains(a**3)
     if abs(b) > Fraction(1, 100):
         assert (x / y).contains(a / b)
+    assert x.rescale(bits - fewer).contains(a)
+    assert (x * y).rescale(bits - fewer).contains(a * b)
 
 
 @given(a=fractions_st, b=fractions_st, c=fractions_st)

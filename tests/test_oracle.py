@@ -500,13 +500,10 @@ GWISE_GRID = [(k, pinned, top) for k in (2, 3) for pinned in (False, True)
 
 @pytest.fixture(params=[None, 64], ids=["chunk-default", "chunk-64"])
 def chunk(request, monkeypatch):
-    # 64-child chunks split frontier rows and runs of equal keys across
-    # chunks, make the tallies merge many times, and with a key cap of 256
-    # fold their keys into the bucket sums many times, in 64-key blocks
+    # 64-child chunks split frontier rows, and the entries of one bucket,
+    # across many chunks, so the tallies add into each column many times
     if request.param:
         monkeypatch.setattr(oracle, "_CHUNK", request.param)
-        monkeypatch.setattr(oracle, "_MERGE_AT", 4 * request.param)
-        monkeypatch.setattr(oracle, "_KEYS", 4 * request.param)
     return request.param
 
 
@@ -551,9 +548,9 @@ def test_range_build_tallies_one_leaf_per_orbit(monkeypatch):
     tallied = []
     add = oracle._Tally.add
 
-    def counted(self, keys, counts):
-        tallied.append(len(keys))
-        add(self, keys, counts)
+    def counted(self, bucket, n, counts):
+        tallied.append(len(n))
+        add(self, bucket, n, counts)
 
     monkeypatch.setattr(oracle._Tally, "add", counted)
     built = oracle._gwise_range(3, False, 30, oracle.GWISE_NODE_BUDGET)
@@ -598,36 +595,59 @@ def test_range_build_memory_stays_chunked(build):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20, peak
+    assert peak < 3 * 2**20, peak
 
 
-def test_tallies_fold_their_keys_to_stay_bounded(monkeypatch):
-    # a tally holds at most the cap of merged keys plus the entries that
-    # wait to merge, however many distinct keys the build has (23,052 for
-    # the brute build here), and its rows stay exact
-    cap, wait = 1024, 256
-    monkeypatch.setattr(oracle, "_KEYS", cap)
-    monkeypatch.setattr(oracle, "_MERGE_AT", wait)
-    held, folds = [], []
-    add, fold = oracle._Tally.add, oracle._Tally._fold
+def test_tallies_hold_no_per_key_state(monkeypatch):
+    # a tally holds kinds x limbs x top int64 sums and kinds x top counts,
+    # set when it is made, whatever the number of distinct (bucket, lcm)
+    # keys it is fed (23,052 for the brute build here), and its rows stay
+    # exact
+    keys, states = set(), set()
+    add = oracle._Tally.add
 
-    def tracked_add(self, keys, counts):
-        add(self, keys, counts)
-        held.append(len(self.keys) + self.waiting)
-
-    def tracked_fold(self):
-        folds.append(len(self.keys))
-        fold(self)
+    def tracked_add(self, bucket, n, counts):
+        keys.update(zip(bucket.tolist(), n.tolist()))
+        add(self, bucket, n, counts)
+        states.add(tuple(sorted((name, np.shape(v)) for name, v in vars(self).items())))
 
     monkeypatch.setattr(oracle._Tally, "add", tracked_add)
-    monkeypatch.setattr(oracle._Tally, "_fold", tracked_fold)
     assert oracle._brute_range(2, 256).rows == reference_brute_rows(2, 256)
+    h = len(oracle._Tally(2, 256, 256**2, math.lcm(*range(1, 257))).limbs)
+    assert states == {(("bits", ()), ("cols", (2, h, 256)), ("limbs", (h,)),
+                       ("tallied", (2, 256)))}
+    assert len(keys) == 23052 > 2 * (h + 1) * 256
     for top in (90, 256):
+        states.clear()
         built = oracle._gwise_range(2, False, top, oracle.GWISE_NODE_BUDGET)
         assert ({p: r.rows for p, r in built.items()}
                 == reference_gwise_rows(2, False, top))
-    assert max(held) <= cap + max(wait, cap // 4)
-    assert sum(f > cap for f in folds) >= 10
+        assert len(states) == 1
+
+
+@pytest.mark.parametrize("k, top", [(2, 2**21 - 1), (3, 6208)])
+def test_tally_columns_stay_in_int64_at_the_largest_scale(k, top):
+    # the worst case of the limb bound: every lcm equals scale = top**k,
+    # every bucket's count reaches scale, and big // scale has every limb
+    # 2**L - 1 with every partial remainder scale - 1, so each dividend is
+    # scale * 2**L - 1 and each column sum scale * (2**L - 1); the tops are
+    # the largest `_check_int64` admits, as
+    # test_range_builds_refuse_what_int64_cannot_hold pins
+    scale = top**k
+    bits = 63 - scale.bit_length()
+    big = scale * (1 << 5 * bits) - 1
+    t = oracle._Tally(2, 3, scale, big)
+    bucket = np.array([1, 1, 2, 3, 3, 3], np.int64)
+    counts = np.array([[scale - 7, 7, scale, 1, 2, scale - 3],
+                       [scale, 0, scale, scale - 1, 0, 1]], np.int64)
+    truth = [[0] * 3 for _ in range(2)]
+    for b, c in zip(bucket.tolist(), counts.T.tolist()):
+        for kind in range(2):
+            truth[kind][b - 1] += c[kind] * (big // scale)
+    # the entries in two chunks, so each column adds twice
+    for part in (slice(0, 4), slice(4, 6)):
+        t.add(bucket[part], np.full(len(bucket[part]), scale, np.int64), counts[:, part])
+    assert t.columns() == (truth, [[scale] * 3, [scale] * 3])
 
 
 def range_values(xs):
