@@ -7,7 +7,7 @@ Everything downstream leans on four guarantees provided here:
   lies in [lo, hi], and every operation rounds outward, so bounds are
   worst-case rather than statistical;
 * sieve tables (primes, smallest prime factors) are exact for every integer
-  up to their limit and support factoring and primality up to limit**2;
+  up to their limit and support factoring up to limit**2;
 * zeta values come with a certified absolute error from a bracketed
   integral tail bound; the partial sum is an exact floor sum, vectorised
   over n as uint64 limbs as wide as the lanes allow (51 bits for n below
@@ -28,7 +28,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -277,46 +277,34 @@ class SurdRatio:
 class SieveTables:
     """Primes and smallest prime factors up to `limit`.
 
-    `smallest_prime_factor[n]` is valid for 1 <= n <= limit; `factor` and
-    `is_prime` handle any n <= limit**2, by trial division over the sieved
-    primes while n is above the limit.
+    `smallest_prime_factor[n]` is valid for 1 <= n <= limit; `factor`
+    handles any n <= limit**2, by trial division over the sieved primes
+    while n is above the limit.
     """
 
     limit: int
     primes: np.ndarray
     smallest_prime_factor: np.ndarray
 
-    def _walk(self, n: int) -> Iterator[int]:
-        if n > self.limit * self.limit:
-            raise ResourceLimitError(
-                f"cannot factor {n} with sieve limit {self.limit}"
-            )
-        return map(int, self.primes)
-
-    def _least_factor(self, n: int, walk: Iterator[int]) -> int:
-        # least prime factor of n > 1, none of whose prime factors precede
-        # the walk's position; past the limit, trial division stops at
-        # the square root of n
-        if n <= self.limit:
-            return int(self.smallest_prime_factor[n])
-        for p in walk:
-            if p * p > n:
-                break
-            if n % p == 0:
-                return p
-        return n
-
-    def is_prime(self, n: int) -> bool:
-        return n > 1 and self._least_factor(n, self._walk(n)) == n
-
     def factor(self, n: int) -> list[tuple[int, int]]:
         """Prime factorization of n as sorted (p, exponent) pairs."""
         if n < 1:
             raise ValueError("n must be positive")
-        walk = self._walk(n)
+        if n > self.limit * self.limit:
+            raise ResourceLimitError(
+                f"cannot factor {n} with sieve limit {self.limit}"
+            )
+        walk = map(int, self.primes)
         out: list[tuple[int, int]] = []
         while n > 1:
-            p = self._least_factor(n, walk)
+            if n <= self.limit:
+                p = int(self.smallest_prime_factor[n])
+            else:
+                # no prime the walk has passed divides n, so the first that
+                # does is its least factor; none up to sqrt(n): n is prime
+                p = next((q for q in walk if n % q == 0 or q * q > n), n)
+                if n % p:
+                    p = n
             e = 0
             while n % p == 0:
                 n //= p

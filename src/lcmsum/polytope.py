@@ -28,10 +28,12 @@ long as its largest budget, and adding a coordinate that feeds constraints
 S is a prefix sum along the diagonal direction chi_S.  The axes are
 finished in index order, each right after the coordinates whose lowest
 constraint it is: a finished axis is prefix-summed once more and cut down
-to the budgets sampled on it.  Arrays hold uint32 residues modulo primes
-below 2**31, reduced after each hyperplane step, and the exact counts are
-recovered by CRT, since counts overflow 64 bits well before the needed
-dilates.
+to the budgets sampled on it.  Arrays hold exact int64 counts, one pass
+per `lattice_counts` call.  A prefix step sums at most one axis length of
+entries, so it is refused with `ResourceLimitError` unless the largest
+entry times that length stays below 2**63, before any entry could wrap.
+The certified sample plans stay far below that: their largest such
+product is about 2**28.5.
 """
 
 from __future__ import annotations
@@ -46,8 +48,7 @@ import numpy as np
 
 from .coprimality import constraint_family
 from .errors import PeriodDetectionError, ResourceLimitError
-from .exactmath import (factoring_limit, leading_coeff_by_differences,
-                        shared_sieve)
+from .exactmath import leading_coeff_by_differences
 
 #: supported polytope families
 KINDS = ("D", "D_star", "D_star2", "D_star3", "T")
@@ -59,19 +60,12 @@ MAX_DIM = 16
 #: temporaries of retiring an axis, checked before anything is allocated
 STATE_BUDGET = 2**30
 
-#: bytes per DP state at the peak: the uint32 table and the uint32 slice of
+#: bytes per DP state at the peak: the int64 table and the int64 slice of
 #: sampled budgets an axis retirement takes from it.  A prefix step's
 #: temporary is one hyperplane, at most half the table, and is freed before
 #: the slice is taken.
-BYTES_PER_STATE = 4 + 4
+BYTES_PER_STATE = 8 + 8
 
-#: CRT primes are the largest primes up to this cap (itself the Mersenne
-#: prime 2**31 - 1)
-PRIME_CAP = 2**31 - 1
-
-# uint32 lanes of _prefix: two residues below m <= PRIME_CAP sum to at most
-# 2*(m - 1), which a uint32 holds, so one conditional subtraction reduces it
-assert 2 * (PRIME_CAP - 1) < 2**32
 
 @dataclass(frozen=True)
 class HyperbolicPolytope:
@@ -169,66 +163,28 @@ def build_polytope(kind: str, k: int) -> HyperbolicPolytope:
 # Lattice counting
 # ---------------------------------------------------------------------------
 
-def _crt_primes(cap: int, bound: int) -> list[int]:
-    is_prime = shared_sieve(factoring_limit(cap)).is_prime
-    primes, prod, n = [], 1, cap
-    while prod <= bound:
-        while not is_prime(n):
-            n -= 1
-        primes.append(n)
-        prod *= n
-        n -= 1
-    return primes
-
-
-def _prefix(arr: np.ndarray, axes: Sequence[int], m: int) -> None:
-    """Prefix sums mod m along the direction chi_axes, in place.
+def _prefix(arr: np.ndarray, axes: Sequence[int]) -> None:
+    """Prefix sums along the direction chi_axes, in place, exact in int64.
 
     Hyperplane idx of axis axes[0] gains hyperplane idx - 1 shifted by one
-    along every other axis.  Residues are uint32 below m < 2**31, so a sum
-    is below 2**32 and min(d, d - m) takes m off exactly where d >= m (else
-    d - m wraps above d).  `idx:idx+1` slices keep a 1-D table an array.
+    along every other axis, so each entry ends as the sum of at most
+    arr.shape[axes[0]] non-negative entries, none above arr.max().  The
+    step is refused before it starts unless that bound is below 2**63.
+    `idx:idx+1` slices keep a 1-D table an array.
     """
     a0, rest = axes[0], axes[1:]
+    top = int(arr.max())
+    if top * arr.shape[a0] >= 2**63:
+        raise ResourceLimitError(
+            f"lattice counts may pass int64: entries up to {top} "
+            f"summed {arr.shape[a0]} at a time")
     for idx in range(1, arr.shape[a0]):
         dst = [slice(None)] * arr.ndim
         src = [slice(None)] * arr.ndim
         dst[a0], src[a0] = slice(idx, idx + 1), slice(idx - 1, idx)
         for ax in rest:
             dst[ax], src[ax] = slice(1, None), slice(0, -1)
-        d = arr[tuple(dst)]
-        d += arr[tuple(src)]
-        np.minimum(d, d - m, out=d)
-
-
-def _counts_mod(
-    memberships: Sequence[tuple[int, ...]],
-    budgets: Sequence[tuple[int, ...]],
-    m: int,
-) -> list[int]:
-    """Counts modulo m < 2**31 for each budget vector (one non-negative
-    budget per axis), held as uint32 residues below m throughout.
-
-    Axis c is as long as its largest budget.  The axes are finished in
-    order: for c = 0, 1, ..., every coordinate whose lowest constraint is c
-    takes its prefix step, and then axis c is prefix-summed once more and
-    cut down to the budgets sampled on it.  Prefix steps commute, and an
-    axis is cut only after every coordinate on it has stepped, so the order
-    changes the cost, never the counts.  A budget vector is read at its
-    per-axis sample positions.
-    """
-    nc = len(budgets[0])
-    sample = [sorted({b[c] for b in budgets}) for c in range(nc)]
-    arr = np.zeros(tuple(s[-1] + 1 for s in sample), dtype=np.uint32)
-    arr[(0,) * nc] = 1
-    for c in range(nc):
-        for axes in memberships:
-            if min(axes) == c:
-                _prefix(arr, axes, m)
-        _prefix(arr, (c,), m)
-        arr = arr.take(sample[c], axis=c)
-    return [int(arr[tuple(s.index(n) for s, n in zip(sample, b))])
-            for b in budgets]
+        arr[tuple(dst)] += arr[tuple(src)]
 
 
 def _budgets(
@@ -247,8 +203,9 @@ def _budget_counts(
     live = sorted({b for b in budgets if min(b) >= 0})  # a negative budget counts 0
     if not live:
         return [0] * len(budgets)
-    tops = [max(b[c] for b in live) for c in range(len(p.constraints))]
-    states = math.prod(t + 1 for t in tops)
+    nc = len(p.constraints)
+    sample = [sorted({b[c] for b in live}) for c in range(nc)]
+    states = math.prod(s[-1] + 1 for s in sample)
     if states * BYTES_PER_STATE > STATE_BUDGET:
         raise ResourceLimitError(
             f"DP state table of {states} entries needs {states * BYTES_PER_STATE} "
@@ -257,19 +214,24 @@ def _budget_counts(
         tuple(c for c, a in enumerate(p.constraints) if j in a)
         for j in range(p.dim)
     )
-    # coordinate j is at most the smallest budget it feeds
-    bound = math.prod(min(tops[c] for c in axes) + 1 for axes in memberships)
-    primes = _crt_primes(PRIME_CAP, bound)
-    residues = [_counts_mod(memberships, live, m) for m in primes]
-
-    exact = {}
-    for i, b in enumerate(live):
-        x, mod = 0, 1
-        for m, res in zip(primes, residues):
-            inv = pow(mod % m, -1, m)
-            x += mod * ((res[i] - x) % m * inv % m)
-            mod *= m
-        exact[b] = x % mod
+    # one DP serves every live budget vector.  Axis c is as long as its
+    # largest budget.  The axes are finished in order: for c = 0, 1, ...,
+    # every coordinate whose lowest constraint is c takes its prefix step,
+    # and then axis c is prefix-summed once more and cut down to the budgets
+    # sampled on it.  Prefix steps commute, and an axis is cut only after
+    # every coordinate on it has stepped, so the order changes the cost,
+    # never the counts.  A budget vector is read at its per-axis sample
+    # positions.
+    arr = np.zeros(tuple(s[-1] + 1 for s in sample), dtype=np.int64)
+    arr[(0,) * nc] = 1
+    for c in range(nc):
+        for axes in memberships:
+            if min(axes) == c:
+                _prefix(arr, axes)
+        _prefix(arr, (c,))
+        arr = arr.take(sample[c], axis=c)
+    exact = {b: int(arr[tuple(s.index(n) for s, n in zip(sample, b))])
+             for b in live}
     return [exact.get(b, 0) for b in budgets]
 
 
@@ -278,7 +240,7 @@ def lattice_counts(
 ) -> list[int]:
     """Exact lattice point counts of the ns-dilates, then the interior point
     counts (t >= 1, every constraint sum <= n - 1) of the `interior` dilates,
-    in that order, from one DP per CRT prime shared by all."""
+    in that order, from one DP shared by all."""
     if any(n < 0 for n in (*ns, *interior)):
         raise ValueError("dilates must be non-negative")
     if p.dim == 0:

@@ -16,6 +16,7 @@ from lcmsum.eulerprod import (
     zeta_factorization,
 )
 from lcmsum.exactmath import BoundedReal
+from lcmsum.oracle import leading_constants
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +83,69 @@ def test_density_k3_published_digits():
     val = coprime_density(build_coprimality_graph(3))
     assert abs(float(val.value) - reference.RHO_K3) <= 5e-8
     assert val.abs_error <= Fraction(5, 10**9)
+
+
+def log_density_by_prime_zeta(q, cut=1000, terms=120, digits=60):
+    """log prod_p Q(1/p) in mpmath, with a bound on what it leaves out.
+
+    log Q(x) = sum_n lambda_n x**n, and Q(x) * sum_n n lambda_n x**n =
+    x Q'(x) makes n lambda_n an integer recurrence.  The primes p <= cut
+    are summed as log Q(1/p); past them, sum_n lambda_n (P(n) - sum_{p <=
+    cut} p**-n) with P the prime zeta function, each term at enough digits
+    to survive the cancellation.  The reciprocal roots of Q are at most B
+    (Fujiwara: twice the largest |q_j|**(1/j)), so |lambda_n| <= d B**n / n,
+    and sum_{p > cut} p**-n <= cut**(1-n) / (n-1): the terms past `terms`
+    add up to at most d cut (B/cut)**(terms+1) / (terms (terms+1) (1 - B/cut)).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    q = list(q)
+    while q[-1] == 0:
+        q.pop()
+    d = len(q) - 1
+    q += [0] * (terms + 1 - len(q))
+    nlam = [0] * (terms + 1)
+    for n in range(1, terms + 1):
+        nlam[n] = n * q[n] - sum(q[n - m] * nlam[m] for m in range(1, n))
+    assert q[0] == 1 and nlam[1] == 0  # else the product diverges
+    big = 2 * max(next(b for b in range(abs(x) + 1) if b**j >= abs(x))
+                  for j, x in enumerate(q[1:d + 1], 1))
+    assert big < cut
+    primes = [p for p in range(2, cut + 1)
+              if all(p % r for r in range(2, math.isqrt(p) + 1))]
+    with mpmath.workdps(digits + 10):
+        total = mpmath.fsum(mpmath.log(mpmath.fsum(
+            x * mpmath.mpf(p) ** -j for j, x in enumerate(q[:d + 1])))
+            for p in primes)
+        dropped = (d * cut * (mpmath.mpf(big) / cut) ** (terms + 1)
+                   / (terms * (terms + 1) * (1 - mpmath.mpf(big) / cut)))
+    for n in range(2, terms + 1):
+        if nlam[n]:
+            # P(n) and the prime sum are near 2**-n, lambda_n up to B**n
+            lost = max(0, math.ceil(n * math.log10(big / 2)))
+            with mpmath.workdps(digits + 10 + lost):
+                tail = mpmath.primezeta(n) - mpmath.fsum(
+                    mpmath.mpf(p) ** -n for p in primes)
+                total += nlam[n] * tail / n
+    return total, dropped
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_density_and_constant_inside_the_prime_zeta_route(k):
+    mpmath = pytest.importorskip("mpmath")
+    log_rho, dropped = log_density_by_prime_zeta(
+        local_factor_poly(build_coprimality_graph(k)))
+    eps = Fraction(1, 10**50)
+    assert dropped < 1e-51
+    with mpmath.workdps(60):
+        rho = mpmath.exp(log_rho)
+        if k == 2:
+            assert abs(rho - 6 / mpmath.pi**2) < mpmath.mpf(10) ** -55
+        rho = Fraction(int(rho.man)) * Fraction(2) ** int(rho.exp)
+    lc = leading_constants(k)
+    for truth, enclosure in ((rho, lc.density), (rho * lc.vol_d, lc.c)):
+        scale = truth / rho
+        assert enclosure.contains(truth - eps * scale)
+        assert enclosure.contains(truth + eps * scale)
 
 
 def test_density_edgeless_graph_is_exactly_one():

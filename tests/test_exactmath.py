@@ -38,7 +38,7 @@ def test_smallest_prime_factor_full_factorization():
     for n in (2, 60, 97, 9973, 9998, 10000):
         fac = t.factor(n)
         assert math.prod(p**e for p, e in fac) == n
-        assert all(t.is_prime(p) for p, _ in fac)
+        assert all(t.smallest_prime_factor[p] == p for p, _ in fac)
 
 
 def test_factor_beyond_limit_uses_trial_division():
@@ -51,21 +51,21 @@ def test_factor_beyond_limit_uses_trial_division():
 
 @pytest.mark.parametrize("top", [44_000_000, 1_073_741_822])
 def test_is_prime_and_factor_agree_with_sympy_past_the_limit(top):
-    # windows below a small and a large CRT prime cap, on the table the
-    # CRT search uses
+    # windows past the limit of a small and a large table: a number factors
+    # as itself exactly when sympy calls it prime, and every factorisation
+    # matches sympy's
     sympy = pytest.importorskip("sympy")
     t = sieve(factoring_limit(top))
     assert t.limit < top - 3000
     for n in range(top - 3000, top + 1):
-        assert t.is_prime(n) == sympy.isprime(n), n
+        assert (t.factor(n) == [(n, 1)]) == sympy.isprime(n), n
     for n in range(top - 300, top + 1):
         assert t.factor(n) == sorted(sympy.factorint(n).items()), n
     q = int(t.primes[-1])
     for n in (q * q, q * int(t.primes[-2]), 2 * q):
         assert t.factor(n) == sorted(sympy.factorint(n).items()), n
-        assert not t.is_prime(n)
     with pytest.raises(ResourceLimitError):
-        t.is_prime(t.limit**2 + 1)
+        t.factor(t.limit**2 + 1)
 
 
 def test_sieve_limit_budget():

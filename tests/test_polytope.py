@@ -312,21 +312,6 @@ def test_lattice_counts_empty():
     assert lattice_counts(build_polytope("D", 3), []) == []
 
 
-@pytest.mark.parametrize("cap, bound, primes", [
-    # (cap, bound) pairs the k = 2..4 volumes ask for, and two wider ones
-    (1073741822, 8, [1073741789]),
-    (715827881, 2187, [715827881]),
-    (214748363, 10**10, [214748357, 214748353]),
-    (59652322, 3656158440062976, [59652319, 59652301, 59652289]),
-    (58040097, 177917621779460413, [58040093, 58040089, 58040083]),
-    (10**9, 10**30, [999999937, 999999929, 999999893, 999999883]),
-    (44000000, 10**40, [43999999, 43999981, 43999957, 43999913, 43999903,
-                        43999889]),
-])
-def test_crt_primes_are_the_largest_primes_below_the_cap(cap, bound, primes):
-    assert polytope._crt_primes(cap, bound) == primes
-
-
 def period_trial_window(p, period):
     # the sample plan of the period-trial extraction: closed dilates
     # 0, P, ..., bP and interior dilates P, ..., aP with a + b = dim + 2, a
@@ -403,26 +388,7 @@ def test_certified_plan_counts_pinned(monkeypatch, k):
     assert digest == CERTIFIED_COUNT_DIGESTS[k]
 
 
-@pytest.mark.parametrize("kind", ["D", "D_star", "D_star2"])
-def test_counts_mod_wraps_at_tiny_primes_and_the_cap(kind):
-    # residues reduced by a conditional subtraction must equal the exact
-    # counts mod m both when nearly every step reduces (m = 2..7) and at
-    # the largest prime the uint32 lanes allow
-    p = build_polytope(kind, 3)
-    ns = range(5)
-    budgets = polytope._budgets(p, ns, range(1, 7))
-    live = [b for b in budgets if min(b) >= 0]
-    exact = ([brute_lattice_count(p, n) for n in ns]
-             + [brute_lattice_count(p, n, interior=True)
-                for n, b in zip(range(1, 7), budgets[len(ns):]) if min(b) >= 0])
-    memberships = [tuple(c for c, a in enumerate(p.constraints) if j in a)
-                   for j in range(p.dim)]
-    for m in (2, 3, 5, 7, polytope.PRIME_CAP):
-        got = polytope._counts_mod(memberships, live, m)
-        assert got == [c % m for c in exact], (kind, m)
-
-
-def _prefix_reference(table, axes, m):
+def _prefix_reference(table, axes):
     # the same hyperplane recurrence on a dict of Python ints
     a0, rest = axes[0], axes[1:]
     out = dict(table)
@@ -434,7 +400,7 @@ def _prefix_reference(table, axes, m):
             j[a0] -= 1
             for ax in rest:
                 j[ax] -= 1
-            out[i] = (out[i] + out[tuple(j)]) % m
+            out[i] += out[tuple(j)]
     return out
 
 
@@ -443,32 +409,59 @@ def _prefix_reference(table, axes, m):
     ((4, 3, 5), (2, 0)), ((4, 3, 5), (1, 0, 2)),
 ])
 def test_prefix_at_the_cap_matches_python_ints(shape, axes):
-    m = polytope.PRIME_CAP
-    arr = np.full(shape, m - 1, dtype=np.uint32)
-    arr.flat[::3] = m - 2
-    want = _prefix_reference(
-        {i: int(v) for i, v in np.ndenumerate(arr)}, axes, m)
-    polytope._prefix(arr, axes, m)
-    assert arr.dtype == np.uint32
+    # entries just under the guard: the largest times the axis length is
+    # below 2**63, and the sums reach past 2**62 without wrapping
+    top = (2**63 - 1) // shape[axes[0]]
+    arr = np.full(shape, top, dtype=np.int64)
+    arr.flat[::3] = top - 1
+    want = _prefix_reference({i: int(v) for i, v in np.ndenumerate(arr)}, axes)
+    polytope._prefix(arr, axes)
+    assert arr.dtype == np.int64
     assert {i: int(v) for i, v in np.ndenumerate(arr)} == want
+    assert 2**62 < max(want.values()) < 2**63
+    # one more on a single entry and the step is refused, the table untouched
+    over = np.full(shape, top, dtype=np.int64)
+    over.flat[-1] = top + 1
+    with pytest.raises(ResourceLimitError, match="int64"):
+        polytope._prefix(over, axes)
+    assert (over == top).sum() == over.size - 1
 
 
-def test_k4_period6_dp_crt_prime_counts(monkeypatch):
-    # primes up to 2**31 - 1: three cover the D and D_star bounds, two D_star2
-    calls = []
+def test_counts_past_int64_raise_and_are_never_wrapped():
+    # T_4 counts C(n + 15, 15) in 16 prefix steps along one axis; the last
+    # sums entries up to C(n + 14, 14), n + 1 of them
+    p = build_polytope("T", 4)
+    inside = max(n for n in range(200)
+                 if math.comb(n + 14, 14) * (n + 1) < 2**63)
+    assert math.comb(inside + 15, 15) > 2**58
+    assert lattice_counts(p, [inside, 3]) == [math.comb(inside + 15, 15),
+                                              math.comb(18, 15)]
+    assert math.comb(200 + 15, 15) > 2**74
+    for n in (inside + 1, 200):
+        with pytest.raises(ResourceLimitError, match="int64"):
+            lattice_counts(p, [3, n])
 
-    def counting(memberships, budgets, m):
-        calls.append(m)
-        return [0] * len(budgets)
 
-    monkeypatch.setattr(polytope, "_counts_mod", counting)
-    got = {}
-    for kind in ("D", "D_star", "D_star2"):
+def test_one_dp_pass_per_lattice_counts_call(monkeypatch):
+    # one table serves every sample of a call: each coordinate takes one
+    # prefix step and each axis one more, once
+    steps = []
+    prefix = polytope._prefix
+
+    def recording(arr, axes):
+        steps.append(tuple(axes))
+        prefix(arr, axes)
+
+    monkeypatch.setattr(polytope, "_prefix", recording)
+    for kind in polytope.KINDS:
         p = build_polytope(kind, 4)
-        calls.clear()
-        lattice_counts(p, *period_trial_window(p, 6))
-        got[kind] = len(calls)
-    assert got == {"D": 3, "D_star": 3, "D_star2": 2}
+        ns, inner = polytope._sample_window(p, period_bounds(p))
+        steps.clear()
+        lattice_counts(p, ns, inner)
+        memberships = [tuple(c for c, a in enumerate(p.constraints) if j in a)
+                       for j in range(p.dim)]
+        assert sorted(steps) == sorted(
+            memberships + [(c,) for c in range(len(p.constraints))]), kind
 
 
 def test_lattice_counts_batch_consistency():
