@@ -102,9 +102,14 @@ def _lcm_upto(x: int) -> int:
         while q * p <= x:
             q *= p
         powers.append(q)
-    while len(powers) > 1:
-        powers = [math.prod(powers[i:i + 2]) for i in range(0, len(powers), 2)]
-    return powers[0]
+    return _product(powers)
+
+
+def _product(factors: list[int]) -> int:
+    """The product of the factors, multiplied pairwise up a product tree."""
+    while len(factors) > 1:
+        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0] if factors else 1
 
 
 def _check_budget(k: int, x: int, budget: int) -> None:
@@ -331,13 +336,23 @@ def brute_prod_over_lcm_sum(k: int, x: int, budget: int = TUPLE_BUDGET) -> Fract
 # Totient-formula fast route for k = 2
 # ---------------------------------------------------------------------------
 
-#: entries of phi per segment of the totient sieve
-_PHI_SEG = 1 << 15
+#: entries of phi per segment of the totient sieve, a measured trade: at
+#: 10**6 the traced peak is 1.8 MiB (2.6 MiB at 2**15) and the time the
+#: same within the host's drift, at the 10**7 ceiling 2-4% slower than
+#: 2**15 (see notes/decisions.md)
+_PHI_SEG = 1 << 14
 
 #: primes below this get one slice update per segment; the primes from
 #: here to sqrt(x) have few multiples in a segment, so a slice per prime
 #: would cost more in call overhead than its work
 _PHI_SLICED = 1 << 7
+
+#: terms per binary-split sub-gap of the exact branch: a gap of up to x/2
+#: terms is cut into runs this long, so no denominator product grows past
+#: the bits of this many terms and no term list past this length.  At
+#: 10**4 it was the fastest of 32..1024 (0.055 s, 0.70 MiB traced; whole
+#: gaps 0.07 s, 1.18 MiB); see notes/decisions.md
+_SUB_GAP = 1 << 8
 
 
 def _in_runs(counts: np.ndarray) -> np.ndarray:
@@ -358,18 +373,21 @@ def _phi_segments(x: int) -> Iterator[tuple[int, np.ndarray]]:
     and of the p - 1 dividing each n (phi stays divisible by the product of
     the primes it has not yet taken).  Every composite n <= x has a prime
     factor <= r, so the n > r that are then still n are the primes above r;
-    they are read before the next step and kept, ascending, in a buffer
-    sized by pi(x) < 1.25506 x / log x (Rosser and Schoenfeld, 1962).  Such
-    a prime divides n = p*m only with m <= x // (r + 1) < p, and n has no
-    other prime factor above r, so one searchsorted per segment finds, for
-    every m, the kept primes with p*m in the segment, and each of their n
-    is updated once."""
+    each is set to p - 1 where it is found.  A prime p above x // 2 divides
+    no other n <= x, so only the primes up to x // 2 are kept, ascending, in
+    a buffer sized by pi(x/2) < 1.25506 (x/2) / log(x/2) (Rosser and
+    Schoenfeld, 1962).  A kept prime divides n = p*m (m >= 2) only with
+    m <= x // (r + 1) < p, and n has no other prime factor above r, so one
+    searchsorted per segment finds, for every m, the kept primes with p*m
+    in the segment, and each of their n is updated once."""
     r = math.isqrt(x)
+    half = x // 2
     primes = sieve(r).primes if r >= 2 else np.zeros(0, np.int64)
     sliced = primes[primes < _PHI_SLICED].tolist()
     rest = primes[primes >= _PHI_SLICED]
-    ms = np.arange(1, x // (r + 1) + 1)
-    large = np.empty(int(1.25506 * x / math.log(x)) + 16 if x > 1 else 0, np.int64)
+    ms = np.arange(2, x // (r + 1) + 1)
+    large = np.empty(int(1.25506 * half / math.log(half)) + 16 if half > 1 else 0,
+                     np.int64)
     kept = 0
     for lo in range(0, x + 1, _PHI_SEG):
         hi = min(lo + _PHI_SEG, x + 1)
@@ -388,10 +406,12 @@ def _phi_segments(x: int) -> Iterator[tuple[int, np.ndarray]]:
         phi //= dp
         phi *= dq
         first = max(lo, r + 1) - lo
-        new = np.flatnonzero(phi[first:] == np.arange(lo + first, hi)) + lo + first
+        new = np.flatnonzero(phi[first:] == np.arange(lo + first, hi)) + first
+        phi[new] -= 1
+        new = new[:np.searchsorted(new, half - lo, side="right")] + lo
         large[kept:kept + len(new)] = new
         kept += len(new)
-        # for each m, the kept primes p with lo <= p*m < hi
+        # for each m >= 2, the kept primes p with lo <= p*m < hi
         a = np.searchsorted(large[:kept], -(-lo // ms))
         counts = np.searchsorted(large[:kept], -(-hi // ms)) - a
         ps = large[np.repeat(a, counts) + _in_runs(counts)]
@@ -411,32 +431,46 @@ def _ratio_sum(num: list[int], den: list[int], lo: int, hi: int) -> tuple[int, i
     return p1 * q2 + p2 * q1, q1 * q2
 
 
-def _gap_sums(num: list[int], den: list[int], scale: int,
-              marks: Sequence[int]) -> list[int]:
-    """scale times the sum of num[n]/den[n] over a < n <= b, for each pair
-    a, b of neighbours in the ascending `marks`.  One big division per gap:
-    it is exact when every scale*num[n]/den[n] is an integer."""
+def _gap_sums(terms: Callable[[int, int], tuple[list[int], list[int]]],
+              scale: int, marks: Sequence[int]) -> list[int]:
+    """scale times the sum of num_n/den_n over a < n <= b, for each pair
+    a, b of neighbours in the ascending `marks`; terms(lo, hi) gives the
+    lists num_n and den_n for lo <= n < hi.  Each gap is cut into sub-gaps
+    of at most _SUB_GAP n, and each sub-gap is binary-split and divided
+    once.  Every scale*num_n/den_n is an integer, so each division is exact
+    and any partition of a gap sums to the same integer."""
     out = []
     for a, b in zip(marks, marks[1:]):
-        p, q = _ratio_sum(num, den, a + 1, b + 1)
-        out.append(scale * p // q)
+        acc = 0
+        for lo in range(a + 1, b + 1, _SUB_GAP):
+            num, den = terms(lo, min(lo + _SUB_GAP, b + 1))
+            p, q = _ratio_sum(num, den, 0, len(num))
+            acc += scale * p // q
+        out.append(acc)
     return out
 
 
 def _exact_s2(x: int, phi: np.ndarray, qs: list[int], ends: list[int]) -> Fraction:
     """The block loop of `fast_recip_lcm_sum2` at scale (lam*s)^2, exactly;
-    see there for the argument."""
+    see there for the argument.  The terms of each sub-gap are made from a
+    range and a slice of phi when `_gap_sums` asks for them, so no list of
+    x terms exists."""
     r = math.isqrt(x)
     lam, s = _lcm_upto(r), _lcm_upto(x)
-    ones, ints = [1] * (x + 1), list(range(x + 1))
-    phis, squares = phi.tolist(), [d * d for d in ints]
+
+    def harmonic(lo: int, hi: int) -> tuple[list[int], list[int]]:
+        return [1] * (hi - lo), list(range(lo, hi))
+
+    def weights(lo: int, hi: int) -> tuple[list[int], list[int]]:
+        return phi[lo:hi].tolist(), [d * d for d in range(lo, hi)]
+
     # every q <= r is x//d for some d, so blocks 0..r-1 are q = 1..r
-    hs = list(itertools.accumulate(_gap_sums(ones, ints, lam, range(r + 1))))
+    hs = list(itertools.accumulate(_gap_sums(harmonic, lam, range(r + 1))))
     base = hs[-1] * (s // lam)  # s*H(r)
-    hs += [base + h for h in itertools.accumulate(_gap_sums(ones, ints, s, qs[r - 1:]))]
+    hs += [base + h for h in itertools.accumulate(_gap_sums(harmonic, s, qs[r - 1:]))]
     # block i is ends[i + 1] < d <= ends[i]; the gaps run in descending i
-    ws = (_gap_sums(phis, squares, lam * lam, ends[:r - 1:-1])
-          + _gap_sums(phis, squares, s * s, ends[r::-1]))
+    ws = (_gap_sums(weights, lam * lam, ends[:r - 1:-1])
+          + _gap_sums(weights, s * s, ends[r::-1]))
     ws.reverse()
     return Fraction(sum(h * h * w for h, w in zip(hs, ws)), (lam * s) ** 2)
 
@@ -457,7 +491,8 @@ def fast_recip_lcm_sum2(x: int):
     integral: every h^2*w is an integer at scale (lam*s)^2, half the bits
     of s^4.  The harmonic numbers are prefix sums over the block marks and
     the weights sums over the blocks, each taken gap by gap by binary
-    splitting (`_gap_sums`), with one big division per gap, not per term.
+    splitting (`_gap_sums`) over sub-gaps of at most _SUB_GAP terms, with
+    one big division per sub-gap, not per term.
 
     Above the limit, h = sum_{m<=q} floor(s/m) and w is the difference of
     P(D) = sum_{d<=D} floor(phi(d)*t/d^2) over the block, with
@@ -470,9 +505,9 @@ def fast_recip_lcm_sum2(x: int):
     phi comes from the segmented sieve `_phi_segments`.  P is summed one
     segment at a time, read at the block ends inside the segment and
     carried across segments, so no array as long as x exists: the route
-    holds a segment, the primes above sqrt(x) and the block lists.  The
-    exact branch joins the segments; one segment covers every x up to
-    FAST_S2_EXACT_LIMIT.
+    holds a segment, the primes from sqrt(x) to x/2 and the block lists.
+    The exact branch joins the segments and makes the terms of one sub-gap
+    at a time.
     """
     if x < 1:
         raise ValueError("x must be positive")
@@ -531,7 +566,8 @@ def _search_plan(k: int, pinned: bool):
     g = build_coprimality_graph(k)
     order = sorted(range(1, g.v + 1), key=lambda j: (-j.bit_count(), j))
     if order[-k:] != [1 << i for i in range(k)]:
-        # the range build's leaf position relies on it: see `_search_chunks`
+        # the range build's leaf position and the direct search's leaf loop
+        # rely on it: see `_search_chunks` and `gwise_sum_with_count`
         raise InvariantViolation("the search must end with the singletons in order")
     touching = [[i for i in range(k) if j in g.constraints[i]] for j in order]
     earlier = [[l for l in order[:pos] if g.adjacency[j] >> l & 1]
@@ -708,49 +744,83 @@ def gwise_sum_with_count(
 
     Depth-first over the parts, assigning the most-constrained labels first
     and pruning as soon as any partial constraint product exceeds x.  The
-    last label's admissible parts are the leaves: they are summed in one
-    loop and counted as nodes and leaves together.  Plain Python, apart
-    from the range builds, so the two routes share no arithmetic.
+    constraint products and each position's neighbour product are carried
+    down the recursion.  The last label's admissible parts are the leaves:
+    its parent filters them once for the neighbours above it, then sums and
+    counts them per child, each leaf counted as a node and a leaf.  Plain
+    Python ints, apart from the range builds, so the two routes share no
+    arithmetic.
     """
     _check_gwise(k, x)
     order, touching, earlier, pins = _search_plan(k, fix_last_to_one)
     v = len(order)
     big = _lcm_upto(x)
-    values = [1] * (v + 1)  # 1-indexed by label
-    prods = [1] * k
+    # acc[:k] are the partial constraint products and acc[k + pos] the
+    # product of the parts of earlier[pos] assigned so far; a part is
+    # multiplied into the entries `feeds` names and divided out on return
+    acc = [1] * (k + v)
+    feeds = [touching[pos] + [k + q for q in range(pos + 1, v) if order[pos] in earlier[q]]
+             for pos in range(v)]
+    # the search ends with the singletons of coordinates k - 2 and k - 1
+    # (`_search_plan`): they share no constraint, so the leaf's top is fixed
+    # before its parent's part is chosen, and they are neighbours
+    leaf_con, leaf_fixed = touching[v - 1][0], k + v - 1
+    primes = sieve(x).primes.tolist() if x >= 2 else []
+    # the product of the primes up to each leaf top met so far: the tops are
+    # x // n, so there are at most 2 sqrt(x) of them
+    primorials: dict[int, int] = {}
     nodes = 0
     total = 0
     leaves = 0
+
+    def coprime(top: int, fixed: int) -> Sequence[int]:
+        # a part must be coprime to every neighbour's part, so to their product
+        parts = range(1, top + 1)
+        return [a for a in parts if math.gcd(a, fixed) == 1] if fixed > 1 else parts
 
     def dfs(pos: int, denom: int) -> None:
         nonlocal nodes, total, leaves
         nodes += 1
         if nodes > node_budget:
             raise _node_limit(node_budget)
-        j = order[pos]
-        cons = touching[pos]
-        top = 1 if pins[pos] else min(x // prods[i] for i in cons)
-        # a part must be coprime to every neighbour's part, so to their product
-        fixed = math.prod(values[l] for l in earlier[pos])
-        parts = range(1, top + 1)
-        if fixed > 1:
-            parts = [a for a in parts if math.gcd(a, fixed) == 1]
-        if pos == v - 1:
-            share = big // denom  # share // a == big // (denom * a)
-            total += sum(map(share.__floordiv__, parts))
-            leaves += len(parts)
-            nodes += len(parts)
+        top = 1 if pins[pos] else x // max(acc[i] for i in touching[pos])
+        parts = coprime(top, acc[k + pos])
+        if pos < v - 2:
+            fed = feeds[pos]
+            for a in parts:
+                for i in fed:
+                    acc[i] *= a
+                dfs(pos + 1, denom * a)
+                for i in fed:
+                    acc[i] //= a
+            return
+        # each part a here is a node whose children are the leaves: the b up
+        # to the leaf's top coprime to the other neighbours' parts (filtered
+        # once) and to a.  Only the primes of a up to that top can divide a
+        # b, so parts a with the same gcd(a, primorial) have the same b
+        nodes += len(parts)
+        if nodes > node_budget:
+            raise _node_limit(node_budget)
+        leaf_top = x // acc[leaf_con]
+        base = coprime(leaf_top, acc[leaf_fixed])
+        primorial = primorials.get(leaf_top)
+        if primorial is None:
+            primorial = primorials[leaf_top] = _product(
+                primes[:bisect.bisect_right(primes, leaf_top)])
+        share = big // denom
+        seen: dict[int, tuple[int, int]] = {}
+        for a in parts:
+            key = math.gcd(a, primorial)
+            if key not in seen:
+                fits = [b for b in base if math.gcd(b, key) == 1]
+                # each share // b is a multiple of a: denom * a * b divides big
+                seen[key] = len(fits), sum(map(share.__floordiv__, fits))
+            count, s = seen[key]
+            total += s // a
+            leaves += count
+            nodes += count
             if nodes > node_budget:
                 raise _node_limit(node_budget)
-            return
-        for a in parts:
-            values[j] = a
-            for i in cons:
-                prods[i] *= a
-            dfs(pos + 1, denom * a)
-            for i in cons:
-                prods[i] //= a
-            values[j] = 1
 
     dfs(0, 1)
     return Fraction(total, big), leaves

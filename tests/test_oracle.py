@@ -257,6 +257,12 @@ def test_phi_sieve_equals_the_per_p_loop():
     # in x's one segment, and q = 401 gives q*(q - 1) in the fifth and last
     xs = [*range(1, 400), 10**4, 123_457, seg - 1, seg, seg + 1, 2 * seg + 1,
           181**2 - 1, 401**2 - 1]
+    # the x // 2 cut of the kept primes: for a prime p in the second segment,
+    # x = 2p - 1 keeps the primes below p and 2p, 2p + 1 keep p too, whose
+    # multiple 2p lies in a later segment than p's own p -> p - 1 step
+    p = next(n for n in range(seg + seg // 2, 2 * seg)
+             if all(n % d for d in range(2, math.isqrt(n) + 1)))
+    xs += [2 * p - 1, 2 * p, 2 * p + 1]
     for x in xs:
         segments = list(oracle._phi_segments(x))
         assert [lo for lo, _ in segments] == list(range(0, x + 1, seg)), x
@@ -265,17 +271,29 @@ def test_phi_sieve_equals_the_per_p_loop():
         assert np.array_equal(phi, reference_phi_sieve(x)), x
 
 
-def test_fast_route_memory_stays_bounded():
-    # phi(0..10**6) as one int64 array alone takes 7.6 MiB; the segmented
-    # sieve holds a segment and the primes above 1000
-    fast_recip_lcm_sum2(10**6)  # warm-up: caches and first-call allocations
+def warm_traced_peak(f, *args):
+    f(*args)  # warm-up: caches and first-call allocations
     tracemalloc.start()
     try:
-        fast_recip_lcm_sum2(10**6)
-        peak = tracemalloc.get_traced_memory()[1]
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2**20, peak
+
+
+def test_fast_route_memory_stays_bounded():
+    # phi(0..10**6) as one int64 array alone takes 7.6 MiB; the segmented
+    # sieve holds a segment and the primes from 1000 to 5 * 10**5
+    peak = warm_traced_peak(fast_recip_lcm_sum2, 10**6)
+    assert peak <= 2.5 * 2**20, peak
+
+
+def test_fast_route_exact_branch_memory():
+    # the exact branch makes the terms of one sub-gap at a time: no x-long
+    # Python list, and no denominator product of a whole gap of up to x/2
+    # terms (about 130k bits at 10**4)
+    peak = warm_traced_peak(fast_recip_lcm_sum2, 10**4)
+    assert peak <= 2**20, peak
 
 
 def test_fast_route_resource_guard():
@@ -311,6 +329,20 @@ def test_gwise_guards():
         gwise_constrained_sum(4, 10)
     with pytest.raises(ResourceLimitError):
         gwise_constrained_sum(3, 40, node_budget=50)
+
+
+def test_gwise_budget_trips_before_any_large_table():
+    # the budget trips at the first leaf parent, before a leaf is summed:
+    # the search then holds lcm(1..x) and a sieve to x, not the products of
+    # the primes up to every n <= x (about 80 MB of them at 10**5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            gwise_sum_with_count(2, 10**5, node_budget=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak
 
 
 @pytest.mark.parametrize("pinned", [False, True])
