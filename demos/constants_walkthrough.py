@@ -4,6 +4,8 @@
 Walks the k = 3 pipeline: build the graph, read off its local-factor
 polynomial two ways, evaluate the Euler product with a certified bound,
 attach the exact polytope volume, and assemble c = density * volume.
+The coprime-variant constant is (2^k - 1) c by the exact cone relation
+vol(D_star) = (2^k - 1) vol(D), which `leading_constants` checks.
 """
 
 from fractions import Fraction
@@ -35,7 +37,10 @@ c = rho * vol
 print(f"c = density * vol = {float(c.value):.12f} +- {float(c.abs_error):.1e}")
 
 lc = L.leading_constants(k)
-print(f"\ncoprime-variant constant c2 = (2^{k}-1) c = "
+print(f"\ncone relation (exact): vol(D_star) = {lc.vol_d_star} "
+      f"= (2^{k}-1) * {lc.vol_d}")
+assert lc.vol_d_star == (2**k - 1) * lc.vol_d
+print(f"coprime-variant constant c2 = (2^{k}-1) c = "
       f"{float(lc.c2.value):.12f}")
 print(f"product-sum constant c3 = {float(lc.c3.value):.12f}")
 print(f"error exponents: theta1 = {lc.theta1!r} = {float(lc.theta1):.6f}, "

@@ -76,12 +76,6 @@ class CoprimalityGraph(Graph):
         if self.v != 2**self.k - 1:
             raise ValueError("vertex count must be 2**k - 1")
 
-    def isolated_top_removed(self) -> Graph:
-        """The same edge set on vertices 1..v-1 (the all-ones label is isolated)."""
-        if any(self.v in e for e in self.edges):
-            raise ValueError("top label is not isolated")
-        return Graph(self.v - 1, self.edges)
-
 
 def constraint_family(k: int) -> tuple[frozenset[int], ...]:
     return tuple(

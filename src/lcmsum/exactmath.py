@@ -326,11 +326,10 @@ def sieve(limit: int) -> SieveTables:
         if spf[p] == 0:
             block = spf[p * p :: p]
             block[block == 0] = p
-    rest = np.nonzero(spf[2:] == 0)[0] + 2
-    spf[rest] = rest
+    # the n >= 2 that no prime up to sqrt(limit) marked are the primes
+    primes = np.nonzero(spf[2:] == 0)[0] + 2
+    spf[primes] = primes
     spf[1] = 1
-    primes = np.nonzero(spf == np.arange(limit + 1, dtype=np.int64))[0]
-    primes = primes[primes >= 2]
     return SieveTables(limit=limit, primes=primes, smallest_prime_factor=spf)
 
 

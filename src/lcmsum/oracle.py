@@ -49,9 +49,12 @@ Each route also has an entry that returns its count beside its value:
 at x, the route the CLI takes) and `lcm_multiplicity_table` (alpha(k, n)
 for n <= x and their weighted sum).
 
-`leading_constants` assembles the top-coefficient data of the three sums:
-c = density * vol(D), the coprime constant (2**k - 1) c, the product-sum
-constant density * vol(D_star2), and the exact power-saving exponents.
+`leading_constants` assembles the top-coefficient data of the three sums
+from one Euler product (the density) per k: c = density * vol(D), the
+coprime constant (2**k - 1) c, the product-sum constant density *
+vol(D_star2), and the exact power-saving exponents.  The coprime constant
+rests on the cone relation vol(D_star) = (2**k - 1) vol(D), which is
+checked exactly on the two extracted volumes.
 """
 
 from __future__ import annotations
@@ -89,15 +92,16 @@ FAST_S2_BITS = 96
 
 @lru_cache(maxsize=32)
 def _lcm_upto(x: int) -> int:
-    """lcm(1..x), the product of p**floor(log_p x) over the primes p <= x.
+    """lcm(1..x).  The primes come from a table of their own, not
+    `shared_sieve`, whose entries serve factoring."""
+    return _lcm_of_primes(x, sieve(x).primes.tolist() if x >= 2 else [])
 
-    The prime powers are multiplied pairwise up a product tree.  The primes
-    come from a table of their own, not `shared_sieve`, whose entries serve
-    factoring."""
-    if x < 2:
-        return 1
+
+def _lcm_of_primes(x: int, primes: list[int]) -> int:
+    """lcm(1..x) from the primes p <= x: the product of p**floor(log_p x),
+    multiplied pairwise up a product tree."""
     powers = []
-    for p in sieve(x).primes.tolist():
+    for p in primes:
         q = p
         while q * p <= x:
             q *= p
@@ -754,7 +758,8 @@ def gwise_sum_with_count(
     _check_gwise(k, x)
     order, touching, earlier, pins = _search_plan(k, fix_last_to_one)
     v = len(order)
-    big = _lcm_upto(x)
+    primes = sieve(x).primes.tolist() if x >= 2 else []
+    big = _lcm_of_primes(x, primes)
     # acc[:k] are the partial constraint products and acc[k + pos] the
     # product of the parts of earlier[pos] assigned so far; a part is
     # multiplied into the entries `feeds` names and divided out on return
@@ -765,7 +770,6 @@ def gwise_sum_with_count(
     # (`_search_plan`): they share no constraint, so the leaf's top is fixed
     # before its parent's part is chosen, and they are neighbours
     leaf_con, leaf_fixed = touching[v - 1][0], k + v - 1
-    primes = sieve(x).primes.tolist() if x >= 2 else []
     # the product of the primes up to each leaf top met so far: the tops are
     # x // n, so there are at most 2 sqrt(x) of them
     primorials: dict[int, int] = {}
@@ -906,29 +910,26 @@ class LeadingConstants:
 
 
 def leading_constants(k: int, target_error=Fraction(1, 2 * 10**9)) -> LeadingConstants:
-    """Assemble the certified constants for k inputs.
+    """Assemble the certified constants for k inputs from one Euler product.
 
-    Cross-checks on the way: the coprime-variant constant computed as
-    (2**k - 1) c must agree with density(top-dropped graph) * vol(D_star)
-    (the dropped vertex is isolated, so the density is unchanged); a
-    disjoint enclosure raises InvariantViolation.
+    The coprime-variant constant is (2**k - 1) c because vol(D_star) =
+    (2**k - 1) vol(D), the cone relation; the two volumes come from
+    separate Ehrhart extractions and must satisfy it exactly, or
+    InvariantViolation is raised.
     """
     if not (2 <= k <= 4):
         raise ValueError("k must be between 2 and 4")
-    g = build_coprimality_graph(k)
-    rho = coprime_density(g, target_error)
     vol_d = volume_of("D", k)
     vol_ds = volume_of("D_star", k)
     vol_ds2 = volume_of("D_star2", k)
+    if (2**k - 1) * vol_d != vol_ds:
+        raise InvariantViolation(
+            f"cone relation fails: (2**{k} - 1) * vol(D) = {(2**k - 1) * vol_d}"
+            f" but vol(D_star) = {vol_ds}")
+    rho = coprime_density(build_coprimality_graph(k), target_error)
     c = rho * vol_d
     c2 = (2**k - 1) * c
     c3 = rho * vol_ds2
-
-    rho_star = coprime_density(g.isolated_top_removed(), target_error)
-    c2_alt = rho_star * vol_ds
-    if not c2.intersects(c2_alt):
-        raise InvariantViolation(
-            f"coprime constant mismatch: {c2!r} vs {c2_alt!r}")
 
     if k >= 3:
         t1, t2, t3 = theta_exponents(k)
@@ -953,16 +954,15 @@ class ConvergenceRow:
     flagged: bool                # degenerate row (log x == 0)
 
 
-def convergence_report(k: int, xs: Sequence[int],
-                       constants: LeadingConstants | None = None,
-                       budget: int = TUPLE_BUDGET) -> list[ConvergenceRow]:
-    """Desk-scale growth table of the reciprocal-lcm sum against c * log^v x.
+def convergence_report(k: int, xs: Sequence[int]) -> list[ConvergenceRow]:
+    """Desk-scale growth table of the reciprocal-lcm sum against c * log^v x,
+    with c from `leading_constants(k)` and the sums from the fast route at
+    k = 2 and the brute sums under their default budget otherwise.
 
     Rows carry no pass/fail: at reachable x the convergence is O(1/log x)
     and only the k = 2 trend is quantitatively meaningful.
     """
-    if constants is None:
-        constants = leading_constants(k)
+    constants = leading_constants(k)
     cval = float(constants.c.value)
     rows = []
     power = 2**k - 1
@@ -970,7 +970,7 @@ def convergence_report(k: int, xs: Sequence[int],
         if k == 2:
             s = fast_recip_lcm_sum2(x)
         else:
-            s = brute_recip_lcm_sum(k, x, budget=budget)
+            s = brute_recip_lcm_sum(k, x)
         sv = s.value if isinstance(s, BoundedReal) else s
         if x == 1:
             rows.append(ConvergenceRow(x, sv, None, cval, None, True))

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +67,28 @@ def test_is_prime_and_factor_agree_with_sympy_past_the_limit(top):
         assert t.factor(n) == sorted(sympy.factorint(n).items()), n
     with pytest.raises(ResourceLimitError):
         t.factor(t.limit**2 + 1)
+
+
+def test_sieve_equals_the_per_n_reference():
+    # spf by trial division per n; spf[0] stays 0 and spf[1] is 1
+    spf = [0, 1] + [next(d for d in range(2, n + 1) if n % d == 0)
+                    for n in range(2, 2001)]
+    for limit in range(2, 2001):
+        t = sieve(limit)
+        assert t.smallest_prime_factor.tolist() == spf[:limit + 1], limit
+        assert t.primes.tolist() == [n for n in range(2, limit + 1) if spf[n] == n], limit
+
+
+def test_sieve_memory_is_the_table_and_its_primes():
+    # the int64 spf table is 7.6 MiB at 10**6; a second (limit+1)-long
+    # int64 array on top of it takes the peak past 15 MiB
+    tracemalloc.start()
+    try:
+        sieve(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20, peak
 
 
 def test_sieve_limit_budget():

@@ -10,8 +10,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from lcmsum import oracle
-from lcmsum.errors import ResourceLimitError
+from lcmsum import eulerprod, exactmath, oracle
+from lcmsum.errors import InvariantViolation, ResourceLimitError
 from lcmsum.exactmath import BoundedReal
 from lcmsum.oracle import (
     brute_prod_over_lcm_sum,
@@ -329,6 +329,24 @@ def test_gwise_guards():
         gwise_constrained_sum(4, 10)
     with pytest.raises(ResourceLimitError):
         gwise_constrained_sum(3, 40, node_budget=50)
+
+
+def test_direct_search_sieves_once(monkeypatch):
+    # lcm(1..x) and the leaf primorials share one prime table; a full
+    # search at x = 500 meets every leaf top (at 5000 it takes about 50 s)
+    limits = []
+
+    def counted(limit):
+        limits.append(limit)
+        return exactmath.sieve(limit)
+
+    monkeypatch.setattr(oracle, "sieve", counted)
+    oracle._lcm_upto.cache_clear()
+    total, leaves = gwise_sum_with_count(2, 500)
+    assert limits == [500]
+    assert leaves == 500**2
+    monkeypatch.undo()
+    assert total == fast_recip_lcm_sum2(500)
 
 
 def test_gwise_budget_trips_before_any_large_table():
@@ -822,6 +840,29 @@ def test_theta_values():
 
 def test_constants_ordering_k2_k3():
     assert leading_constants(2).c.strictly_greater(leading_constants(3).c)
+
+
+def test_constants_take_one_euler_product_per_k():
+    eulerprod._euler_product_cached.cache_clear()
+    for k in (2, 3, 4):
+        misses = eulerprod._euler_product_cached.cache_info().misses
+        leading_constants(k)
+        assert eulerprod._euler_product_cached.cache_info().misses == misses + 1, k
+
+
+def test_constants_check_the_cone_relation_exactly(monkeypatch):
+    # vol(D_star) off by a relative 1e-30 is far inside the density's
+    # enclosure, so only an exact comparison of the two volumes sees it
+    exact = oracle.volume_of
+
+    def skewed(kind, k):
+        vol = exact(kind, k)
+        return vol * (1 + Fraction(1, 10**30)) if kind == "D_star" else vol
+
+    monkeypatch.setattr(oracle, "volume_of", skewed)
+    for k in (2, 3, 4):
+        with pytest.raises(InvariantViolation, match="cone relation"):
+            leading_constants(k)
 
 
 @pytest.mark.slow
