@@ -381,22 +381,26 @@ def stirling2(k: int, m: int) -> int:
 # Certified zeta values
 # ---------------------------------------------------------------------------
 
-def _quotient_limbs(n: np.ndarray, j: int, bits: int, wn=None,
-                    wmax: int = 1) -> tuple[int, list[np.ndarray]] | None:
+def _quotient_limbs(n: np.ndarray, j: int, bits: int,
+                    wn=None) -> tuple[int, list[np.ndarray]] | None:
     """floor(wn * 2**bits / n**j) for each lane of n as L-bit limb columns.
 
-    n is an ascending uint64 array of at most ZETA_CHUNK lanes, wn their
-    weights (1 when None) and wmax >= max(wn).  The numerator is held as
-    L-bit limbs, L = 64 - max(bitlen(n[-1]), bitlen(ZETA_CHUNK)), most
-    significant first, and divided j times by n one limb at a time
+    n is an ascending uint64 array of at most ZETA_CHUNK lanes and wn their
+    non-negative weights (1 when None), which must lie below 2**L.  The
+    numerator is held as L-bit limbs, L = 64 - max(bitlen(n[-1]),
+    bitlen(ZETA_CHUNK)), most significant first, so each weight fills at
+    most the two leading limbs, and divided j times by n one limb at a time
     (floor(floor(x/m)/n) = floor(x/(m*n))): every remainder r < n, so
     (r << L) | limb < 2**64, and a column of the quotient limbs sums below
     ZETA_CHUNK * 2**L <= 2**64.  Returns (L, limbs), limbs[i] weighing
     2**(L*(len(limbs) - 1 - i)), or None when every quotient is zero, as it
-    then is for every larger n.
+    then is for every larger n with no larger weight.
     """
     start = int(n[0])
     L = 64 - max(int(n[-1]).bit_length(), ZETA_CHUNK.bit_length())
+    wmax = 1 if wn is None else int(wn.max())
+    if wmax >> L:
+        raise ValueError(f"weights must lie in [0, 2**{L}) up to n = {n[-1]}")
     # limbs[i] weighs 2**(L*(h - i)); wn << (bits % L) may span the two
     # leading limbs, and a scalar limb is the same for every n
     s = bits % L
@@ -438,14 +442,12 @@ def floor_prefix_sums(j: int, bits: int, a: int, marks: Sequence[int],
     Each limb column is then summed, or prefix-summed in a chunk that holds
     marks, and the columns are recombined as Python ints.  At n near 2**24,
     2**160 is four 40-bit limbs, and j = 2 takes 7 divmods per n.
-    The input contract is n <= ZETA_MAX_TERMS and w_n * 2**(bits % 32)
-    below 2**32; inputs past either are refused.  The weight bound is the
-    one the 32-bit limbs of earlier versions needed.  It is kept as the
-    contract, although the L-bit limbs (L >= 37 up to ZETA_MAX_TERMS) would
-    carry any w_n < 2**L exactly; the one caller with weights, the fast
-    k=2 route of `oracle`, stays inside it.  That caller passes one totient
-    sieve segment at a time as w, with a at the segment's first n, so no
-    weight array longer than a segment exists.
+    The input contract is n <= ZETA_MAX_TERMS and 0 <= w_n < 2**L for the
+    L of the chunk that holds n (L >= 37 up to ZETA_MAX_TERMS), so that the
+    leading limbs of w_n * 2**bits are L-bit limbs; inputs past either are
+    refused.  The one caller with weights, the fast k=2 route of `oracle`,
+    passes one totient sieve segment at a time as w, with a at the
+    segment's first n, so no weight array longer than a segment exists.
     """
     out: list[int] = []
     last = marks[-1] if marks else 0
@@ -454,16 +456,18 @@ def floor_prefix_sums(j: int, bits: int, a: int, marks: Sequence[int],
     wmax = 1
     if w is not None and last >= a:
         wmax = int(w[:last - a + 1].max())
-        if w[:last - a + 1].min() < 0 or wmax << bits % 32 >= 1 << 32:
-            raise ValueError("weights must lie in [0, 2**(32 - bits % 32))")
+        if w[:last - a + 1].min() < 0:
+            raise ValueError("weights must be non-negative")
     total = 0
     for start in range(a, last + 1, ZETA_CHUNK):
+        if wmax << bits < start**j:  # every quotient from here on is zero
+            break
         stop = min(last, start + ZETA_CHUNK - 1)
         n = np.arange(start, stop + 1, dtype=np.uint64)
         quotients = _quotient_limbs(
-            n, j, bits, None if w is None else w[start - a:stop - a + 1], wmax)
-        if quotients is None:  # here and in every later chunk
-            break
+            n, j, bits, None if w is None else w[start - a:stop - a + 1])
+        if quotients is None:  # every quotient of this chunk is zero
+            continue
         L, limbs = quotients
         h = len(limbs) - 1
         # marks before the chunk read the total so far, marks inside it add

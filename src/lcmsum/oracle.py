@@ -19,16 +19,16 @@ product sum below X**(2k-1), and a build with either at or past 2**63 is
 refused.  They tally count * (lcm(1..X) // lcm) per bucket in exact
 int64 limb columns (`_Tally`): each chunk long-divides lcm(1..X) by its
 lcm column one limb at a time, so no tuple or leaf takes a big-integer
-step, and a tally holds kinds * limbs * X int64 at any X.  Both use the
-symmetry of the sums in the k entries: brute visits sorted tuples, and
-the constrained search makes one leaf per S_k orbit, weighted by the
-orbit's size; at X = 90 the k = 3 constrained search tallies 125,580
-such leaves (for its 729,000 tuples), four limbs each.  The brute
-product sum is summed per bucket in int64 too.  The direct search
-`gwise_sum_with_count` stays a plain-Python depth-first search, so the
-routes that must agree share no arithmetic.
+step, and a tally holds kinds * limbs * X int64 at any X; a build whose
+tally would pass TALLY_BYTES is refused before lcm(1..X) is made.  Both
+use the symmetry of the sums in the k entries: brute visits sorted
+tuples, and the constrained search makes one leaf per S_k orbit,
+weighted by the orbit's size; at X = 90 the k = 3 constrained search
+tallies 125,580 such leaves (for its 729,000 tuples), four limbs each.
+The brute product sum is summed per bucket in int64 too.  The tests check
+the constrained range against `_gwise_direct`, a plain-Python search.
 
-Both the brute sums and `gwise_constrained_sum` answer from a whole-range
+Both the brute sums and the constrained sums answer from a whole-range
 result: one search at X buckets each brute tuple by its largest entry and
 each constrained-search leaf by its largest constraint product, and prefix
 sums over the buckets then give the exact value for every x <= X.  One
@@ -39,15 +39,14 @@ is a subtree of the plain one, so one plain search fills both variants:
 its pinned by-product is kept when it reaches further than the kept
 pinned range, and a pinned request past both builds a pinned range alone.
 The budgets keep their meaning for a search at x itself: `brute_sums`
-checks x**k before any range, and the constrained search counts its nodes
-per bucket, so the node count of the direct search at x is known from the
-range and checked on every call.
+checks x**k before any range, and the constrained range counts the nodes
+of the search at x per bucket and checks them on every call.
 
 Each route also has an entry that returns its count beside its value:
 `brute_sums` (the three sums, the raw and gcd-1 tuple counts),
-`gwise_sum_with_count` (the sum and the search leaves, by a direct search
-at x, the route the CLI takes) and `lcm_multiplicity_table` (alpha(k, n)
-for n <= x and their weighted sum).
+`gwise_sum_with_count` (the sum and the search leaves; the CLI's `gwise`
+and `gwise_constrained_sum` read it) and `lcm_multiplicity_table`
+(alpha(k, n) for n <= x and their weighted sum).
 
 `leading_constants` assembles the top-coefficient data of the three sums
 from one Euler product (the density) per k: c = density * vol(D), the
@@ -78,6 +77,9 @@ from .polytope import volume_of
 
 #: brute sums refuse more than this many raw tuple evaluations
 TUPLE_BUDGET = 10**8
+
+#: range builds refuse a tally of more than this many bytes
+TALLY_BYTES = 1 << 30
 
 #: constrained-tuple search refuses more than this many tree nodes
 GWISE_NODE_BUDGET = 5 * 10**7
@@ -187,6 +189,16 @@ def _check_int64(k: int, top: int) -> None:
             f"{top}**{e} reaches 2**63, past the int64 range enumeration")
 
 
+def _check_tally(kinds: int, top: int, scale: int) -> None:
+    # the bytes of a `_Tally`, its limbs bounded before lcm(1..top) is made:
+    # log2 lcm(1..n) = psi(n) / ln 2 < 1.4988 n (Rosser and Schoenfeld, 1962)
+    limbs = -(-(14988 * top // 10000 + 1) // (63 - scale.bit_length()))
+    size = 8 * kinds * (limbs + 1) * top
+    if size > TALLY_BYTES:
+        raise ResourceLimitError(
+            f"a range build at {top} needs a {size}-byte tally, past {TALLY_BYTES}")
+
+
 def _pieces(hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The children a = 1..hi[r] of each frontier row r, as (r, a) column
     pairs of at most _CHUNK children, in row order."""
@@ -291,8 +303,9 @@ def _brute_range(k: int, top: int) -> _Range:
     per bucket: V(top) is at most top**(2k-1), which `_check_int64` keeps
     below 2**63."""
     _check_int64(k, top)
-    big = _lcm_upto(top)
     scale = top**k  # at least every lcm and every bucket's count
+    _check_tally(2, top, scale)
+    big = _lcm_upto(top)
     every = _Tally(2, top, scale, big)  # (all, gcd 1)
     prod_lcm = np.zeros(top, np.int64)
     one, zero = np.ones(1, np.int64), np.zeros(1, np.int64)
@@ -554,13 +567,6 @@ def fast_recip_lcm_sum2(x: int):
 # Constrained coprime-tuple sums (the structural identity)
 # ---------------------------------------------------------------------------
 
-def _check_gwise(k: int, x: int) -> None:
-    if k not in (2, 3):
-        raise ValueError("k must be 2 or 3")
-    if x < 1:
-        raise ValueError("x must be positive")
-
-
 def _search_plan(k: int, pinned: bool):
     """The label order of the constrained search (most-constrained first)
     and, per position, the constraints the label enters, its graph
@@ -571,7 +577,7 @@ def _search_plan(k: int, pinned: bool):
     order = sorted(range(1, g.v + 1), key=lambda j: (-j.bit_count(), j))
     if order[-k:] != [1 << i for i in range(k)]:
         # the range build's leaf position and the direct search's leaf loop
-        # rely on it: see `_search_chunks` and `gwise_sum_with_count`
+        # rely on it: see `_search_chunks` and `_gwise_direct`
         raise InvariantViolation("the search must end with the singletons in order")
     touching = [[i for i in range(k) if j in g.constraints[i]] for j in order]
     earlier = [[l for l in order[:pos] if g.adjacency[j] >> l & 1]
@@ -584,23 +590,27 @@ def _node_limit(node_budget: int) -> ResourceLimitError:
     return ResourceLimitError(f"search exceeded {node_budget} nodes; shrink x")
 
 
-def gwise_constrained_sum(
+def gwise_sum_with_count(
     k: int, x: int, fix_last_to_one: bool = False,
     node_budget: int = GWISE_NODE_BUDGET,
-) -> Fraction:
+) -> tuple[Fraction, int]:
     """Exact sum of 1/(a_1*...*a_v) over graph-wise coprime tuples under
-    the hyperbolic product constraints prod_{j in A_i} a_j <= x.
+    the hyperbolic product constraints prod_{j in A_i} a_j <= x, and its
+    tuple count (the search leaves; by the decomposition bijection the
+    brute tuple count, or with fix_last_to_one the gcd-1 count).
 
     With fix_last_to_one the all-ones part (the tuple gcd) is pinned to 1,
     which flips the sum from the plain to the coprime variant.  Read from
-    the kept range of (k, fix_last_to_one); raises ResourceLimitError iff
-    the direct search at x (`gwise_sum_with_count`) visits more than
-    `node_budget` nodes.
-
-    Equals the brute k-fold sums bit-exactly: that equality is the
-    decomposition identity the whole construction rests on.
+    the kept range of (k, fix_last_to_one); raises ResourceLimitError when
+    the search at x visits more than `node_budget` nodes, or when the
+    range build's tally would pass TALLY_BYTES.  The sum equals the brute
+    k-fold sums bit-exactly: that equality is the decomposition identity
+    the whole construction rests on.
     """
-    _check_gwise(k, x)
+    if k not in (2, 3):
+        raise ValueError("k must be 2 or 3")
+    if x < 1:
+        raise ValueError("x must be positive")
     pinned = bool(fix_last_to_one)
 
     def build(top: int) -> dict[tuple, _Range]:
@@ -608,10 +618,16 @@ def gwise_constrained_sum(
         return {("gwise", k, p): r for p, r in ranges.items()}
 
     r = _range_for(("gwise", k, pinned), x, build)
-    total, _leaves, nodes = r.rows[x]
+    total, leaves, nodes = r.rows[x]
     if nodes > node_budget:
         raise _node_limit(node_budget)
-    return Fraction(total, r.big)
+    return Fraction(total, r.big), leaves
+
+
+def gwise_constrained_sum(k: int, x: int, fix_last_to_one: bool = False,
+                          node_budget: int = GWISE_NODE_BUDGET) -> Fraction:
+    """The sum of `gwise_sum_with_count`, under the same refusals."""
+    return gwise_sum_with_count(k, x, fix_last_to_one, node_budget)[0]
 
 
 def _gwise_range(k: int, pinned: bool, top: int,
@@ -640,11 +656,12 @@ def _gwise_range(k: int, pinned: bool, top: int,
     search returns {True: pinned}.
     """
     _check_int64(k, top)
-    plan = _search_plan(k, pinned)
-    big = _lcm_upto(top)
     scale = top**k  # at least every lcm and every bucket's count
     # count columns: the whole search, and the pinned part of a plain one
     kinds = (True,) if pinned else (False, True)
+    _check_tally(len(kinds), top, scale)
+    plan = _search_plan(k, pinned)
+    big = _lcm_upto(top)
     nodes = np.zeros((len(kinds), top + 1), np.int64)
     nodes[:, 1] = 1  # the root
     leaves = _Tally(len(kinds), top, scale, big)
@@ -737,26 +754,18 @@ def _search_chunks(plan, top: int, pos: int, prods: np.ndarray, denom: np.ndarra
         yield from _search_chunks(plan, top, pos + 1, sub, denom[row] * a, kept, rest_a)
 
 
-def gwise_sum_with_count(
-    k: int, x: int, fix_last_to_one: bool = False,
-    node_budget: int = GWISE_NODE_BUDGET,
-) -> tuple[Fraction, int]:
-    """`gwise_constrained_sum` by a direct search at x, and the number of
-    tuples it summed (the search leaves), which the decomposition bijection
-    makes equal to the brute tuple count (with fix_last_to_one, the gcd-1
-    count).
-
-    Depth-first over the parts, assigning the most-constrained labels first
-    and pruning as soon as any partial constraint product exceeds x.  The
-    constraint products and each position's neighbour product are carried
-    down the recursion.  The last label's admissible parts are the leaves:
-    its parent filters them once for the neighbours above it, then sums and
-    counts them per child, each leaf counted as a node and a leaf.  Plain
-    Python ints, apart from the range builds, so the two routes share no
-    arithmetic.
+def _gwise_direct(k: int, x: int, pinned: bool) -> tuple[Fraction, int, int]:
+    """The sum, leaves and nodes of the constrained search at x, in plain
+    Python ints: the tests' reference for the range build, with which it
+    shares no arithmetic (only `_search_plan`).  Depth-first over the
+    parts, assigning the most-constrained labels first and pruning as soon
+    as any partial constraint product exceeds x.  The constraint products
+    and each position's neighbour product are carried down the recursion.
+    The last label's admissible parts are the leaves: its parent filters
+    them once for the neighbours above it, then sums and counts them per
+    child, each leaf counted as a node and a leaf.
     """
-    _check_gwise(k, x)
-    order, touching, earlier, pins = _search_plan(k, fix_last_to_one)
+    order, touching, earlier, pins = _search_plan(k, pinned)
     v = len(order)
     primes = sieve(x).primes.tolist() if x >= 2 else []
     big = _lcm_of_primes(x, primes)
@@ -773,9 +782,7 @@ def gwise_sum_with_count(
     # the product of the primes up to each leaf top met so far: the tops are
     # x // n, so there are at most 2 sqrt(x) of them
     primorials: dict[int, int] = {}
-    nodes = 0
-    total = 0
-    leaves = 0
+    nodes = total = leaves = 0
 
     def coprime(top: int, fixed: int) -> Sequence[int]:
         # a part must be coprime to every neighbour's part, so to their product
@@ -785,8 +792,6 @@ def gwise_sum_with_count(
     def dfs(pos: int, denom: int) -> None:
         nonlocal nodes, total, leaves
         nodes += 1
-        if nodes > node_budget:
-            raise _node_limit(node_budget)
         top = 1 if pins[pos] else x // max(acc[i] for i in touching[pos])
         parts = coprime(top, acc[k + pos])
         if pos < v - 2:
@@ -803,8 +808,6 @@ def gwise_sum_with_count(
         # once) and to a.  Only the primes of a up to that top can divide a
         # b, so parts a with the same gcd(a, primorial) have the same b
         nodes += len(parts)
-        if nodes > node_budget:
-            raise _node_limit(node_budget)
         leaf_top = x // acc[leaf_con]
         base = coprime(leaf_top, acc[leaf_fixed])
         primorial = primorials.get(leaf_top)
@@ -822,12 +825,9 @@ def gwise_sum_with_count(
             count, s = seen[key]
             total += s // a
             leaves += count
-            nodes += count
-            if nodes > node_budget:
-                raise _node_limit(node_budget)
 
     dfs(0, 1)
-    return Fraction(total, big), leaves
+    return Fraction(total, big), leaves, nodes + leaves
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,24 @@ def test_gwise_budget_counts_nodes(capsys):
     assert main(["gwise", "--k", "3", "--x", "10"]) == 0
 
 
+def test_gwise_command_reads_one_range_build(capsys, monkeypatch):
+    # both variants come from one plain build at x; the direct search is
+    # the tests' reference only
+    from lcmsum import oracle
+
+    builds, direct = [], []
+    build, search = oracle._gwise_range, oracle._gwise_direct
+    monkeypatch.setattr(oracle, "_RANGES", {})
+    monkeypatch.setattr(oracle, "_gwise_range",
+                        lambda *a: builds.append(a) or build(*a))
+    monkeypatch.setattr(oracle, "_gwise_direct",
+                        lambda *a: direct.append(a) or search(*a))
+    code, out = run_cli(capsys, "gwise", "--k", "3", "--x", "20")
+    assert code == 0 and "tuples=8000 " in out
+    assert builds == [(3, False, 20, oracle.GWISE_NODE_BUDGET)]
+    assert direct == []
+
+
 @pytest.mark.parametrize("argv", [["rho", "--digits", "-1"],
                                   ["constants", "--digits", "-2"]])
 def test_negative_digits_rejected_at_parse_time(argv):
@@ -365,6 +383,8 @@ def test_domain_error_exit_code(capsys):
 
 def test_resource_error_exit_code(capsys):
     assert main(["brute", "--k", "3", "--x", "10000"]) == 3
+    # inside the tuple budget, but its tally would take about 500 GiB
+    assert main(["brute", "--k", "1", "--x", "1000000"]) == 3
 
 
 def test_entry_point_subprocess():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -297,18 +298,32 @@ def test_floor_prefix_sums_refuse_lanes_past_their_bounds():
         [(1 << CERTIFIED_BITS) // top**2]
     with pytest.raises(ValueError, match="lane bound"):
         floor_prefix_sums(2, CERTIFIED_BITS, top, [top + 1])
-    # the leading limb w * 2**(bits % 32) must stay below 2**32
-    for bits, wmax in ((128, 2**32 - 1), (136, 2**24 - 1)):
-        w = np.arange(1, 11)  # w[i] weighs n = i + 1
-        w[-1] = wmax
-        assert floor_prefix_sums(1, bits, 1, [10], w) == \
-            _prefix_per_term(1, bits, 1, [10], w)
-        w[-1] = wmax + 1
-        with pytest.raises(ValueError, match="weights"):
-            floor_prefix_sums(1, bits, 1, [10], w)
+    # a weight must lie below 2**L for the limb width L of its chunk: 51
+    # bits up to n = 2**13, 37 at n = 2**26; weights in [2**32, 2**L) are
+    # exact, and 2**L is refused
+    for a, last, L in ((1, 10, 51), (top - 9, top, 37)):
+        for bits, j in ((128, 1), (136, 2), (CERTIFIED_BITS, 2)):
+            w = np.arange(1, last - a + 2)  # w[i] weighs n = a + i
+            w[3] = 2**32
+            w[-1] = 2**L - 1
+            marks = [a + 3, last]
+            assert floor_prefix_sums(j, bits, a, marks, w) == \
+                _prefix_per_term(j, bits, a, marks, w), (a, bits)
+            w[-1] = 2**L
+            with pytest.raises(ValueError, match=re.escape(f"[0, 2**{L})")):
+                floor_prefix_sums(j, bits, a, marks, w)
+    # the bound is the chunk's: 2**50 - 1 below n = 2**14, then 2**49 - 1
+    a, last = 2**14 - ZETA_CHUNK, 2**14 + 9
+    w = np.full(last - a + 1, 2**49 - 1)
+    w[:ZETA_CHUNK] = 2**50 - 1
+    assert floor_prefix_sums(2, 128, a, [2**14 - 1, last], w) == \
+        _prefix_per_term(2, 128, a, [2**14 - 1, last], w)
+    w[-1] = 2**49
+    with pytest.raises(ValueError, match="weights"):
+        floor_prefix_sums(2, 128, a, [last], w)
     w[-1] = -1
     with pytest.raises(ValueError, match="weights"):
-        floor_prefix_sums(1, 128, 1, [10], w)
+        floor_prefix_sums(1, 128, a, [last], w)
 
 
 #: every zeta(j, 2**-e) one `density` and one `constants` benchmark pass ask

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -342,7 +343,7 @@ def test_direct_search_sieves_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "sieve", counted)
     oracle._lcm_upto.cache_clear()
-    total, leaves = gwise_sum_with_count(2, 500)
+    total, leaves, _ = oracle._gwise_direct(2, 500, False)
     assert limits == [500]
     assert leaves == 500**2
     monkeypatch.undo()
@@ -350,9 +351,8 @@ def test_direct_search_sieves_once(monkeypatch):
 
 
 def test_gwise_budget_trips_before_any_large_table():
-    # the budget trips at the first leaf parent, before a leaf is summed:
-    # the search then holds lcm(1..x) and a sieve to x, not the products of
-    # the primes up to every n <= x (about 80 MB of them at 10**5)
+    # the range build at 10**5 would need a 7.42 GiB tally: it is refused
+    # before lcm(1..x), a sieve or any array is made
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError):
@@ -363,17 +363,59 @@ def test_gwise_budget_trips_before_any_large_table():
     assert peak <= 4 * 2**20, peak
 
 
+@pytest.mark.parametrize("call", [
+    lambda: gwise_constrained_sum(2, 10**5),
+    lambda: gwise_sum_with_count(2, 10**6, node_budget=10),
+    lambda: brute_sums(1, 10**6),
+], ids=["gwise-1e5", "gwise-1e6-budget-10", "brute-k1-1e6"])
+def test_range_builds_refuse_a_tally_past_its_byte_budget(call, monkeypatch):
+    # each tally would take from 7.42 GiB to 934 GiB; the refusal comes
+    # before lcm(1..x) or any array is made, at once and in little memory
+    def no_work(*args):
+        raise AssertionError("work started before the refusal")
+
+    monkeypatch.setattr(oracle, "_lcm_upto", no_work)
+    monkeypatch.setattr(oracle, "_RANGES", {})
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="tally"):
+            call()
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1, elapsed
+    assert peak < 4 * 2**20, peak
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tally_guard_never_undercounts_the_tally(k, monkeypatch):
+    # with the byte budget one below what `_Tally` allocates the guard
+    # refuses; its limbs, from log2 lcm(1..n) < 1.4988 n, are never fewer
+    # than the tally's, and it passes with a tenth and one limb column more
+    for top in (1, 2, 3, 10, 90, 256, 1000):
+        t = oracle._Tally(2, top, top**k, oracle._lcm_upto(top))
+        size = t.cols.nbytes + t.tallied.nbytes
+        monkeypatch.setattr(oracle, "TALLY_BYTES", size - 1)
+        with pytest.raises(ResourceLimitError, match="tally"):
+            oracle._check_tally(2, top, top**k)
+        monkeypatch.setattr(oracle, "TALLY_BYTES", size + size // 10 + 16 * top)
+        oracle._check_tally(2, top, top**k)
+
+
 @pytest.mark.parametrize("pinned", [False, True])
 @pytest.mark.parametrize("k, top", [(2, 256), (3, 64)])
 def test_range_answers_equal_the_direct_search(k, top, pinned):
-    # every x of one range against the direct search at x, value and leaves;
-    # the leaves also equal the brute range's tuple counts
+    # every x of one range against the direct search at x, value, leaves
+    # and nodes; the leaves also equal the brute range's tuple counts
     r = oracle._gwise_range(k, pinned, top, oracle.GWISE_NODE_BUDGET)[pinned]
     for x in range(1, top + 1):
-        value, count = gwise_sum_with_count(k, x, pinned)
-        total, leaves, _ = r.rows[x]
+        value, count, visited = oracle._gwise_direct(k, x, pinned)
+        total, leaves, nodes = r.rows[x]
         assert Fraction(total, r.big) == value, x
         assert leaves == count, x
+        assert nodes == visited, x
         b = brute_sums(k, x)
         assert count == (b.coprime_tuples if pinned else b.tuples), x
         assert value == (b.recip_coprime if pinned else b.recip), x
@@ -383,12 +425,13 @@ def test_range_answers_equal_the_direct_search(k, top, pinned):
 @pytest.mark.parametrize("k, top", [(2, 30), (3, 10)])
 def test_range_node_counts_are_the_direct_search_budget(k, top, pinned,
                                                         monkeypatch):
-    # the direct search at x visits exactly the range's nodes up to x: it
-    # passes with that many as its budget and fails with one fewer, and so
-    # does the range answer
+    # the direct search at x visits exactly the range's nodes up to x, and
+    # the range answers pass with that many as their budget and fail with
+    # one fewer
     rows = oracle._gwise_range(k, pinned, top, oracle.GWISE_NODE_BUDGET)[pinned].rows
     for x in range(1, top + 1):
         n = rows[x][2]
+        assert oracle._gwise_direct(k, x, pinned)[2] == n, x
         gwise_sum_with_count(k, x, pinned, node_budget=n)
         gwise_constrained_sum(k, x, pinned, node_budget=n)
         with pytest.raises(ResourceLimitError):
@@ -439,10 +482,10 @@ def test_bench_call_order_builds_plain_ranges_only(monkeypatch):
         for k, xmax in ((2, 20), (3, 8)):
             for x in range(1, xmax + 1):
                 assert gwise_constrained_sum(k, x, pinned) == \
-                    gwise_sum_with_count(k, x, pinned)[0], (k, x, pinned)
+                    oracle._gwise_direct(k, x, pinned)[0], (k, x, pinned)
     for pinned in (False, True):
         assert gwise_constrained_sum(3, 12, pinned) == \
-            gwise_sum_with_count(3, 12, pinned)[0], pinned
+            oracle._gwise_direct(3, 12, pinned)[0], pinned
     assert calls and all(not pinned for _, pinned, _ in calls)
     assert calls[-1] == (3, False, 16)
 
