@@ -17,9 +17,8 @@ for k in ks:
         p = L.build_polytope(kind, k)
         vol = L.volume_of(kind, k)
         print(f"  {kind:8s} dim {p.dim:2d}  vol = {vol}")
-    rep = L.volume_relations_check(k)
-    for rel in rep.relations:
-        print(f"  relation {rel.name}: {'ok' if rel.ok else 'VIOLATED'}")
+    for name, lhs, rhs in L.volume_relations_check(k):
+        print(f"  relation {name}: {'ok' if lhs == rhs else 'VIOLATED'}")
     assert L.volume_of("T", k) == L.ExactRational(1, factorial(2**k - 1))
     print()
 

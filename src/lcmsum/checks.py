@@ -92,11 +92,12 @@ def volumes_k4() -> CheckOutcome:
 
 
 def volume_relations() -> CheckOutcome:
-    reports = [volume_relations_check(k) for k in (2, 3, 4)]
-    ok = all(r.ok for r in reports)
-    detail = "; ".join(
-        f"k={r.k}:" + ("ok" if r.ok else str(r.failures())) for r in reports)
-    return ok, "cone relations for k=2,3,4", detail, "exact"
+    failed = {k: [f"{name} fails: {lhs} != {rhs}"
+                  for name, lhs, rhs in volume_relations_check(k) if lhs != rhs]
+              for k in (2, 3, 4)}
+    detail = "; ".join(f"k={k}:" + (", ".join(bad) or "ok")
+                       for k, bad in failed.items())
+    return not any(failed.values()), "cone relations for k=2,3,4", detail, "exact"
 
 
 def ieqs_goldens() -> CheckOutcome:

@@ -103,7 +103,7 @@ def cmd_rho(args):
         f"value={fraction_decimal(res.value.value, args.digits)}\n"
         f"abs_error={fraction_decimal(res.value.abs_error, args.digits + 4)}\n"
         f"primes_used={res.primes_used}\n"
-        f"acceleration_order={res.acceleration_order}\n"
+        f"acceleration_order={res.factorization.order}\n"
     ), 0
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .errors import ResourceLimitError
+from .errors import InvariantViolation, ResourceLimitError
 from .exactmath import factoring_limit, shared_sieve, stirling2
 
 #: subset enumeration of independent sets is refused above this many vertices
@@ -174,7 +174,7 @@ def local_factor_poly(g: Graph) -> tuple[int, ...]:
     Production route: expand sum_m i_m (1-x)^(v-m) x^m from the
     independent-set counts.  The value at 1/p is the density correction the
     graph imposes at the prime p; c_0 = 1, c_1 = 0, c_2 = -|E| always hold
-    and are asserted.
+    and are checked.
     """
     acc = expand_one_minus_x(independent_set_counts(g), g.v)
     _check_local_poly(acc, g.edge_count)
@@ -205,13 +205,12 @@ def local_factor_poly_by_edge_subsets(g: Graph) -> tuple[int, ...]:
 
 
 def _check_local_poly(coeffs: Sequence[int], edge_count: int) -> None:
-    assert coeffs[0] == 1
-    if len(coeffs) > 1:
-        assert coeffs[1] == 0
-    if len(coeffs) > 2:
-        assert coeffs[2] == -edge_count
-    elif edge_count:
-        raise AssertionError("nonzero edge count needs degree >= 2")
+    """c_0 = 1, c_1 = 0 and c_2 = -|E|, as far as the degree reaches (a graph
+    with an edge has two vertices, so its polynomial reaches c_2)."""
+    head = tuple(coeffs[:3])
+    if head != (1, 0, -edge_count)[:len(head)]:
+        raise InvariantViolation(
+            f"local polynomial starts {head}, expected (1, 0, {-edge_count})")
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,6 @@ class ZetaFactorization:
 
     order: int
     exponents: dict[int, int]
-    residual_series: tuple[Fraction, ...]
 
 
 def zeta_factorization(coeffs: Sequence[int], order: int = DEFAULT_ORDER) -> ZetaFactorization:
@@ -110,7 +109,7 @@ def zeta_factorization(coeffs: Sequence[int], order: int = DEFAULT_ORDER) -> Zet
     b_n must come out an integer (the polynomial has integer coefficients
     and constant term 1); a non-integer aborts loudly.  The residual series
     is then recomputed by direct multiplication and required to be exactly
-    1 + O(x^(order+1)).
+    1 + O(x^(order+1)), so only the exponents are kept.
     """
     if not coeffs or coeffs[0] != 1:
         raise ValueError("polynomial must have constant term 1")
@@ -128,13 +127,12 @@ def zeta_factorization(coeffs: Sequence[int], order: int = DEFAULT_ORDER) -> Zet
             raise ArithmeticError(f"non-integer factorization exponent b_{n} = {bn}")
         if bn:
             b[n] = int(bn)
-    residual = [Fraction(c) for c in coeffs] + [Fraction(0)] * max(0, order + 1 - len(coeffs))
-    residual = residual[: order + 1]
+    residual = list(coeffs[: order + 1])
     for j, bj in b.items():
         residual = _series_mul(residual, _geometric_factor(j, bj, order), order)
     if residual[0] != 1 or any(residual[1:]):
         raise ArithmeticError("residual series is not 1 + O(x^(order+1))")
-    return ZetaFactorization(order=order, exponents=b, residual_series=tuple(residual))
+    return ZetaFactorization(order=order, exponents=b)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +144,6 @@ class EulerProductResult:
     value: BoundedReal
     primes_used: int
     prime_cutoff: int
-    acceleration_order: int
     factorization: ZetaFactorization
     tail_bound: Fraction
 
@@ -207,8 +204,8 @@ def _euler_product_cached(
     if all(c == 0 for c in coeffs[1:]):
         if coeffs[0] != 1:
             raise ValueError("polynomial must have constant term 1")
-        fz = ZetaFactorization(order, {}, (Fraction(1),))
-        return EulerProductResult(BoundedReal.exact(1, bits), 0, 0, order, fz, Fraction(0))
+        return EulerProductResult(BoundedReal.exact(1, bits), 0, 0,
+                                  ZetaFactorization(order, {}), Fraction(0))
 
     fz = zeta_factorization(coeffs, order)
     b = fz.exponents
@@ -287,7 +284,7 @@ def _euler_product_cached(
             f"{float(target):.3e}", achieved=total.abs_error)
     return EulerProductResult(
         value=total, primes_used=len(primes), prime_cutoff=p_cut,
-        acceleration_order=order, factorization=fz, tail_bound=t1)
+        factorization=fz, tail_bound=t1)
 
 
 def _as_coeffs(g_or_coeffs: PolyLike) -> tuple[int, ...]:

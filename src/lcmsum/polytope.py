@@ -39,7 +39,7 @@ product is about 2**28.5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -94,14 +94,12 @@ class EhrhartSamples:
 
     `bounds` are the certified bounds of `period_bounds`; `counts` are the
     closed counts L(0), L(1), ...; `interior_counts` are the interior point
-    counts of the `interior_dilates` 1, 2, ..., which by reciprocity are
-    (-1)**dim times the counting function at -1, -2, ...
+    counts of the dilates 1, 2, ..., which by reciprocity are (-1)**dim
+    times the counting function at -1, -2, ...
     """
 
     bounds: tuple[int, ...]
     counts: tuple[int, ...]
-    stabilized: bool
-    interior_dilates: tuple[int, ...] = ()
     interior_counts: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -113,11 +111,6 @@ class EhrhartSamples:
             raise ValueError("L(0) must be 1")
         if any(b < a for a, b in zip(self.counts, self.counts[1:])):
             raise ValueError("counts must be non-decreasing")
-        if len(self.interior_dilates) != len(self.interior_counts):
-            raise ValueError("one interior count per interior dilate")
-        if any(b <= a for a, b in zip((0,) + self.interior_dilates,
-                                      self.interior_dilates)):
-            raise ValueError("interior dilates must be positive and increasing")
         if any(c < 0 for c in self.interior_counts):
             raise ValueError("interior counts must be non-negative")
         if any(b < a for a, b in zip(self.interior_counts, self.interior_counts[1:])):
@@ -403,12 +396,12 @@ def ehrhart_data(p: HyperbolicPolytope) -> tuple[Fraction, EhrhartSamples]:
     """
     v = p.dim
     if v == 0:
-        return Fraction(1), EhrhartSamples((), (1,), True)
+        return Fraction(1), EhrhartSamples((), (1,))
     bounds = period_bounds(p)
     ns, inner = _sample_window(p, bounds)
     counts = lattice_counts(p, ns, interior=inner)
-    samples = EhrhartSamples(bounds, tuple(counts[:len(ns)]), False,
-                             tuple(inner), tuple(counts[len(ns):]))
+    samples = EhrhartSamples(bounds, tuple(counts[:len(ns)]),
+                             tuple(counts[len(ns):]))
     sign = (-1) ** v
     points = ([(-n, Fraction(sign * c)) for n, c in
                zip(reversed(inner), reversed(samples.interior_counts))]
@@ -423,7 +416,7 @@ def ehrhart_data(p: HyperbolicPolytope) -> tuple[Fraction, EhrhartSamples]:
         raise PeriodDetectionError(
             f"degenerate leading coefficient {vol} under period bounds {bounds}",
             samples=samples)
-    return vol, replace(samples, stabilized=True)
+    return vol, samples
 
 
 def ehrhart_volume(p: HyperbolicPolytope) -> Fraction:
@@ -436,32 +429,9 @@ def volume_of(kind: str, k: int) -> Fraction:
     return ehrhart_volume(build_polytope(kind, k))
 
 
-@dataclass(frozen=True)
-class VolumeRelation:
-    name: str
-    lhs: Fraction
-    rhs: Fraction
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs == self.rhs
-
-
-@dataclass(frozen=True)
-class VolumeRelationsReport:
-    k: int
-    relations: tuple[VolumeRelation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.relations)
-
-    def failures(self) -> list[VolumeRelation]:
-        return [r for r in self.relations if not r.ok]
-
-
-def volume_relations_check(k: int) -> VolumeRelationsReport:
-    """Cone relations tying the dropped-coordinate volumes together, bit-exact.
+def volume_relations_check(k: int) -> tuple[tuple[str, Fraction, Fraction], ...]:
+    """Cone relations tying the dropped-coordinate volumes together, as
+    (name, lhs, rhs) triples that hold when lhs == rhs, bit-exact.
 
     vol(D) = vol(D_star) / (2**k - 1): the all-ones coordinate sits in every
     constraint, so integrating it out scales by 1/dim(D).  Likewise
@@ -469,17 +439,12 @@ def volume_relations_check(k: int) -> VolumeRelationsReport:
     """
     if not (2 <= k <= 4):
         raise ValueError("k must be between 2 and 4")
-    rel1 = VolumeRelation(
-        "vol(D) == vol(D_star)/(2**k-1)",
-        volume_of("D", k),
-        volume_of("D_star", k) / (2**k - 1),
+    return (
+        ("vol(D) == vol(D_star)/(2**k-1)",
+         volume_of("D", k), volume_of("D_star", k) / (2**k - 1)),
+        ("vol(D_star2) == vol(D_star3)/(2**k-k-1)",
+         volume_of("D_star2", k), volume_of("D_star3", k) / (2**k - k - 1)),
     )
-    rel2 = VolumeRelation(
-        "vol(D_star2) == vol(D_star3)/(2**k-k-1)",
-        volume_of("D_star2", k),
-        volume_of("D_star3", k) / (2**k - k - 1),
-    )
-    return VolumeRelationsReport(k=k, relations=(rel1, rel2))
 
 
 # ---------------------------------------------------------------------------

@@ -436,6 +436,27 @@ def test_verify_battery_globals_resolve():
                     f"check {name!r} references undefined global {g!r}"
 
 
+def test_volume_relations_row_passes_with_its_pinned_text():
+    from lcmsum.checks import volume_relations
+
+    assert volume_relations() == (True, "cone relations for k=2,3,4",
+                                  "k=2:ok; k=3:ok; k=4:ok", "exact")
+
+
+def test_volume_relations_row_names_the_failing_relation(monkeypatch):
+    from lcmsum import polytope
+    from lcmsum.checks import volume_relations
+
+    exact = polytope.volume_of
+    monkeypatch.setattr(polytope, "volume_of", lambda kind, k: exact(kind, k)
+                        + (1 if (kind, k) == ("D_star3", 3) else 0))
+    ok, _, actual, _ = volume_relations()
+    assert not ok
+    # vol(D_star3) at k = 3 is 1/4, so the skewed one is 5/4 and 5/4 / 4 = 5/16
+    assert actual == ("k=2:ok; k=3:vol(D_star2) == vol(D_star3)/(2**k-k-1) "
+                      "fails: 1/16 != 5/16; k=4:ok")
+
+
 def test_verify_json_schema_and_order(capsys):
     code, out = run_cli(capsys, "verify", "--budget", "20", "--format", "json")
     rows = json.loads(out)

@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, strategies as st
 from lcmsum import reference
 from lcmsum.coprimality import (
     Graph,
+    _check_local_poly,
     build_coprimality_graph,
     constraint_family,
     decompose_tuple,
@@ -19,7 +22,7 @@ from lcmsum.coprimality import (
     local_factor_poly_by_edge_subsets,
     stirling_ism_counts,
 )
-from lcmsum.errors import ResourceLimitError
+from lcmsum.errors import InvariantViolation, ResourceLimitError
 
 
 def triangle():
@@ -172,6 +175,24 @@ def test_edge_subset_budget_guard():
     g = build_coprimality_graph(4)  # 55 edges
     with pytest.raises(ResourceLimitError):
         local_factor_poly_by_edge_subsets(g)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0, -2, 2), (2, 0, -3, 2), (1, 1, -3, 2)])
+def test_local_poly_check_refuses_a_wrong_head(coeffs):
+    # the triangle's polynomial is (1, 0, -3, 2): three edges give c_2 = -3
+    _check_local_poly((1, 0, -3, 2), 3)
+    with pytest.raises(InvariantViolation, match=r"expected \(1, 0, -3\)"):
+        _check_local_poly(coeffs, 3)
+
+
+def test_local_poly_check_survives_optimized_mode():
+    # `python -O` strips assert statements, not this check
+    code = ("from lcmsum.coprimality import _check_local_poly\n"
+            "_check_local_poly((1, 0, -2, 2), 3)")
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True)
+    assert out.returncode != 0
+    assert "InvariantViolation" in out.stderr
 
 
 # ---------------------------------------------------------------------------

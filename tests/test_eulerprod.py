@@ -25,9 +25,25 @@ from lcmsum.oracle import leading_constants
 
 def test_factorization_of_k2_polynomial():
     fz = zeta_factorization(reference.LOCAL_POLY[2], order=12)
+    assert fz.order == 12
     assert fz.exponents == {2: 1}
-    assert fz.residual_series[0] == 1
-    assert all(c == 0 for c in fz.residual_series[1:])
+
+
+def test_factorization_residual_check_sees_a_corrupt_factor(monkeypatch):
+    # the exponents come from the formal logarithm alone, so only the
+    # residual check multiplies the factors back and can see a wrong one
+    exact = eulerprod._geometric_factor
+
+    def corrupt(j, bj, deg):
+        out = exact(j, bj, deg)
+        if j == 2:
+            out[deg] += 1
+        return out
+
+    monkeypatch.setattr(eulerprod, "_geometric_factor", corrupt)
+    with pytest.raises(ArithmeticError,
+                       match=r"residual series is not 1 \+ O\(x\^\(order\+1\)\)"):
+        zeta_factorization(reference.LOCAL_POLY[3], order=12)
 
 
 def test_factorization_exponents_are_integers_k34():
