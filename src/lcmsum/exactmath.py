@@ -10,14 +10,18 @@ Everything downstream leans on four guarantees provided here:
   up to their limit and support factoring up to limit**2;
 * zeta values come with a certified absolute error from a bracketed
   integral tail bound; the partial sum is an exact floor sum, vectorised
-  over n as uint64 limbs as wide as the lanes allow (51 bits for n below
-  2**13, 40 below 2**24).  Only odd m are divided: the term of n = 2**e * m
-  is the odd term shifted right by j*e, so one kept entry per (j, dyadic
-  block of odd m) holds the block's sum at every level e.  The divisions
-  are one helper, `_quotient_limbs`; `floor_prefix_sums` runs it over
-  every n with optional integer weights and returns prefix sums at many
-  marks, and the k=2 totient route of `oracle` sums its harmonic numbers
-  and block weights with it.
+  over n as uint64 limbs as wide as the lanes allow (49 bits for odd m
+  below 2**15, 40 below 2**24).  Only odd m are divided: the term of
+  n = 2**e * m is the odd term shifted right by j*e, so one kept entry per
+  (j, dyadic block of odd m) holds the block's sum at every level e.  The
+  divisions are one helper, `_quotient_limbs`, which divides in place: the
+  caller allocates one set of limb rows per call, and each step writes the
+  quotient limbs over the dividend rows it has read.  Each loop has its
+  own lane count: the zeta level sums step through ZETA_ODD_CHUNK = 2**14
+  odd m, and `floor_prefix_sums` through ZETA_CHUNK = 2**12 n with
+  optional integer weights, returning prefix sums at many marks; the k=2
+  totient route of `oracle` sums its harmonic numbers and block weights
+  with it.
 """
 
 from __future__ import annotations
@@ -48,10 +52,15 @@ MAX_SIEVE_LIMIT = 10**8
 #: refuse zeta partial sums longer than this (raise PrecisionError instead)
 ZETA_MAX_TERMS = 1 << 26
 
-#: n per vectorised step of the floor sums (32 KB per uint64 array).  A
+#: n per vectorised step of `floor_prefix_sums` (32 KB per uint64 row).  A
 #: chunk's limbs have L = 64 - max(bitlen(stop), bitlen(ZETA_CHUNK)) bits, so
-#: its limb column sums stay below ZETA_CHUNK * 2**L <= 2**64
+#: its limb rows sum below ZETA_CHUNK * 2**L <= 2**64
 ZETA_CHUNK = 1 << 12
+
+#: odd m per vectorised step of the zeta level sums (128 KB per uint64 row);
+#: their limbs have L = 64 - max(bitlen(stop), 15) bits, so a row sums below
+#: 2**63
+ZETA_ODD_CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -381,54 +390,87 @@ def stirling2(k: int, m: int) -> int:
 # Certified zeta values
 # ---------------------------------------------------------------------------
 
-def _quotient_limbs(n: np.ndarray, j: int, bits: int,
-                    wn=None) -> tuple[int, list[np.ndarray]] | None:
-    """floor(wn * 2**bits / n**j) for each lane of n as L-bit limb columns.
+def _limb_width(stop: int, lanes: int) -> int:
+    """L = 64 - max(bitlen(stop), bitlen(lanes)): a remainder r < n <= stop
+    shifted by L bits stays below 2**64, and a row of `lanes` L-bit limbs
+    sums below 2**64."""
+    return 64 - max(stop.bit_length(), lanes.bit_length())
 
-    n is an ascending uint64 array of at most ZETA_CHUNK lanes and wn their
-    non-negative weights (1 when None), which must lie below 2**L.  The
-    numerator is held as L-bit limbs, L = 64 - max(bitlen(n[-1]),
-    bitlen(ZETA_CHUNK)), most significant first, so each weight fills at
-    most the two leading limbs, and divided j times by n one limb at a time
-    (floor(floor(x/m)/n) = floor(x/(m*n))): every remainder r < n, so
-    (r << L) | limb < 2**64, and a column of the quotient limbs sums below
-    ZETA_CHUNK * 2**L <= 2**64.  Returns (L, limbs), limbs[i] weighing
-    2**(L*(len(limbs) - 1 - i)), or None when every quotient is zero, as it
-    then is for every larger n with no larger weight.
+
+def _limb_rows(lo: int, hi: int, lanes: int, bits: int,
+               wmax: int = 1) -> np.ndarray:
+    """The uint64 rows `_quotient_limbs` divides in for lo <= n <= hi,
+    `lanes` n at a time, with weights up to wmax: the limbs of the largest
+    first quotient, floor(wmax * 2**bits / lo), at the narrowest width
+    L = `_limb_width(hi, lanes)` (at least the two rows the weights need),
+    then the remainder."""
+    qtop = (((wmax << bits) // lo).bit_length() - 1) // _limb_width(hi, lanes)
+    return np.empty((max(qtop, 1) + 2, lanes), np.uint64)
+
+
+def _quotient_limbs(n: np.ndarray, j: int, bits: int, L: int,
+                    rows: np.ndarray, wn=None) -> int | None:
+    """floor(wn * 2**bits / n**j) for each lane of n as L-bit limb rows,
+    computed in place in the caller's `rows`.
+
+    n is an ascending uint64 array with L + bitlen(n[-1]) <= 64 and wn
+    their non-negative weights (1 when None), which must lie below 2**L.
+    rows holds len(n) lanes (a view of the caller's longer buffer is fine)
+    and the rows `_limb_rows` gives for a range that holds n at this L or
+    a narrower one; the last is the remainder, which the caller may use as
+    scratch after the call.  The numerator is held as L-bit limbs, most
+    significant first, so each weight fills at most the two leading limbs,
+    rows 0 and 1 (the limbs of a numerator 2**bits are scalars), and
+    divided j times by n one limb at a time (floor(floor(x/m)/n) =
+    floor(x/(m*n))): every remainder r < n, so (r << L) | limb < 2**64.
+    Each step writes quotient limb i over row i, only after it has read
+    row i + (h - qtop) >= i, so nothing is allocated.  Returns h with
+    rows[i] weighing 2**(L*(h - i)) for i <= h, or None when every
+    quotient is zero, as it then is for every larger n with no larger
+    weight.  The lane count is the caller's: `floor_prefix_sums` steps
+    through ZETA_CHUNK n, `_odd_level_sums` through ZETA_ODD_CHUNK odd m,
+    and each picks L = `_limb_width` of its own lane count so that its row
+    sums fit.
     """
     start = int(n[0])
-    L = 64 - max(int(n[-1]).bit_length(), ZETA_CHUNK.bit_length())
     wmax = 1 if wn is None else int(wn.max())
     if wmax >> L:
         raise ValueError(f"weights must lie in [0, 2**{L}) up to n = {n[-1]}")
+    r = rows[-1]
     # limbs[i] weighs 2**(L*(h - i)); wn << (bits % L) may span the two
     # leading limbs, and a scalar limb is the same for every n
     s = bits % L
     if wn is None:
-        lead = [np.uint64(0), np.uint64(1 << s)]
+        lead = [0, 1 << s]
     else:
-        wn = wn.astype(np.uint64)
-        lead = [wn >> np.uint64(L - s),
-                (wn << np.uint64(s)) & np.uint64((1 << L) - 1)]
+        np.copyto(r, wn, casting="unsafe")
+        np.right_shift(r, L - s, out=rows[0])
+        np.left_shift(r, s, out=rows[1])
+        np.bitwise_and(rows[1], (1 << L) - 1, out=rows[1])
+        lead = [rows[0], rows[1]]
     h = bits // L + 1
-    limbs = lead + [np.uint64(0)] * (h - 1)
+    limbs = lead + [0] * (h - 1)
     for k in range(1, j + 1):
         # every quotient of this step is at most bound, so its limbs above
-        # qtop are zero: the dividend's limbs above qtop form a number
+        # qtop are zero: the dividend's d limbs above qtop form a number
         # below n, which is the remainder they leave
         bound = (wmax << bits) // start**k
         if bound == 0:
             return None
         qtop = (bound.bit_length() - 1) // L
-        r = np.zeros_like(n)
-        for limb in limbs[:h - qtop]:
-            r = (r << L) | limb
-        quotients = []
-        for limb in limbs[h - qtop:]:
-            q, r = np.divmod((r << L) | limb, n)
-            quotients.append(q)
-        limbs, h = quotients, qtop
-    return L, limbs
+        if qtop + 2 > len(rows):
+            raise ValueError(f"{len(rows)} rows hold no {qtop + 1} limbs "
+                             "and a remainder")
+        d = h - qtop
+        np.copyto(r, limbs[0])
+        for t in range(h + 1):
+            if t:
+                np.left_shift(r, L, out=r)
+                np.bitwise_or(r, limbs[t], out=r)
+            if t >= d:  # limb t - d was read d steps ago
+                np.divmod(r, n, out=(rows[t - d], r))
+        limbs, h = rows, qtop
+    return h
 
 
 def floor_prefix_sums(j: int, bits: int, a: int, marks: Sequence[int],
@@ -438,10 +480,11 @@ def floor_prefix_sums(j: int, bits: int, a: int, marks: Sequence[int],
     w[i] weighs n = a + i, so w needs no entries below a (w_n = 1 when w
     is None).
 
-    Each chunk of ZETA_CHUNK consecutive n is divided by `_quotient_limbs`.
-    Each limb column is then summed, or prefix-summed in a chunk that holds
-    marks, and the columns are recombined as Python ints.  At n near 2**24,
-    2**160 is four 40-bit limbs, and j = 2 takes 7 divmods per n.
+    Each chunk of ZETA_CHUNK consecutive n is divided by `_quotient_limbs`
+    in one set of limb rows allocated for the call.  Each limb row is then
+    summed, or prefix-summed in a chunk that holds marks, and the rows are
+    recombined as Python ints.  At n near 2**24, 2**160 is four 40-bit
+    limbs, and j = 2 takes 7 divmods per n.
     The input contract is n <= ZETA_MAX_TERMS and 0 <= w_n < 2**L for the
     L of the chunk that holds n (L >= 37 up to ZETA_MAX_TERMS), so that the
     leading limbs of w_n * 2**bits are L-bit limbs; inputs past either are
@@ -458,29 +501,33 @@ def floor_prefix_sums(j: int, bits: int, a: int, marks: Sequence[int],
         wmax = int(w[:last - a + 1].max())
         if w[:last - a + 1].min() < 0:
             raise ValueError("weights must be non-negative")
+    rows = _limb_rows(a, last, ZETA_CHUNK, bits, wmax)
+    n = np.arange(a, a + ZETA_CHUNK, dtype=np.uint64)
     total = 0
     for start in range(a, last + 1, ZETA_CHUNK):
         if wmax << bits < start**j:  # every quotient from here on is zero
             break
+        if start > a:
+            n += ZETA_CHUNK
         stop = min(last, start + ZETA_CHUNK - 1)
-        n = np.arange(start, stop + 1, dtype=np.uint64)
-        quotients = _quotient_limbs(
-            n, j, bits, None if w is None else w[start - a:stop - a + 1])
-        if quotients is None:  # every quotient of this chunk is zero
+        m = stop - start + 1
+        L = _limb_width(stop, ZETA_CHUNK)
+        h = _quotient_limbs(n[:m], j, bits, L, rows[:, :m],
+                            None if w is None else w[start - a:stop - a + 1])
+        if h is None:  # every quotient of this chunk is zero
             continue
-        L, limbs = quotients
-        h = len(limbs) - 1
         # marks before the chunk read the total so far, marks inside it add
-        # its column prefixes; a mark at its end waits for the total
+        # its row prefixes; a mark at its end waits for the total
         inside = bisect.bisect_left(marks, start, len(out))
         end = bisect.bisect_left(marks, stop, inside)
         out += [total] * (end - len(out))
         if end > inside:
             idx = np.array(marks[inside:end], dtype=np.int64) - start
-        for i, q in enumerate(limbs):
+        for i, q in enumerate(rows[:h + 1, :m]):
             shift = L * (h - i)
             if end > inside:
-                for o, c in enumerate(np.cumsum(q)[idx].tolist(), inside):
+                prefix = np.cumsum(q, out=rows[-1, :m])
+                for o, c in enumerate(prefix[idx].tolist(), inside):
                     out[o] += c << shift
             total += int(q.sum()) << shift
     return out + [total] * (len(marks) - len(out))
@@ -492,21 +539,26 @@ def _odd_level_sums(j: int, lo: int, hi: int, top: int) -> list[int]:
 
     floor(2**bits / (2**e * m)**j) = floor(q_m / 2**(j*e)) with
     q_m = floor(2**bits / m**j), so `_quotient_limbs` divides each odd m
-    once, in chunks of ZETA_CHUNK lanes, and every level is shifted out of
-    the same limbs: over a chunk, sum floor(q / 2**s) =
-    (sum q - sum (q mod 2**s)) >> s, where sum q is the column sums and
-    sum (q mod 2**s) the columns of the limbs below bit s plus one masked
-    sum of the limb that holds bit s.
+    once, ZETA_ODD_CHUNK lanes at a time in one set of limb rows allocated
+    for the call, and every level is shifted out of the same limbs: over a
+    chunk, sum floor(q / 2**s) = (sum q - sum (q mod 2**s)) >> s, where
+    sum q is the row sums and sum (q mod 2**s) the rows of the limbs below
+    bit s plus one masked sum of the limb that holds bit s.
     """
     sums = [0] * (top + 1)
-    for start in range(lo, hi + 1, 2 * ZETA_CHUNK):
-        stop = min(hi, start + 2 * ZETA_CHUNK - 2)
-        quotients = _quotient_limbs(
-            np.arange(start, stop + 1, 2, dtype=np.uint64), j, CERTIFIED_BITS)
-        if quotients is None:  # here and in every later chunk
+    lanes = ZETA_ODD_CHUNK
+    rows = _limb_rows(lo, hi, lanes, CERTIFIED_BITS)
+    n = np.arange(lo, lo + 2 * lanes, 2, dtype=np.uint64)
+    for start in range(lo, hi + 1, 2 * lanes):
+        if start > lo:
+            n += 2 * lanes
+        stop = min(hi, start + 2 * lanes - 2)
+        m = (stop - start) // 2 + 1
+        L = _limb_width(stop, lanes)
+        h = _quotient_limbs(n[:m], j, CERTIFIED_BITS, L, rows[:, :m])
+        if h is None:  # here and in every later chunk
             break
-        L, limbs = quotients
-        h = len(limbs) - 1
+        limbs, scratch = rows[:h + 1, :m], rows[-1, :m]
         cols = [int(q.sum()) for q in limbs]
         total = sum(c << L * (h - i) for i, c in enumerate(cols))
         for e in range(top + 1):
@@ -519,7 +571,8 @@ def _odd_level_sums(j: int, lo: int, hi: int, top: int) -> list[int]:
                 if t + L <= s:
                     low += c << t
                 elif t < s:
-                    low += int((q & np.uint64((1 << s - t) - 1)).sum()) << t
+                    masked = np.bitwise_and(q, (1 << s - t) - 1, out=scratch)
+                    low += int(masked.sum()) << t
             sums[e] += (total - low) >> s
     return sums
 

@@ -16,6 +16,7 @@ from lcmsum.exactmath import (
     CERTIFIED_BITS,
     ZETA_CHUNK,
     ZETA_MAX_TERMS,
+    ZETA_ODD_CHUNK,
     BoundedReal,
     SurdRatio,
     factoring_limit,
@@ -194,8 +195,9 @@ def _floor_sum_per_term(j, a, b):
 @pytest.mark.parametrize("j", [*range(2, 14), 40])
 def test_floor_sum_equals_per_term_loop(j):
     # the zeta sums at every N = 2**B <= 2**16: blocks of one odd lane
-    # (b = 0, 2), of none (b = 1), of one whole odd chunk (b = 14) and of
-    # several (b = 15, 16)
+    # (b = 0, 2), of none (b = 1), of part of an odd chunk (b = 3..15) and
+    # of one whole one (b = 16); blocks of several chunks are the odd-level
+    # tests' windows
     total = 0
     for B in range(17):
         total += _floor_sum_per_term(j, 2**B // 2 + 1, 2**B)
@@ -265,21 +267,41 @@ def test_floor_prefix_sums_where_the_limb_width_changes(j, bits):
 
 @pytest.mark.parametrize("j", [2, 3, 13])
 def test_odd_level_sums_where_the_limb_width_changes(j):
-    # an odd chunk is ZETA_CHUNK odd lanes from lo; in each window the
-    # second chunk's stop is the first past 2**e, where the limb width
-    # drops by one, and the last window ends the last block at
-    # ZETA_MAX_TERMS.  Level e divides each m once and shifts; the kernel
-    # divides 2**(bits - j*e) by every odd m itself (odd weights 1, even 0)
-    c = 2 * ZETA_CHUNK
+    # an odd chunk is ZETA_ODD_CHUNK odd lanes from lo, c n wide; its limbs
+    # are 64 - max(bitlen(stop), bitlen(ZETA_ODD_CHUNK)) bits wide, so the
+    # width drops by one where a stop first passes 2**e, e >= 15.  In each
+    # window the second chunk's stop is that one, a third, short chunk
+    # follows, and the last window ends the last block at ZETA_MAX_TERMS
+    # after a full chunk.  Level e divides each m once and shifts; the
+    # kernel divides 2**(bits - j*e) by every odd m itself (odd weights 1,
+    # even 0)
+    c = 2 * ZETA_ODD_CHUNK
     top = ZETA_MAX_TERMS.bit_length() - 1
-    windows = [(max(1, 2**e - c - 3), 2**e + c + 1, top - e)
-               for e in (13, 17, 20, 24)]
-    windows.append((ZETA_MAX_TERMS - 17999, ZETA_MAX_TERMS - 1, 0))
+    first = ZETA_ODD_CHUNK.bit_length() + 1
+    windows = [(2**e - c - 3, 2**e + c + 1, top - e)
+               for e in (first, first + 1, 20, 24)]
+    windows.append((ZETA_MAX_TERMS - c - 17999, ZETA_MAX_TERMS - 1, 0))
     for lo, hi, levels in windows:
         odd = np.arange(lo, hi + 1) & 1
         expect = [floor_prefix_sums(j, CERTIFIED_BITS - j * e, lo, [hi], odd)[0]
                   if j * e <= CERTIFIED_BITS else 0 for e in range(levels + 1)]
         assert exactmath._odd_level_sums(j, lo, hi, levels) == expect, lo
+
+
+@pytest.mark.parametrize("j", [2, 13])
+def test_odd_level_sums_after_a_full_chunk_read_a_short_one(j):
+    # a full odd chunk, then a short one divided in the same rows: the
+    # short chunk reads its lanes through views, never the lanes the full
+    # one left behind, and the first window's short chunk has narrower
+    # limbs (48 bits after 49).  At j = 13 every quotient of the short
+    # chunk is zero, so there the walk stops after the full one
+    c = 2 * ZETA_ODD_CHUNK
+    one = 1 << CERTIFIED_BITS
+    for lo, short in ((1, 7), (2**20 - c + 1, 2501)):
+        hi = lo + c + 2 * (short - 1)
+        expect = [sum(one // (2**e * m)**j for m in range(lo, hi + 1, 2))
+                  for e in range(5)]
+        assert exactmath._odd_level_sums(j, lo, hi, 4) == expect, lo
 
 
 def test_floor_prefix_sums_stop_where_every_quotient_is_zero():
