@@ -182,15 +182,22 @@ def euler_product(
     Preconditions checked along the way: Q(1/p) > 0 for every prime below
     the cutoff (the enclosure of each local factor must be positive), and
     past the cutoff positivity follows from the remainder bound.  Raises
-    PrecisionError if the final enclosure is wider than target_error.
+    PrecisionError if the final enclosure is wider than target_error, and
+    ValueError for an empty polynomial or a non-positive order or cutoff.
     Enclosures carry CERTIFIED_BITS, the precision of the zeta values they
     use.  Results are cached (the computation is pure).
     """
     target = Fraction(target_error)
     if target <= 0:
         raise ValueError("target_error must be positive")
-    return _euler_product_cached(
-        tuple(int(c) for c in coeffs), target, order, prime_cutoff)
+    coeffs = tuple(int(c) for c in coeffs)
+    if not coeffs:
+        raise ValueError("polynomial must not be empty")
+    if order < 1:
+        raise ValueError("order must be positive")
+    if prime_cutoff is not None and prime_cutoff < 1:
+        raise ValueError("prime_cutoff must be positive")
+    return _euler_product_cached(coeffs, target, order, prime_cutoff)
 
 
 @lru_cache(maxsize=64)

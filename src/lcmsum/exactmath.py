@@ -247,7 +247,7 @@ class SurdRatio:
         for p, e in shared_sieve(factoring_limit(self.root)).factor(self.root):
             r *= p ** (e % 2)
             q *= p ** (e // 2)
-        object.__setattr__(self, "rational", self.rational / q)
+        object.__setattr__(self, "rational", Fraction(self.rational) / q)
         object.__setattr__(self, "root", r)
 
     @property

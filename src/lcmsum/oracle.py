@@ -26,7 +26,8 @@ tuples, and the constrained search makes one leaf per S_k orbit,
 weighted by the orbit's size; at X = 90 the k = 3 constrained search
 tallies 125,580 such leaves (for its 729,000 tuples), four limbs each.
 The brute product sum is summed per bucket in int64 too.  The tests check
-the constrained range against `_gwise_direct`, a plain-Python search.
+both range builds against plain-Python loops; the constrained search's
+loop shares only `_search_plan` with its build.
 
 Both the brute sums and the constrained sums answer from a whole-range
 result: one search at X buckets each brute tuple by its largest entry and
@@ -94,28 +95,18 @@ FAST_S2_BITS = 96
 
 @lru_cache(maxsize=32)
 def _lcm_upto(x: int) -> int:
-    """lcm(1..x).  The primes come from a table of their own, not
-    `shared_sieve`, whose entries serve factoring."""
-    return _lcm_of_primes(x, sieve(x).primes.tolist() if x >= 2 else [])
-
-
-def _lcm_of_primes(x: int, primes: list[int]) -> int:
-    """lcm(1..x) from the primes p <= x: the product of p**floor(log_p x),
-    multiplied pairwise up a product tree."""
+    """lcm(1..x): the product of p**floor(log_p x) over the primes p <= x,
+    multiplied pairwise up a product tree.  The primes come from a table of
+    their own, not `shared_sieve`, whose entries serve factoring."""
     powers = []
-    for p in primes:
+    for p in sieve(x).primes.tolist() if x >= 2 else []:
         q = p
         while q * p <= x:
             q *= p
         powers.append(q)
-    return _product(powers)
-
-
-def _product(factors: list[int]) -> int:
-    """The product of the factors, multiplied pairwise up a product tree."""
-    while len(factors) > 1:
-        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
-    return factors[0] if factors else 1
+    while len(powers) > 1:
+        powers = [math.prod(powers[i:i + 2]) for i in range(0, len(powers), 2)]
+    return powers[0] if powers else 1
 
 
 def _check_budget(k: int, x: int, budget: int) -> None:
@@ -576,8 +567,7 @@ def _search_plan(k: int, pinned: bool):
     g = build_coprimality_graph(k)
     order = sorted(range(1, g.v + 1), key=lambda j: (-j.bit_count(), j))
     if order[-k:] != [1 << i for i in range(k)]:
-        # the range build's leaf position and the direct search's leaf loop
-        # rely on it: see `_search_chunks` and `_gwise_direct`
+        # the range build's leaf position relies on it: see `_search_chunks`
         raise InvariantViolation("the search must end with the singletons in order")
     touching = [[i for i in range(k) if j in g.constraints[i]] for j in order]
     earlier = [[l for l in order[:pos] if g.adjacency[j] >> l & 1]
@@ -752,82 +742,6 @@ def _search_chunks(plan, top: int, pos: int, prods: np.ndarray, denom: np.ndarra
         if j in needed:
             kept[j] = a
         yield from _search_chunks(plan, top, pos + 1, sub, denom[row] * a, kept, rest_a)
-
-
-def _gwise_direct(k: int, x: int, pinned: bool) -> tuple[Fraction, int, int]:
-    """The sum, leaves and nodes of the constrained search at x, in plain
-    Python ints: the tests' reference for the range build, with which it
-    shares no arithmetic (only `_search_plan`).  Depth-first over the
-    parts, assigning the most-constrained labels first and pruning as soon
-    as any partial constraint product exceeds x.  The constraint products
-    and each position's neighbour product are carried down the recursion.
-    The last label's admissible parts are the leaves: its parent filters
-    them once for the neighbours above it, then sums and counts them per
-    child, each leaf counted as a node and a leaf.
-    """
-    order, touching, earlier, pins = _search_plan(k, pinned)
-    v = len(order)
-    primes = sieve(x).primes.tolist() if x >= 2 else []
-    big = _lcm_of_primes(x, primes)
-    # acc[:k] are the partial constraint products and acc[k + pos] the
-    # product of the parts of earlier[pos] assigned so far; a part is
-    # multiplied into the entries `feeds` names and divided out on return
-    acc = [1] * (k + v)
-    feeds = [touching[pos] + [k + q for q in range(pos + 1, v) if order[pos] in earlier[q]]
-             for pos in range(v)]
-    # the search ends with the singletons of coordinates k - 2 and k - 1
-    # (`_search_plan`): they share no constraint, so the leaf's top is fixed
-    # before its parent's part is chosen, and they are neighbours
-    leaf_con, leaf_fixed = touching[v - 1][0], k + v - 1
-    # the product of the primes up to each leaf top met so far: the tops are
-    # x // n, so there are at most 2 sqrt(x) of them
-    primorials: dict[int, int] = {}
-    nodes = total = leaves = 0
-
-    def coprime(top: int, fixed: int) -> Sequence[int]:
-        # a part must be coprime to every neighbour's part, so to their product
-        parts = range(1, top + 1)
-        return [a for a in parts if math.gcd(a, fixed) == 1] if fixed > 1 else parts
-
-    def dfs(pos: int, denom: int) -> None:
-        nonlocal nodes, total, leaves
-        nodes += 1
-        top = 1 if pins[pos] else x // max(acc[i] for i in touching[pos])
-        parts = coprime(top, acc[k + pos])
-        if pos < v - 2:
-            fed = feeds[pos]
-            for a in parts:
-                for i in fed:
-                    acc[i] *= a
-                dfs(pos + 1, denom * a)
-                for i in fed:
-                    acc[i] //= a
-            return
-        # each part a here is a node whose children are the leaves: the b up
-        # to the leaf's top coprime to the other neighbours' parts (filtered
-        # once) and to a.  Only the primes of a up to that top can divide a
-        # b, so parts a with the same gcd(a, primorial) have the same b
-        nodes += len(parts)
-        leaf_top = x // acc[leaf_con]
-        base = coprime(leaf_top, acc[leaf_fixed])
-        primorial = primorials.get(leaf_top)
-        if primorial is None:
-            primorial = primorials[leaf_top] = _product(
-                primes[:bisect.bisect_right(primes, leaf_top)])
-        share = big // denom
-        seen: dict[int, tuple[int, int]] = {}
-        for a in parts:
-            key = math.gcd(a, primorial)
-            if key not in seen:
-                fits = [b for b in base if math.gcd(b, key) == 1]
-                # each share // b is a multiple of a: denom * a * b divides big
-                seen[key] = len(fits), sum(map(share.__floordiv__, fits))
-            count, s = seen[key]
-            total += s // a
-            leaves += count
-
-    dfs(0, 1)
-    return Fraction(total, big), leaves, nodes + leaves
 
 
 # ---------------------------------------------------------------------------

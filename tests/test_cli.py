@@ -252,21 +252,17 @@ def test_gwise_budget_counts_nodes(capsys):
 
 
 def test_gwise_command_reads_one_range_build(capsys, monkeypatch):
-    # both variants come from one plain build at x; the direct search is
-    # the tests' reference only
+    # both variants come from one plain build at x
     from lcmsum import oracle
 
-    builds, direct = [], []
-    build, search = oracle._gwise_range, oracle._gwise_direct
+    builds = []
+    build = oracle._gwise_range
     monkeypatch.setattr(oracle, "_RANGES", {})
     monkeypatch.setattr(oracle, "_gwise_range",
                         lambda *a: builds.append(a) or build(*a))
-    monkeypatch.setattr(oracle, "_gwise_direct",
-                        lambda *a: direct.append(a) or search(*a))
     code, out = run_cli(capsys, "gwise", "--k", "3", "--x", "20")
     assert code == 0 and "tuples=8000 " in out
     assert builds == [(3, False, 20, oracle.GWISE_NODE_BUDGET)]
-    assert direct == []
 
 
 @pytest.mark.parametrize("argv", [["rho", "--digits", "-1"],

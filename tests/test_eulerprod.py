@@ -241,6 +241,21 @@ def test_precision_error_carries_achieved_bound():
     assert exc.value.achieved is not None
 
 
+@pytest.mark.parametrize("call", [
+    lambda: euler_product(()),
+    lambda: coprime_density(()),
+    lambda: euler_product(reference.LOCAL_POLY[3], prime_cutoff=0),
+    lambda: euler_product(reference.LOCAL_POLY[3], prime_cutoff=-5),
+    lambda: euler_product(reference.LOCAL_POLY[3], order=0),
+    lambda: euler_product(reference.LOCAL_POLY[3], order=-1),
+], ids=["empty", "empty-density", "cutoff-0", "cutoff-neg", "order-0", "order-neg"])
+def test_euler_product_rejects_bad_inputs(call):
+    # an empty polynomial or a non-positive order or cutoff is a usage
+    # error, not an IndexError, ZeroDivisionError or PrecisionError
+    with pytest.raises(ValueError):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # the tuple-count route
 # ---------------------------------------------------------------------------

@@ -545,3 +545,11 @@ def test_surd_canonicalization():
     assert t.root == 2 and t.rational == Fraction(1, 2)
     assert SurdRatio(Fraction(1, 14)) == Fraction(1, 14)
     assert abs(float(SurdRatio(Fraction(1), 2)) - 1 / math.sqrt(2)) < 1e-15
+
+
+def test_surd_with_an_int_rational_part_stays_exact():
+    # an int rational part divided by the folded square root stays a Fraction
+    s = SurdRatio(1, 4)  # 1/sqrt(4) = 1/2
+    assert s.is_rational and type(s.rational) is Fraction
+    assert s.rational == Fraction(1, 2)
+    assert repr(SurdRatio(1, 5)) == "1/sqrt(5)"

@@ -332,9 +332,9 @@ def test_gwise_guards():
         gwise_constrained_sum(3, 40, node_budget=50)
 
 
-def test_direct_search_sieves_once(monkeypatch):
-    # lcm(1..x) and the leaf primorials share one prime table; a full
-    # search at x = 500 meets every leaf top (at 5000 it takes about 50 s)
+def test_gwise_range_sieves_once(monkeypatch):
+    # the range build at x = 500 makes one prime table, for lcm(1..500),
+    # and its sum is the totient route's, an independent route to S_2(500)
     limits = []
 
     def counted(limit):
@@ -342,8 +342,9 @@ def test_direct_search_sieves_once(monkeypatch):
         return exactmath.sieve(limit)
 
     monkeypatch.setattr(oracle, "sieve", counted)
+    monkeypatch.setattr(oracle, "_RANGES", {})
     oracle._lcm_upto.cache_clear()
-    total, leaves, _ = oracle._gwise_direct(2, 500, False)
+    total, leaves = gwise_sum_with_count(2, 500)
     assert limits == [500]
     assert leaves == 500**2
     monkeypatch.undo()
@@ -407,31 +408,41 @@ def test_tally_guard_never_undercounts_the_tally(k, monkeypatch):
 @pytest.mark.parametrize("pinned", [False, True])
 @pytest.mark.parametrize("k, top", [(2, 256), (3, 64)])
 def test_range_answers_equal_the_direct_search(k, top, pinned):
-    # every x of one range against the direct search at x, value, leaves
-    # and nodes; the leaves also equal the brute range's tuple counts
+    # every x of one range against the plain-Python search at top, value,
+    # leaves and nodes; the values and leaves also equal the brute range's
+    built = oracle._gwise_range(k, pinned, top, oracle.GWISE_NODE_BUDGET)
+    assert {p: r.rows for p, r in built.items()} == reference_gwise_rows(k, pinned, top)
+    r = built[pinned]
+    for x in range(1, top + 1):
+        total, leaves, _ = r.rows[x]
+        b = brute_sums(k, x)
+        assert leaves == (b.coprime_tuples if pinned else b.tuples), x
+        assert Fraction(total, r.big) == (b.recip_coprime if pinned else b.recip), x
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+@pytest.mark.parametrize("k, top", [(2, 64), (3, 20)])
+def test_search_at_x_is_the_range_up_to_x(k, top, pinned):
+    # the search at x visits exactly the nodes of bucket <= x of the search
+    # at top: the plain-Python search run at each x gives the range's row x
     r = oracle._gwise_range(k, pinned, top, oracle.GWISE_NODE_BUDGET)[pinned]
     for x in range(1, top + 1):
-        value, count, visited = oracle._gwise_direct(k, x, pinned)
-        total, leaves, nodes = r.rows[x]
-        assert Fraction(total, r.big) == value, x
-        assert leaves == count, x
-        assert nodes == visited, x
-        b = brute_sums(k, x)
-        assert count == (b.coprime_tuples if pinned else b.tuples), x
-        assert value == (b.recip_coprime if pinned else b.recip), x
+        total, leaves, nodes = reference_gwise_rows(k, pinned, x)[pinned][x]
+        value = Fraction(total, math.lcm(*range(1, x + 1)))
+        assert (Fraction(r.rows[x][0], r.big), *r.rows[x][1:]) == (value, leaves, nodes), x
 
 
 @pytest.mark.parametrize("pinned", [False, True])
 @pytest.mark.parametrize("k, top", [(2, 30), (3, 10)])
 def test_range_node_counts_are_the_direct_search_budget(k, top, pinned,
                                                         monkeypatch):
-    # the direct search at x visits exactly the range's nodes up to x, and
-    # the range answers pass with that many as their budget and fail with
-    # one fewer
+    # the plain-Python search at x visits exactly the range's nodes up to
+    # x, and the range answers pass with that many as their budget and fail
+    # with one fewer
     rows = oracle._gwise_range(k, pinned, top, oracle.GWISE_NODE_BUDGET)[pinned].rows
     for x in range(1, top + 1):
         n = rows[x][2]
-        assert oracle._gwise_direct(k, x, pinned)[2] == n, x
+        assert reference_gwise_rows(k, pinned, x)[pinned][x][2] == n, x
         gwise_sum_with_count(k, x, pinned, node_budget=n)
         gwise_constrained_sum(k, x, pinned, node_budget=n)
         with pytest.raises(ResourceLimitError):
@@ -478,14 +489,14 @@ def test_bench_call_order_builds_plain_ranges_only(monkeypatch):
         return build(k, pinned, top, node_budget)
 
     monkeypatch.setattr(oracle, "_gwise_range", counted)
+    brute = {False: brute_recip_lcm_sum, True: brute_recip_lcm_sum_coprime}
     for pinned in (False, True):
         for k, xmax in ((2, 20), (3, 8)):
             for x in range(1, xmax + 1):
                 assert gwise_constrained_sum(k, x, pinned) == \
-                    oracle._gwise_direct(k, x, pinned)[0], (k, x, pinned)
+                    brute[pinned](k, x), (k, x, pinned)
     for pinned in (False, True):
-        assert gwise_constrained_sum(3, 12, pinned) == \
-            oracle._gwise_direct(3, 12, pinned)[0], pinned
+        assert gwise_constrained_sum(3, 12, pinned) == brute[pinned](3, 12), pinned
     assert calls and all(not pinned for _, pinned, _ in calls)
     assert calls[-1] == (3, False, 16)
 

@@ -1,0 +1,59 @@
+"""The README's library tour runs as printed, and each value its comments
+state holds."""
+
+import math
+from fractions import Fraction
+from itertools import product
+from pathlib import Path
+
+import lcmsum as L
+from lcmsum.exactmath import BoundedReal
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def tour_lines():
+    text = README.read_text().split("## Library tour", 1)[1]
+    return text.split("```python\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+def run_tour():
+    # the namespace the tour leaves, and the value of each expression line,
+    # keyed by its code
+    ns, values = {}, {}
+    for line in tour_lines():
+        code = line.split("#", 1)[0].strip()
+        if not code:
+            continue
+        try:
+            expression = compile(code, str(README), "eval")
+        except SyntaxError:
+            exec(code, ns)
+        else:
+            values[code] = eval(expression, ns)
+    return ns, values
+
+
+def test_library_tour_comments_hold():
+    ns, values = run_tour()
+    assert values.pop("L.local_factor_poly(g)") == (1, 0, -9, 16, -9, 0, 1, 0)
+    parts = values.pop("L.decompose_tuple(3, (12, 18, 30))")
+    assert len(parts) == 7
+    # entry i is the product of the parts whose label j has bit i set
+    for i, n in enumerate((12, 18, 30)):
+        assert math.prod(p for j, p in enumerate(parts, start=1) if j >> i & 1) == n
+    rho, vol, c = ns["rho"], ns["vol"], ns["c"]
+    assert isinstance(rho, BoundedReal) and rho.abs_error > 0
+    assert vol == Fraction(11, 3360)
+    assert isinstance(c, BoundedReal) and c.contains(rho.value * vol)
+    theta1 = values.pop("L.leading_constants(3).theta1")
+    assert theta1 == Fraction(1, 14) and repr(theta1) == "1/14"
+    assert values.pop("L.brute_sums(2, 30).tuples") == 900
+    b = L.brute_sums(2, 30)
+    assert values.pop("L.gwise_sum_with_count(2, 30)") == (b.recip, 900)
+    alphas, weighted = values.pop("L.lcm_multiplicity_table(2, 12)")
+    pairs = list(product(range(1, 13), repeat=2))
+    assert alphas == [sum(math.lcm(a, b) == n for a, b in pairs) for n in range(1, 13)]
+    assert weighted == sum(Fraction(a, n) for n, a in enumerate(alphas, start=1))
+    # every expression line of the tour is checked above
+    assert values == {}
