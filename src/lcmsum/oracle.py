@@ -208,6 +208,23 @@ def _pieces(hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
                np.arange(lo + 1, stop + 1) - np.repeat(starts[r0:r1], count))
 
 
+def _bucket_adder(bucket: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
+    """add(col, v) adds each v[i] into col[bucket[i] - 1].  A chunk sorted by
+    bucket (brute's, whose tuples come largest entry first, row by row) is
+    added run by run: one np.add.reduceat sums each run of equal buckets,
+    whose heads are then distinct.  Any other chunk (gwise's) takes
+    np.add.at per entry; sorting it first cost more than it saved."""
+    b = bucket - 1
+    if len(b) < 2 or not (b[1:] >= b[:-1]).all():
+        return lambda col, v: np.add.at(col, b, v)
+    heads = np.flatnonzero(np.diff(b, prepend=-1))
+
+    def add(col: np.ndarray, v: np.ndarray) -> None:
+        col[b[heads]] += np.add.reduceat(v, heads)
+
+    return add
+
+
 class _Tally:
     """Exact per-bucket sums: per count kind c and bucket b, the sum of
     count_c * (big // n) and the sum of count_c over the entries (b, n).
@@ -238,13 +255,13 @@ class _Tally:
 
     def add(self, bucket: np.ndarray, n: np.ndarray, counts: np.ndarray) -> None:
         """Add counts[c, i] entries (bucket[i], n[i]) of kind c."""
-        b, r = bucket - 1, np.zeros_like(n)
+        add, r = _bucket_adder(bucket), np.zeros_like(n)
         for c, col in zip(counts, self.tallied):
-            np.add.at(col, b, c)
+            add(col, c)
         for i, limb in enumerate(self.limbs):
             q, r = np.divmod(r << self.bits | limb, n)
             for c, col in zip(counts, self.cols[:, i]):
-                np.add.at(col, b, c * q)
+                add(col, c * q)
 
     def columns(self) -> tuple[list[list[int]], list[list[int]]]:
         """Per kind, the per-bucket sums and counts of buckets 1..top."""
@@ -304,7 +321,7 @@ def _brute_range(k: int, top: int) -> _Range:
     for m, w, lcm, gcd, prod in _sorted_tuples(k, 0, zero, root, zero, one,
                                                one, zero, one):
         every.add(m, lcm, np.stack((w, np.where(gcd == 1, w, 0))))
-        np.add.at(prod_lcm, m - 1, w * (prod // lcm))
+        _bucket_adder(m)(prod_lcm, w * (prod // lcm))
     (recip, recip_coprime), (tuples, coprime_tuples) = every.columns()
     return _Range(top, big, _prefix_rows([recip, recip_coprime, prod_lcm.tolist(),
                                           tuples, coprime_tuples]))
@@ -344,10 +361,10 @@ def brute_prod_over_lcm_sum(k: int, x: int, budget: int = TUPLE_BUDGET) -> Fract
 # Totient-formula fast route for k = 2
 # ---------------------------------------------------------------------------
 
-#: entries of phi per segment of the totient sieve, a measured trade: at
-#: 10**6 the traced peak is 1.8 MiB (2.6 MiB at 2**15) and the time the
-#: same within the host's drift, at the 10**7 ceiling 2-4% slower than
-#: 2**15 (see notes/decisions.md)
+#: entries of phi per segment of the totient sieve, a measured trade (in
+#: int64 columns: at 10**6 the traced peak was 1.8 MiB, 2.6 MiB at 2**15,
+#: and the time the same within the host's drift, at the 10**7 ceiling
+#: 2-4% slower than 2**15; see notes/decisions.md)
 _PHI_SEG = 1 << 14
 
 #: primes below this get one slice update per segment; the primes from
@@ -358,15 +375,16 @@ _PHI_SLICED = 1 << 7
 #: terms per binary-split sub-gap of the exact branch: a gap of up to x/2
 #: terms is cut into runs this long, so no denominator product grows past
 #: the bits of this many terms and no term list past this length.  At
-#: 10**4 it was the fastest of 32..1024 (0.055 s, 0.70 MiB traced; whole
-#: gaps 0.07 s, 1.18 MiB); see notes/decisions.md
+#: 10**4, 64..1024 take the same time within the host's drift and peak at
+#: 0.29 MiB traced; whole gaps take 0.07 s and 0.63 MiB (notes/decisions.md)
 _SUB_GAP = 1 << 8
 
 
 def _in_runs(counts: np.ndarray) -> np.ndarray:
-    """Each element's position in its run, for runs of the given lengths."""
-    starts = np.cumsum(counts) - counts
-    return np.arange(int(counts.sum())) - np.repeat(starts, counts)
+    """Each element's position in its run, for runs of the given lengths,
+    in the dtype of counts."""
+    starts = np.cumsum(counts, dtype=counts.dtype) - counts
+    return np.arange(int(counts.sum()), dtype=counts.dtype) - np.repeat(starts, counts)
 
 
 def _phi_segments(x: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -387,19 +405,23 @@ def _phi_segments(x: int) -> Iterator[tuple[int, np.ndarray]]:
     Schoenfeld, 1962).  A kept prime divides n = p*m (m >= 2) only with
     m <= x // (r + 1) < p, and n has no other prime factor above r, so one
     searchsorted per segment finds, for every m, the kept primes with p*m
-    in the segment, and each of their n is updated once."""
+    in the segment, and each of their n is updated once.
+
+    Every value held (n, phi, the two products, the primes, the m and the
+    kept primes) is at most x <= FAST_S2_MAX < 2**31, so all of them are
+    int32, and the segments are int32 too."""
     r = math.isqrt(x)
     half = x // 2
-    primes = sieve(r).primes if r >= 2 else np.zeros(0, np.int64)
+    primes = (sieve(r).primes if r >= 2 else np.zeros(0)).astype(np.int32)
     sliced = primes[primes < _PHI_SLICED].tolist()
     rest = primes[primes >= _PHI_SLICED]
-    ms = np.arange(2, x // (r + 1) + 1)
+    ms = np.arange(2, x // (r + 1) + 1, dtype=np.int32)
     large = np.empty(int(1.25506 * half / math.log(half)) + 16 if half > 1 else 0,
-                     np.int64)
+                     np.int32)
     kept = 0
     for lo in range(0, x + 1, _PHI_SEG):
         hi = min(lo + _PHI_SEG, x + 1)
-        phi = np.arange(lo, hi, dtype=np.int64)
+        phi = np.arange(lo, hi, dtype=np.int32)
         for p in sliced:
             block = phi[-lo % p::p]
             block -= block // p
@@ -408,13 +430,14 @@ def _phi_segments(x: int) -> Iterator[tuple[int, np.ndarray]]:
         counts = (hi - lo - 1 - off) // rest + 1
         ps = np.repeat(rest, counts)
         n = np.repeat(off, counts) + _in_runs(counts) * ps
-        dp, dq = np.ones((2, hi - lo), np.int64)
+        dp, dq = np.ones((2, hi - lo), np.int32)
         np.multiply.at(dp, n, ps)
         np.multiply.at(dq, n, ps - 1)
         phi //= dp
         phi *= dq
         first = max(lo, r + 1) - lo
-        new = np.flatnonzero(phi[first:] == np.arange(lo + first, hi)) + first
+        new = np.flatnonzero(phi[first:] == np.arange(lo + first, hi, dtype=np.int32))
+        new += first
         phi[new] -= 1
         new = new[:np.searchsorted(new, half - lo, side="right")] + lo
         large[kept:kept + len(new)] = new
@@ -439,32 +462,48 @@ def _ratio_sum(num: list[int], den: list[int], lo: int, hi: int) -> tuple[int, i
     return p1 * q2 + p2 * q1, q1 * q2
 
 
-def _gap_sums(terms: Callable[[int, int], tuple[list[int], list[int]]],
-              scale: int, marks: Sequence[int]) -> list[int]:
-    """scale times the sum of num_n/den_n over a < n <= b, for each pair
-    a, b of neighbours in the ascending `marks`; terms(lo, hi) gives the
-    lists num_n and den_n for lo <= n < hi.  Each gap is cut into sub-gaps
-    of at most _SUB_GAP n, and each sub-gap is binary-split and divided
-    once.  Every scale*num_n/den_n is an integer, so each division is exact
-    and any partition of a gap sums to the same integer."""
-    out = []
-    for a, b in zip(marks, marks[1:]):
-        acc = 0
-        for lo in range(a + 1, b + 1, _SUB_GAP):
-            num, den = terms(lo, min(lo + _SUB_GAP, b + 1))
-            p, q = _ratio_sum(num, den, 0, len(num))
-            acc += scale * p // q
-        out.append(acc)
-    return out
+def _gap_sum(terms: Callable[[int, int], tuple[list[int], list[int]]],
+             scale: int, a: int, b: int) -> int:
+    """scale times the sum of num_n/den_n over a < n <= b; terms(lo, hi)
+    gives the lists num_n and den_n for lo <= n < hi.  The gap is cut into
+    sub-gaps of at most _SUB_GAP n, and each sub-gap is binary-split and
+    divided once.  Every scale*num_n/den_n is an integer, so each division
+    is exact and any partition of the gap sums to the same integer."""
+    acc = 0
+    for lo in range(a + 1, b + 1, _SUB_GAP):
+        num, den = terms(lo, min(lo + _SUB_GAP, b + 1))
+        p, q = _ratio_sum(num, den, 0, len(num))
+        acc += scale * p // q
+    return acc
+
+
+def _lcm_steps(x: int) -> Callable[[int, int], int]:
+    """step(a, b) = lcm(1..b) // lcm(1..a) for 0 <= a <= b <= x: the
+    product of the primes p with a power p**e in (a, b], read from one
+    ascending list of the prime powers up to x."""
+    powers = []
+    for p in sieve(x).primes.tolist() if x >= 2 else []:
+        q = p
+        while q <= x:
+            powers.append((q, p))
+            q *= p
+    powers.sort()
+    qs, ps = [q for q, _ in powers], [p for _, p in powers]
+
+    def step(a: int, b: int) -> int:
+        return math.prod(ps[bisect.bisect_right(qs, a):bisect.bisect_right(qs, b)])
+
+    return step
 
 
 def _exact_s2(x: int, phi: np.ndarray, qs: list[int], ends: list[int]) -> Fraction:
-    """The block loop of `fast_recip_lcm_sum2` at scale (lam*s)^2, exactly;
-    see there for the argument.  The terms of each sub-gap are made from a
-    range and a slice of phi when `_gap_sums` asks for them, so no list of
-    x terms exists."""
+    """The block loop of `fast_recip_lcm_sum2` as an integer over
+    (lcm(1..r) lcm(1..x))^2, exactly; see there for the argument.  The
+    terms of each sub-gap are made from a range and a slice of phi when
+    `_gap_sum` asks for them, so no list of x terms exists."""
     r = math.isqrt(x)
-    lam, s = _lcm_upto(r), _lcm_upto(x)
+    step = _lcm_steps(x)
+    lam = step(0, r)
 
     def harmonic(lo: int, hi: int) -> tuple[list[int], list[int]]:
         return [1] * (hi - lo), list(range(lo, hi))
@@ -472,15 +511,28 @@ def _exact_s2(x: int, phi: np.ndarray, qs: list[int], ends: list[int]) -> Fracti
     def weights(lo: int, hi: int) -> tuple[list[int], list[int]]:
         return phi[lo:hi].tolist(), [d * d for d in range(lo, hi)]
 
-    # every q <= r is x//d for some d, so blocks 0..r-1 are q = 1..r
-    hs = list(itertools.accumulate(_gap_sums(harmonic, lam, range(r + 1))))
-    base = hs[-1] * (s // lam)  # s*H(r)
-    hs += [base + h for h in itertools.accumulate(_gap_sums(harmonic, s, qs[r - 1:]))]
-    # block i is ends[i + 1] < d <= ends[i]; the gaps run in descending i
-    ws = (_gap_sums(weights, lam * lam, ends[:r - 1:-1])
-          + _gap_sums(weights, s * s, ends[r::-1]))
-    ws.reverse()
-    return Fraction(sum(h * h * w for h, w in zip(hs, ws)), (lam * s) ** 2)
+    # every q <= r is x//d for some d, so blocks 0..r-1 are q = 1..r, with
+    # h = lam*H(q); they run in ascending d, the weights at lcm(1..D)^2
+    hs = list(itertools.accumulate(lam // m for m in range(1, r + 1)))
+    a = ends[r]
+    square = step(0, a) ** 2  # lcm(1..a)^2, grown to lcm(1..D)^2 block by block
+    total = 0
+    for h, b in zip(reversed(hs), ends[r - 1::-1]):
+        grow = step(a, b) ** 2
+        square *= grow
+        total = total * grow + h * h * _gap_sum(weights, square, a, b)
+        a = b
+    # blocks r.. have q > r and d <= x // (r + 1) <= r, so lam^2*W is
+    # integral; they run in ascending q, h = H(q) at lcm(1..q), up to the
+    # last block's q = x, so both totals end at (lam*lcm(1..x))^2
+    h, a, scale, rest = hs[-1], r, lam, 0
+    for q, d_hi, d_lo in zip(qs[r:], ends[r:], ends[r + 1:]):
+        grow = step(a, q)
+        scale *= grow
+        h = h * grow + _gap_sum(harmonic, scale, a, q)
+        rest = rest * grow * grow + h * h * _gap_sum(weights, lam * lam, d_lo, d_hi)
+        a = q
+    return Fraction(total + rest, lam * lam * square)
 
 
 def fast_recip_lcm_sum2(x: int):
@@ -493,14 +545,19 @@ def fast_recip_lcm_sum2(x: int):
     W = sum phi(d)/d^2, each at a scale that makes it an integer.
 
     For x <= FAST_S2_EXACT_LIMIT the sum is the exact rational, equal to
-    the brute route.  With r = isqrt(x), s = lcm(1..x) and lam = lcm(1..r),
-    a block with q <= r has lam*H(q) and s^2*W integral, and a block with
-    q > r holds only d <= x/(r+1) < r+1, so lam^2*W and s*H(q) are
-    integral: every h^2*w is an integer at scale (lam*s)^2, half the bits
-    of s^4.  The harmonic numbers are prefix sums over the block marks and
-    the weights sums over the blocks, each taken gap by gap by binary
-    splitting (`_gap_sums`) over sub-gaps of at most _SUB_GAP terms, with
-    one big division per sub-gap, not per term.
+    the brute route, summed as an integer over (lam*s)^2 with r = isqrt(x),
+    lam = lcm(1..r) and s = lcm(1..x).  The blocks with q <= r (q = 1..r,
+    d > x // (r+1)) have lam*H(q) integral and run in ascending d, each
+    weight at lcm(1..D)^2 for the block's largest d = D.  The blocks with
+    q > r hold only d <= x // (r+1) <= r, so lam^2*W is integral, and run
+    in ascending q with H(q) at lcm(1..q).  Each running total (of h^2*w,
+    and of H(q)) is multiplied at each block by the lcm step, squared where
+    its scale is squared, so a number is only as wide as its block needs;
+    the step lcm(1..b) / lcm(1..a) is the product of the primes with a
+    power in (a, b] (`_lcm_steps`).  Both sums of h^2*w end at (lam*s)^2.
+    Each weight and harmonic gap is taken by binary splitting (`_gap_sum`)
+    over sub-gaps of at most _SUB_GAP terms, with one big division per
+    sub-gap, not per term.
 
     Above the limit, h = sum_{m<=q} floor(s/m) and w is the difference of
     P(D) = sum_{d<=D} floor(phi(d)*t/d^2) over the block, with
@@ -513,7 +570,8 @@ def fast_recip_lcm_sum2(x: int):
     phi comes from the segmented sieve `_phi_segments`.  P is summed one
     segment at a time, read at the block ends inside the segment and
     carried across segments, so no array as long as x exists: the route
-    holds a segment, the primes from sqrt(x) to x/2 and the block lists.
+    holds an int32 segment, the int32 primes from sqrt(x) to x/2 and the
+    block lists.
     The exact branch joins the segments and makes the terms of one sub-gap
     at a time.
     """

@@ -158,12 +158,27 @@ def reference_exact_s2(x):
 
 def test_fast_route_exact_equals_the_per_term_route():
     # every x up to 600, and x on either side of perfect squares r^2, where
-    # the split between blocks with q <= r and q > r moves
+    # the split between blocks with q <= r and q > r moves; then x where a
+    # block end or q = x//d lands on a prime power (2^11, 3^7, 2^12), where
+    # the running lcm scales step
     xs = [*range(1, 601), 10**4]
     xs += [x for r in (2, 3, 10, 31, 99)
            for x in (r * r - 1, r * r, r * r + r, (r + 1) ** 2 - 1)]
+    xs += [2048, 2187, 4096]
     for x in xs:
         assert fast_recip_lcm_sum2(x) == reference_exact_s2(x), x
+
+
+def test_lcm_steps_are_the_ratios_of_lcms():
+    # step(a, b) = lcm(1..b) // lcm(1..a), the factor by which the exact
+    # branch's running scales grow
+    x = 200
+    step = oracle._lcm_steps(x)
+    lcm = list(itertools.accumulate(range(1, x + 1), math.lcm, initial=1))
+    for a in range(x + 1):
+        for b in range(a, x + 1):
+            assert step(a, b) * lcm[a] == lcm[b], (a, b)
+    assert oracle._lcm_steps(1)(0, 1) == 1
 
 
 def test_lcm_upto_is_the_lcm_and_builds_no_shared_sieve():
@@ -270,6 +285,19 @@ def test_phi_sieve_equals_the_per_p_loop():
         assert all(len(phi) == seg for _, phi in segments[:-1]), x
         phi = np.concatenate([phi for _, phi in segments])
         assert np.array_equal(phi, reference_phi_sieve(x)), x
+
+
+def test_phi_segments_stay_exact_in_int32_at_the_ceiling():
+    # every value the sieve holds is at most x <= FAST_S2_MAX < 2**31; the
+    # last segment at the ceiling holds the largest n, products and p*m
+    x = oracle.FAST_S2_MAX
+    assert x < 2**31
+    for lo, phi in oracle._phi_segments(x):
+        pass
+    assert phi.dtype == np.int32 and lo + len(phi) == x + 1
+    tables = exactmath.shared_sieve(exactmath.factoring_limit(x))
+    assert phi.tolist() == [math.prod((p - 1) * p ** (e - 1) for p, e in tables.factor(n))
+                            for n in range(lo, x + 1)]
 
 
 def warm_traced_peak(f, *args):
@@ -727,6 +755,29 @@ def test_tallies_hold_no_per_key_state(monkeypatch):
         assert ({p: r.rows for p, r in built.items()}
                 == reference_gwise_rows(2, False, top))
         assert len(states) == 1
+
+
+def test_bucket_adder_equals_add_at_in_any_order(monkeypatch):
+    # sorted chunks add run by run, others entry by entry: the same columns
+    rng = np.random.default_rng(27)
+    bucket = np.sort(rng.integers(1, 40, 500))
+    v = rng.integers(0, 2**40, 500)
+    for b in (bucket, rng.permutation(bucket), bucket[:1], bucket[:0]):
+        col, want = np.zeros(40, np.int64), np.zeros(40, np.int64)
+        oracle._bucket_adder(b)(col, v[:len(b)])
+        np.add.at(want, b - 1, v[:len(b)])
+        assert np.array_equal(col, want)
+    # the brute build's chunks come sorted, so each one takes the runs
+    ordered = []
+    adder = oracle._bucket_adder
+
+    def tracked(b):
+        ordered.append(bool(np.all(b[1:] >= b[:-1])))
+        return adder(b)
+
+    monkeypatch.setattr(oracle, "_bucket_adder", tracked)
+    assert oracle._brute_range(2, 256).rows == reference_brute_rows(2, 256)
+    assert len(ordered) > 2 and all(ordered)
 
 
 @pytest.mark.parametrize("k, top", [(2, 2**21 - 1), (3, 6208)])
