@@ -93,20 +93,33 @@ FAST_S2_MAX = 10**7
 FAST_S2_BITS = 96
 
 
-@lru_cache(maxsize=32)
-def _lcm_upto(x: int) -> int:
-    """lcm(1..x): the product of p**floor(log_p x) over the primes p <= x,
-    multiplied pairwise up a product tree.  The primes come from a table of
-    their own, not `shared_sieve`, whose entries serve factoring."""
+def _lcm_steps(x: int) -> Callable[[int, int], int]:
+    """step(a, b) = lcm(1..b) // lcm(1..a) for 0 <= a <= b <= x: the
+    product, up a binary tree, of the primes p with a power p**e in
+    (a, b], read from the module's one ascending list of the prime powers
+    up to x.  The primes come from `sieve(x)`, not `shared_sieve`, whose
+    entries serve factoring."""
     powers = []
     for p in sieve(x).primes.tolist() if x >= 2 else []:
         q = p
-        while q * p <= x:
+        while q <= x:
+            powers.append((q, p))
             q *= p
-        powers.append(q)
-    while len(powers) > 1:
-        powers = [math.prod(powers[i:i + 2]) for i in range(0, len(powers), 2)]
-    return powers[0] if powers else 1
+    powers.sort()
+    qs, ps = [q for q, _ in powers], [p for _, p in powers]
+
+    def prod(i: int, j: int) -> int:  # of ps[i:j]; leaves of at most 8 primes
+        if j - i <= 8:
+            return math.prod(ps[i:j])
+        return prod(i, (i + j) // 2) * prod((i + j) // 2, j)
+
+    return lambda a, b: prod(bisect.bisect_right(qs, a), bisect.bisect_right(qs, b))
+
+
+@lru_cache(maxsize=32)
+def _lcm_upto(x: int) -> int:
+    """lcm(1..x), the product tree over every prime of `_lcm_steps(x)`."""
+    return _lcm_steps(x)(0, x)
 
 
 def _check_budget(k: int, x: int, budget: int) -> None:
@@ -114,6 +127,10 @@ def _check_budget(k: int, x: int, budget: int) -> None:
         raise ValueError("k must be positive")
     if x < 1:
         raise ValueError("x must be positive")
+    # x**k >= 2**k > budget once x >= 2 and k > budget.bit_length(): such a
+    # k is refused before x**k, itself unbounded work, is formed
+    if x >= 2 and k > budget.bit_length():
+        raise ResourceLimitError(f"x**k = {x}**{k} exceeds the tuple budget {budget}")
     if x**k > budget:
         raise ResourceLimitError(
             f"x**k = {x**k} exceeds the tuple budget {budget}")
@@ -173,9 +190,10 @@ _CHUNK = 1 << 12
 def _check_int64(k: int, top: int) -> None:
     # every bucket, lcm and product of a range build is below top**(k+1),
     # which leaves `_Tally` limbs of at least one bit, and brute's product
-    # sum V(top) is at most top**(2k-1)
+    # sum V(top) is at most top**(2k-1); top**e >= 2**e once top >= 2, so
+    # an e of 63 or more is refused before top**e is formed
     e = max(k + 1, 2 * k - 1)
-    if top**e >= 1 << 63:
+    if top >= 2 and e >= 63 or top**e >= 1 << 63:
         raise ResourceLimitError(
             f"{top}**{e} reaches 2**63, past the int64 range enumeration")
 
@@ -475,25 +493,6 @@ def _gap_sum(terms: Callable[[int, int], tuple[list[int], list[int]]],
         p, q = _ratio_sum(num, den, 0, len(num))
         acc += scale * p // q
     return acc
-
-
-def _lcm_steps(x: int) -> Callable[[int, int], int]:
-    """step(a, b) = lcm(1..b) // lcm(1..a) for 0 <= a <= b <= x: the
-    product of the primes p with a power p**e in (a, b], read from one
-    ascending list of the prime powers up to x."""
-    powers = []
-    for p in sieve(x).primes.tolist() if x >= 2 else []:
-        q = p
-        while q <= x:
-            powers.append((q, p))
-            q *= p
-    powers.sort()
-    qs, ps = [q for q, _ in powers], [p for _, p in powers]
-
-    def step(a: int, b: int) -> int:
-        return math.prod(ps[bisect.bisect_right(qs, a):bisect.bisect_right(qs, b)])
-
-    return step
 
 
 def _exact_s2(x: int, phi: np.ndarray, qs: list[int], ends: list[int]) -> Fraction:

@@ -89,6 +89,14 @@ def test_brute_order_relations():
 def test_brute_budget_guard():
     with pytest.raises(ResourceLimitError):
         brute_recip_lcm_sum(3, 10**4)
+    # 3**(10**9) has 1.6 * 10**9 bits; 2**k alone passes the budget, so the
+    # refusal comes before x**k is formed
+    with pytest.raises(ResourceLimitError):
+        brute_sums(10**9, 3)
+    # the edge where k is one below the budget's bits: 2**6 tuples, budget 64
+    assert brute_sums(6, 2, budget=64).tuples == 64
+    with pytest.raises(ResourceLimitError):
+        brute_sums(6, 2, budget=63)
 
 
 def test_brute_budget_guard_holds_for_a_cached_pass():
@@ -179,6 +187,13 @@ def test_lcm_steps_are_the_ratios_of_lcms():
         for b in range(a, x + 1):
             assert step(a, b) * lcm[a] == lcm[b], (a, b)
     assert oracle._lcm_steps(1)(0, 1) == 1
+    # `_lcm_upto` reads the same prime-power list: the steps of the list up
+    # to each b, b = 0 and 1 included, carry lcm(1..a) to lcm(1..b)
+    upto = [oracle._lcm_upto.__wrapped__(b) for b in range(x + 1)]
+    for b in range(x + 1):
+        step = oracle._lcm_steps(b)
+        for a in range(b + 1):
+            assert upto[a] * step(a, b) == upto[b], (a, b)
 
 
 def test_lcm_upto_is_the_lcm_and_builds_no_shared_sieve():
@@ -711,6 +726,10 @@ def test_range_builds_refuse_what_int64_cannot_hold(monkeypatch):
     oracle._check_int64(2, 2**21 - 1)  # (2**21 - 1)**3 < 2**63
     oracle._check_int64(3, 6208)  # 6208**5 < 2**63
     oracle._check_int64(40, 1)
+    oracle._check_int64(31, 2)  # 2**61 < 2**63
+    # 2**(2 * 10**9 - 1) alone reaches 2**63, so it is refused unformed
+    with pytest.raises(ResourceLimitError):
+        oracle._check_int64(10**9, 2)
 
 
 @pytest.mark.parametrize("build", [
