@@ -7,8 +7,8 @@ factored through (1 - x^j) pieces:
 
     Q(x) = prod_{j=2..J} (1 - x^j)^(b_j) * R(x),   R(x) = 1 + O(x^(J+1)),
 
-with integer exponents b_j obtained from the formal logarithm and the
-remainder identity verified exactly in rational arithmetic.  Multiplying
+with integer exponents b_j read from the integer coefficients of x Q'/Q and
+the remainder identity verified exactly in integer arithmetic.  Multiplying
 and dividing by the sieved primes below a cutoff P turns the product into
 
     prod_{p<=P} Q(1/p) * prod_j [zeta(j) * prod_{p<=P}(1 - p^-j)]^(-b_j)
@@ -23,13 +23,14 @@ interval whose width drops like P**-J.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .coprimality import (Graph, expand_one_minus_x, local_factor_poly,
-                          stirling_ism_counts)
+from .coprimality import (Graph, build_coprimality_graph, expand_one_minus_x,
+                          local_factor_poly, stirling_ism_counts)
 from .errors import PrecisionError
 from .exactmath import (
     BoundedReal,
@@ -56,11 +57,11 @@ PolyLike = Union[Graph, Sequence[int]]
 
 
 # ---------------------------------------------------------------------------
-# Formal series over exact rationals
+# Formal series with integer coefficients
 # ---------------------------------------------------------------------------
 
-def _series_mul(a: list[Fraction], b: list[Fraction], deg: int) -> list[Fraction]:
-    out = [Fraction(0)] * (deg + 1)
+def _series_mul(a: list[int], b: list[int], deg: int) -> list[int]:
+    out = [0] * (deg + 1)
     for i, ai in enumerate(a[: deg + 1]):
         if ai:
             for j, bj in enumerate(b[: deg + 1 - i]):
@@ -69,27 +70,25 @@ def _series_mul(a: list[Fraction], b: list[Fraction], deg: int) -> list[Fraction
     return out
 
 
-def _series_log(q: Sequence[int], deg: int) -> list[Fraction]:
-    """log of a polynomial with constant term 1, to degree deg."""
-    lam = [Fraction(0)] * (deg + 1)
-    qq = [Fraction(c) for c in q] + [Fraction(0)] * max(0, deg + 1 - len(q))
+def _log_derivative(q: Sequence[int], deg: int) -> list[int]:
+    """mu_0..mu_deg of x Q'/Q for Q(0) = 1, from x Q' = Q * (x Q'/Q): mu_n =
+    n q_n - sum_{0<m<n} mu_m q_{n-m}, an integer for integer q."""
+    qq = list(q) + [0] * (deg + 1)
+    mu = [0] * (deg + 1)
     for n in range(1, deg + 1):
-        s = n * qq[n]
-        for m in range(1, n):
-            s -= m * lam[m] * qq[n - m]
-        lam[n] = s / n
-    return lam
+        mu[n] = n * qq[n] - sum(mu[m] * qq[n - m] for m in range(1, n))
+    return mu
 
 
-def _geometric_factor(j: int, bj: int, deg: int) -> list[Fraction]:
+def _geometric_factor(j: int, bj: int, deg: int) -> list[int]:
     """(1 - x^j)^(-bj) as a series to degree deg (bj of either sign)."""
-    out = [Fraction(0)] * (deg + 1)
+    out = [0] * (deg + 1)
     if bj > 0:
         for mm in range(deg // j + 1):
-            out[mm * j] = Fraction(math.comb(mm + bj - 1, bj - 1))
+            out[mm * j] = math.comb(mm + bj - 1, bj - 1)
     else:
         for mm in range(min(-bj, deg // j) + 1):
-            out[mm * j] = Fraction((-1) ** mm * math.comb(-bj, mm))
+            out[mm * j] = (-1) ** mm * math.comb(-bj, mm)
     return out
 
 
@@ -104,9 +103,9 @@ class ZetaFactorization:
 def zeta_factorization(coeffs: Sequence[int], order: int = DEFAULT_ORDER) -> ZetaFactorization:
     """Factor the polynomial through (1 - x^j) pieces up to j = order.
 
-    The exponents come from matching formal logarithms: with L_n the n-th
-    log coefficient, n L_n = -sum_{j | n} j b_j, solved recursively.  Each
-    b_n must come out an integer (the polynomial has integer coefficients
+    The exponents come from matching logarithmic derivatives: with mu_n the
+    n-th coefficient of x Q'/Q, mu_n = -sum_{j | n} j b_j, solved recursively.
+    Each b_n must come out an integer (the polynomial has integer coefficients
     and constant term 1); a non-integer aborts loudly.  The residual series
     is then recomputed by direct multiplication and required to be exactly
     1 + O(x^(order+1)), so only the exponents are kept.
@@ -115,18 +114,15 @@ def zeta_factorization(coeffs: Sequence[int], order: int = DEFAULT_ORDER) -> Zet
         raise ValueError("polynomial must have constant term 1")
     if len(coeffs) > 1 and coeffs[1] != 0:
         raise ValueError("linear coefficient must vanish")
-    lam = _series_log(coeffs, order)
+    mu = _log_derivative(coeffs, order)
     b: dict[int, int] = {}
     for n in range(2, order + 1):
-        s = -n * lam[n]
-        for j in range(2, n):
-            if n % j == 0 and j in b:
-                s -= j * b[j]
-        bn = s / n
-        if bn.denominator != 1:
-            raise ArithmeticError(f"non-integer factorization exponent b_{n} = {bn}")
+        s = -mu[n] - sum(j * b[j] for j in b if n % j == 0)
+        bn, r = divmod(s, n)
+        if r:
+            raise ArithmeticError(f"non-integer factorization exponent b_{n} = {s}/{n}")
         if bn:
-            b[n] = int(bn)
+            b[n] = bn
     residual = list(coeffs[: order + 1])
     for j, bj in b.items():
         residual = _series_mul(residual, _geometric_factor(j, bj, order), order)
@@ -346,24 +342,22 @@ def series_identity_mismatch(k: int, n: int) -> tuple[str, int] | None:
       (a) Q(x) = (1-x)^(2**k-1) * sum_{nu<=n} ((nu+1)^k - nu^k) x^nu + O(x^(n+1))
       (b) Q(x) = sum_m i_m (1-x)^(v-m) x^m with the Stirling-form i_m.
     """
-    from .coprimality import build_coprimality_graph
-
     if n < 2**k:
         raise ValueError("n must be at least 2**k")
     q = list(local_factor_poly(build_coprimality_graph(k))) + [0] * (n + 1)
     q = q[: n + 1]
 
     v = 2**k - 1
-    series = [(nu + 1) ** k - nu**k for nu in range(n + 1)]
-    prod = _series_mul(expand_one_minus_x([1], v), series, n)
-    for a in range(n + 1):
-        if prod[a] != q[a]:
-            return ("count-series", a)
-
+    # each pass subtracts the series shifted by one place: a product with
+    # (1 - x), and the truncation at degree n commutes with it
+    prod = [(nu + 1) ** k - nu**k for nu in range(n + 1)]
+    for _ in range(v):
+        prod = list(map(operator.sub, prod, [0, *prod]))
     alt = expand_one_minus_x(stirling_ism_counts(k), v) + [0] * (n - v)
-    for a in range(n + 1):
-        if alt[a] != q[a]:
-            return ("independent-set", a)
+    for name, series in (("count-series", prod), ("independent-set", alt)):
+        for a in range(n + 1):
+            if series[a] != q[a]:
+                return (name, a)
     return None
 
 

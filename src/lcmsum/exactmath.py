@@ -198,13 +198,11 @@ class BoundedReal:
         a, b, bits = self._pair(other)
         if b._lo <= 0 <= b._hi:
             raise ZeroDivisionError("divisor interval contains zero")
-        cands = (
-            Fraction(a._lo, b._lo), Fraction(a._lo, b._hi),
-            Fraction(a._hi, b._lo), Fraction(a._hi, b._hi),
-        )
-        return BoundedReal(
-            _scale_floor(min(cands), bits), _scale_ceil(max(cands), bits), bits
-        )
+        # floor and ceil are monotone, so the floor of the least quotient
+        # is the least floor, and likewise for the ceil of the greatest
+        nums, dens = (a._lo << bits, a._hi << bits), (b._lo, b._hi)
+        return BoundedReal(min(n // d for n in nums for d in dens),
+                           max(-(-n // d) for n in nums for d in dens), bits)
 
     def __rtruediv__(self, other):
         return self._coerce(other, self._bits).__truediv__(self)
@@ -651,7 +649,7 @@ def zeta_value(j: int, target_error) -> BoundedReal:
 # ---------------------------------------------------------------------------
 
 def leading_coeff_by_differences(
-    samples: Sequence[tuple[int, Fraction]], degree: int,
+    samples: Sequence[tuple[int, int | Fraction]], degree: int,
     steps: Sequence[int] | None = None,
 ) -> Fraction:
     """Leading coefficient of a degree-`degree` polynomial from its values.

@@ -71,7 +71,7 @@ import numpy as np
 
 from .coprimality import build_coprimality_graph
 from .errors import InvariantViolation, ResourceLimitError
-from .eulerprod import coprime_density
+from .eulerprod import DEFAULT_TARGET, coprime_density
 from .exactmath import (BoundedReal, SurdRatio, factoring_limit,
                         floor_prefix_sums, shared_sieve, sieve)
 from .polytope import volume_of
@@ -349,6 +349,8 @@ def brute_sums(k: int, x: int, budget: int = TUPLE_BUDGET) -> BruteSums:
     """The three brute sums over k-tuples <= x and their two tuple counts,
     exact; refuses past `budget` raw tuples even when the range is kept."""
     _check_budget(k, x, budget)
+    if x == 1:  # the one all-ones tuple, at any k (the build recurses k deep)
+        return BruteSums(Fraction(1), Fraction(1), Fraction(1), 1, 1)
 
     def build(top: int) -> dict[tuple, _Range]:
         _check_budget(k, top, budget)
@@ -819,13 +821,16 @@ def lcm_multiplicity_table(k: int, x: int) -> tuple[list[int], Fraction]:
     """alpha(k, n) for n = 1..x and sum_{n<=x} alpha(k, n)/n, each alpha
     evaluated once.
 
-    The alphas sum to the number of k-tuples with lcm <= x.
+    The sum is taken over lcm(1..x) by `_gap_sum`, exact since every n
+    divides lcm(1..x).  The alphas sum to the number of k-tuples with
+    lcm <= x.
     """
     if x < 1:
         raise ValueError("x must be positive")
     big = _lcm_upto(x)
     alphas = [lcm_multiplicity(k, n) for n in range(1, x + 1)]
-    num = sum(a * (big // n) for n, a in enumerate(alphas, start=1))
+    num = _gap_sum(lambda lo, hi: (alphas[lo - 1:hi - 1], list(range(lo, hi))),
+                   big, 0, x)
     return alphas, Fraction(num, big)
 
 
@@ -880,7 +885,7 @@ class LeadingConstants:
             raise ValueError("the first and third exponents must coincide")
 
 
-def leading_constants(k: int, target_error=Fraction(1, 2 * 10**9)) -> LeadingConstants:
+def leading_constants(k: int, target_error=DEFAULT_TARGET) -> LeadingConstants:
     """Assemble the certified constants for k inputs from one Euler product.
 
     The coprime-variant constant is (2**k - 1) c because vol(D_star) =

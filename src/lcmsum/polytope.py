@@ -403,9 +403,9 @@ def ehrhart_data(p: HyperbolicPolytope) -> tuple[Fraction, EhrhartSamples]:
     samples = EhrhartSamples(bounds, tuple(counts[:len(ns)]),
                              tuple(counts[len(ns):]))
     sign = (-1) ** v
-    points = ([(-n, Fraction(sign * c)) for n, c in
+    points = ([(-n, sign * c) for n, c in
                zip(reversed(inner), reversed(samples.interior_counts))]
-              + [(n, Fraction(c)) for n, c in zip(ns, samples.counts)])
+              + list(zip(ns, samples.counts)))
     try:
         vol = leading_coeff_by_differences(points, v, bounds)
     except ValueError as exc:

@@ -23,6 +23,8 @@ def invocations():
         for cmd in ("graph", "qpoly", "ism", "theta", "identity"):
             yield [cmd, "--k", k]
     yield ["identity", "--k", "2", "--x", "12"]
+    # 15 difference passes over 601 count-series terms, past Q of degree 15
+    yield ["identity", "--k", "4", "--x", "600"]
     for k in ("2", "3"):
         for kind in KINDS:
             yield ["volume", "--k", k, "--kind", kind]
@@ -40,6 +42,8 @@ def invocations():
     yield ["brute", "--k", "3", "--x", "5", "--budget", "125"]
     yield ["brute", "--k", "2", "--x", "6", "--budget", "0"]
     yield ["brute", "--k", "2", "--x", "0"]
+    # x = 1 is the one all-ones tuple at any k, past the recursion limit
+    yield ["brute", "--k", "1100", "--x", "1"]
     # gwise: the plain search visits 57 nodes (k=2, x=6) and 281 (k=3, x=5)
     for k, x in (("2", "1"), ("2", "6"), ("2", "30"), ("3", "1"), ("3", "5"),
                  ("3", "10")):
@@ -53,6 +57,8 @@ def invocations():
         for x in ("1", "12", "60"):
             yield ["alpha", "--k", k, "--x", x]
     yield ["alpha", "--k", "2", "--x", "0"]
+    # the alpha sum over two whole 256-term sub-gaps and part of a third
+    yield ["alpha", "--k", "3", "--x", "600"]
     for fmt in ("text", "csv"):
         yield ["report", "--k", "2", "--x", "1,10,100", "--format", fmt]
         yield ["report", "--k", "3", "--x", "1,5,20", "--format", fmt]

@@ -234,6 +234,13 @@ def test_brute_k_zero_is_a_usage_error(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_brute_x1_answers_past_the_recursion_depth(capsys):
+    code, out = run_cli(capsys, "brute", "--k", "1100", "--x", "1")
+    assert code == 0
+    assert out == ("recip_lcm_sum=1/1\nrecip_lcm_sum_coprime=1/1\n"
+                   "prod_over_lcm_sum=1/1\ntuples=1 coprime_tuples=1\n")
+
+
 def test_identity_x_zero_is_a_usage_error(capsys):
     # zero must reach the command, not fall back to the default degree
     assert main(["identity", "--k", "2", "--x", "0"]) == 2

@@ -46,6 +46,31 @@ def test_factorization_residual_check_sees_a_corrupt_factor(monkeypatch):
         zeta_factorization(reference.LOCAL_POLY[3], order=12)
 
 
+def fraction_log_exponents(coeffs, order):
+    # exponents from the formal logarithm in exact rationals:
+    # n L_n = -sum_{j | n} j b_j
+    q = [Fraction(c) for c in coeffs] + [Fraction(0)] * (order + 1)
+    lam = [Fraction(0)] * (order + 1)
+    for n in range(1, order + 1):
+        lam[n] = (n * q[n] - sum(m * lam[m] * q[n - m] for m in range(1, n))) / n
+    b = {}
+    for n in range(2, order + 1):
+        bn = (-n * lam[n] - sum(j * b[j] for j in b if n % j == 0)) / n
+        assert bn.denominator == 1
+        if bn:
+            b[n] = int(bn)
+    return b
+
+
+def test_factorization_exponents_match_the_fraction_logarithm():
+    for k in (2, 3, 4):
+        for coeffs in (local_factor_poly(build_coprimality_graph(k)),
+                       count_density_poly(k)):
+            for order in range(1, 21):
+                assert zeta_factorization(coeffs, order).exponents == \
+                    fraction_log_exponents(coeffs, order), (k, order)
+
+
 def test_factorization_exponents_are_integers_k34():
     for k in (3, 4):
         fz = zeta_factorization(reference.LOCAL_POLY[k], order=12)
@@ -292,6 +317,24 @@ def test_series_identities_hold():
     assert series_identity_check(3, 30)
     assert series_identity_check(4, 30)
     assert series_identity_mismatch(3, 30) is None
+
+
+def test_series_identity_reports_a_planted_error_at_its_index(monkeypatch):
+    q = list(local_factor_poly(build_coprimality_graph(3)))
+    for a in (0, 5, 7):
+        bad = q.copy()
+        bad[a] += 1
+        # Q itself off at a: the count series is compared first
+        monkeypatch.setattr(eulerprod, "local_factor_poly", lambda g: tuple(bad))
+        assert series_identity_mismatch(3, 40) == ("count-series", a)
+    monkeypatch.undo()
+    counts = list(eulerprod.stirling_ism_counts(3))
+    for m in (0, 2, 3):
+        bad = counts.copy()
+        bad[m] += 1
+        monkeypatch.setattr(eulerprod, "stirling_ism_counts", lambda k: bad)
+        # i_m feeds x^m (1-x)^(v-m), whose lowest term is at index m
+        assert series_identity_mismatch(3, 40) == ("independent-set", m)
 
 
 def test_series_identity_requires_enough_terms():

@@ -515,6 +515,28 @@ def test_bounded_real_exact_scaling():
     assert y.abs_error <= 8 * x.abs_error
 
 
+def test_bounded_real_division_matches_the_fraction_formula():
+    # the outward rounding of the least and greatest of the four endpoint
+    # quotients, over operands of either sign and of unequal bits
+    rng = random.Random(30)
+
+    def draw():
+        bits = rng.choice((0, 8, 64, 100))
+        lo = rng.randint(-(1 << (bits + 8)), 1 << (bits + 8))
+        return BoundedReal(lo, lo + rng.randint(0, 1 << rng.randint(0, bits + 4)), bits)
+
+    for _ in range(2000):
+        x, y = draw(), draw()
+        if y.lo <= 0 <= y.hi:
+            continue
+        bits = max(x.bits, y.bits)
+        cands = [p / q for p in (x.lo, x.hi) for q in (y.lo, y.hi)]
+        want = BoundedReal(math.floor(min(cands) * (1 << bits)),
+                           math.ceil(max(cands) * (1 << bits)), bits)
+        got = x / y
+        assert (got.lo, got.hi, got.bits) == (want.lo, want.hi, want.bits)
+
+
 def test_bounded_real_division_by_zero_interval():
     x = BoundedReal.exact(1)
     z = BoundedReal.from_bracket(-1, 1)

@@ -121,6 +121,12 @@ def test_brute_rebuild_at_twice_the_range_only_within_the_budget(monkeypatch):
     assert oracle._RANGES[("brute", 2)].top == 22
 
 
+def test_brute_sums_at_x1_answer_any_k():
+    # one all-ones tuple; the range build would recurse k deep
+    ones = oracle.BruteSums(Fraction(1), Fraction(1), Fraction(1), 1, 1)
+    assert brute_sums(10**4, 1) == ones
+
+
 @pytest.mark.parametrize("k", [0, -1])
 def test_brute_sums_reject_nonpositive_k(k):
     # k = 0 would otherwise sum over the empty tuple and report 1
@@ -881,6 +887,17 @@ def test_multiplicity_formula_vs_brute():
     for k in (2, 3):
         for n in range(1, 201):
             assert lcm_multiplicity(k, n) == brute_lcm_count(k, n), (k, n)
+
+
+def test_multiplicity_table_sum_across_sub_gaps():
+    # x past one, two and more 256-term sub-gaps of `_gap_sum`, against one
+    # division of lcm(1..x) per n
+    for k in (1, 2, 3):
+        for x in (1, 255, 256, 257, 512, 513, 600):
+            big = math.lcm(*range(1, x + 1))
+            alphas, total = lcm_multiplicity_table(k, x)
+            num = sum(a * (big // n) for n, a in enumerate(alphas, start=1))
+            assert total == Fraction(num, big), (k, x)
 
 
 def test_multiplicity_sum_examples():
