@@ -1,8 +1,8 @@
 """The `verify` battery: one ordered table of checks.
 
-Each check compares independent routes to the same object (graph against
-closed form, gwise against brute, graph against count-route Euler
-product) or a computed value against the published one in `reference`.
+Each check compares routes to one object (graph against closed form,
+gwise against brute) or a value against its published one in
+`reference`.  The count polynomial equals the graph's: one Euler product.
 A check takes no arguments and returns (ok, expected, actual, tolerance),
 the last three as display strings.  `CHECKS` fixes the order in which
 `run_checks` runs them and `lcmsum verify` reports them.

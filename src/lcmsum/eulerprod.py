@@ -323,8 +323,8 @@ def count_density_poly(k: int) -> tuple[int, ...]:
 def lcm_count_density(k: int, target_error=DEFAULT_TARGET) -> BoundedReal:
     """The density constant evaluated from the tuple-count local factors.
 
-    Must agree with coprime_density of the k-input graph within combined
-    error bounds; the two routes share no graph data.
+    They equal the graph's for k = 2..4, so this is coprime_density's
+    Euler product again, not a second route.
     """
     if not (2 <= k <= 4):
         raise ValueError("k must be between 2 and 4")

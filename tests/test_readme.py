@@ -1,15 +1,21 @@
 """The README's library tour runs as printed, and each value its comments
-state holds."""
+state holds; the decisions ledger's route table covers every check and
+command, and every test it cites exists."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import lcmsum as L
+from lcmsum.checks import CHECKS
+from lcmsum.cli import COMMANDS
 from lcmsum.exactmath import BoundedReal
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+LEDGER = ROOT / "notes" / "decisions.md"
 
 
 def tour_lines():
@@ -57,3 +63,16 @@ def test_library_tour_comments_hold():
     assert weighted == sum(Fraction(a, n) for n, a in enumerate(alphas, start=1))
     # every expression line of the tour is checked above
     assert values == {}
+
+
+def test_route_table_names_every_check_command_and_test():
+    table = LEDGER.read_text().split("\n## Route table\n", 1)[1].split("\n## ", 1)[0]
+    # the checks table has one row per check, its name in the first cell
+    assert re.findall(r"^\| `([a-z0-9-]+)` \|", table, re.M) == [n for n, _ in CHECKS]
+    assert set(re.findall(r"`lcmsum ([a-z-]+)`", table)) == set(COMMANDS)
+    cited = re.findall(r"`tests/(\w+\.py)::(\w+)", table)
+    sources = {name: (ROOT / "tests" / name).read_text() for name, _ in cited}
+    missing = [f"tests/{name}::{test}" for name, test in cited
+               if not re.search(rf"^def {test}\(", sources[name], re.M)]
+    assert cited
+    assert missing == []
