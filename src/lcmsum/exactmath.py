@@ -6,8 +6,8 @@ Everything downstream leans on four guarantees provided here:
 * `BoundedReal` is a two-sided dyadic enclosure: the true quantity always
   lies in [lo, hi], and every operation rounds outward, so bounds are
   worst-case rather than statistical;
-* sieve tables (primes, smallest prime factors) are exact for every integer
-  up to their limit and support factoring up to limit**2;
+* sieve tables hold every prime up to their limit and factor any integer
+  up to limit**2 by one trial-division walk over those primes;
 * zeta values come with a certified absolute error from a bracketed
   integral tail bound; the partial sum is an exact floor sum, vectorised
   over n as uint64 limbs as wide as the lanes allow (49 bits for odd m
@@ -46,7 +46,7 @@ DEFAULT_BITS = 128
 #: working precision of zeta values and of the Euler products built on them
 CERTIFIED_BITS = DEFAULT_BITS + 32
 
-#: hard ceiling on sieve size (the limit**2 trial-division fallback covers the rest)
+#: hard ceiling on sieve size (its tables factor up to the square of their limit)
 MAX_SIEVE_LIMIT = 10**8
 
 #: refuse zeta partial sums longer than this (raise PrecisionError instead)
@@ -282,16 +282,10 @@ class SurdRatio:
 
 @dataclass(frozen=True)
 class SieveTables:
-    """Primes and smallest prime factors up to `limit`.
-
-    `smallest_prime_factor[n]` is valid for 1 <= n <= limit; `factor`
-    handles any n <= limit**2, by trial division over the sieved primes
-    while n is above the limit.
-    """
+    """The primes up to `limit`; `factor` handles any n <= limit**2."""
 
     limit: int
     primes: np.ndarray
-    smallest_prime_factor: np.ndarray
 
     def factor(self, n: int) -> list[tuple[int, int]]:
         """Prime factorization of n as sorted (p, exponent) pairs."""
@@ -301,43 +295,37 @@ class SieveTables:
             raise ResourceLimitError(
                 f"cannot factor {n} with sieve limit {self.limit}"
             )
-        walk = map(int, self.primes)
         out: list[tuple[int, int]] = []
-        while n > 1:
-            if n <= self.limit:
-                p = int(self.smallest_prime_factor[n])
-            else:
-                # no prime the walk has passed divides n, so the first that
-                # does is its least factor; none up to sqrt(n): n is prime
-                p = next((q for q in walk if n % q == 0 or q * q > n), n)
-                if n % p:
-                    p = n
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
+        for p in map(int, self.primes):
+            if p * p > n:
+                break
+            if n % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                out.append((p, e))
+        # no prime up to sqrt(n) divides what is left, so it is 1 or a prime
+        if n > 1:
+            out.append((n, 1))
         return out
 
 
 def sieve(limit: int) -> SieveTables:
-    """Build prime and smallest-factor tables for all n <= limit."""
+    """Build the table of primes up to limit."""
     if limit < 2:
         raise ValueError("limit must be at least 2")
     if limit > MAX_SIEVE_LIMIT:
         raise ResourceLimitError(
             f"sieve limit {limit} exceeds memory budget {MAX_SIEVE_LIMIT}"
         )
-    spf = np.zeros(limit + 1, dtype=np.int64)
+    composite = np.zeros(limit + 1, dtype=bool)
     for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            block = spf[p * p :: p]
-            block[block == 0] = p
+        if not composite[p]:
+            composite[p * p :: p] = True
     # the n >= 2 that no prime up to sqrt(limit) marked are the primes
-    primes = np.nonzero(spf[2:] == 0)[0] + 2
-    spf[primes] = primes
-    spf[1] = 1
-    return SieveTables(limit=limit, primes=primes, smallest_prime_factor=spf)
+    primes = np.nonzero(~composite[2:])[0] + 2
+    return SieveTables(limit=limit, primes=primes)
 
 
 @lru_cache(maxsize=6)

@@ -22,6 +22,10 @@ def invocations():
     for k in ("2", "3", "4"):
         for cmd in ("graph", "qpoly", "ism", "theta", "identity"):
             yield [cmd, "--k", k]
+    # k + 1 = 9 folds to a rational and 27 to 3 * sqrt(3): both go through
+    # SurdRatio's square folding and so through SieveTables.factor
+    for k in ("8", "26"):
+        yield ["theta", "--k", k]
     yield ["identity", "--k", "2", "--x", "12"]
     # 15 difference passes over 601 count-series terms, past Q of degree 15
     yield ["identity", "--k", "4", "--x", "600"]

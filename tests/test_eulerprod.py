@@ -301,13 +301,6 @@ def test_count_density_local_factor_k2():
     assert rhs == 1 - x**2
 
 
-def test_two_routes_agree_within_bounds():
-    for k in (2, 3, 4):
-        a = coprime_density(build_coprimality_graph(k))
-        b = lcm_count_density(k)
-        assert abs(a.value - b.value) <= a.abs_error + b.abs_error
-
-
 # ---------------------------------------------------------------------------
 # series identities
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ def test_smallest_prime_factor_full_factorization():
     for n in (2, 60, 97, 9973, 9998, 10000):
         fac = t.factor(n)
         assert math.prod(p**e for p, e in fac) == n
-        assert all(t.smallest_prime_factor[p] == p for p, _ in fac)
+        assert all(t.factor(p) == [(p, 1)] for p, _ in fac)
 
 
 def test_factor_beyond_limit_uses_trial_division():
@@ -71,26 +71,37 @@ def test_is_prime_and_factor_agree_with_sympy_past_the_limit(top):
         t.factor(t.limit**2 + 1)
 
 
+def test_factor_agrees_with_sympy_at_the_largest_table():
+    # the walk past every prime of the table factoring_limit caps at, on
+    # the largest n it admits, and its refusal just past them
+    sympy = pytest.importorskip("sympy")
+    t = sieve(exactmath.MAX_FACTORING_LIMIT)
+    q, q2 = int(t.primes[-1]), int(t.primes[-2])
+    for n in (q * q, q * q2, 2 * q):
+        assert t.factor(n) == sorted(sympy.factorint(n).items()), n
+    with pytest.raises(ResourceLimitError):
+        t.factor(t.limit**2 + 1)
+
+
 def test_sieve_equals_the_per_n_reference():
-    # spf by trial division per n; spf[0] stays 0 and spf[1] is 1
+    # a prime is an n >= 2 with no divisor in 2..n-1, tried per n
     spf = [0, 1] + [next(d for d in range(2, n + 1) if n % d == 0)
                     for n in range(2, 2001)]
     for limit in range(2, 2001):
         t = sieve(limit)
-        assert t.smallest_prime_factor.tolist() == spf[:limit + 1], limit
         assert t.primes.tolist() == [n for n in range(2, limit + 1) if spf[n] == n], limit
 
 
 def test_sieve_memory_is_the_table_and_its_primes():
-    # the int64 spf table is 7.6 MiB at 10**6; a second (limit+1)-long
-    # int64 array on top of it takes the peak past 15 MiB
+    # the bool composite table is 0.95 MiB at 10**6 and its 78,498 primes
+    # 0.6 MiB; an int64 table of limit + 1 entries alone is 7.6 MiB
     tracemalloc.start()
     try:
         sieve(10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 2**20, peak
+    assert peak <= 4 * 2**20, peak
 
 
 def test_sieve_limit_budget():
