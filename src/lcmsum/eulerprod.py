@@ -31,7 +31,7 @@ from typing import Sequence, Union
 
 from .coprimality import (Graph, build_coprimality_graph, expand_one_minus_x,
                           local_factor_poly, stirling_ism_counts)
-from .errors import PrecisionError
+from .errors import PrecisionError, ResourceLimitError
 from .exactmath import (
     BoundedReal,
     CERTIFIED_BITS,
@@ -49,6 +49,10 @@ MAX_PRIME_CUTOFF = 1 << 22
 
 #: default certified absolute error
 DEFAULT_TARGET = Fraction(1, 2 * 10**9)
+
+#: the series identities refuse a degree past this: 2**30 bytes of working
+#: set at k = 4, at 112 bytes per degree (notes/decisions.md)
+IDENTITY_MAX_DEGREE = (1 << 30) // 112
 
 #: Cauchy radii tried for the remainder coefficient bound, largest first
 RADIUS_LADDER = tuple(Fraction(1, d) for d in (2, 3, 4, 6, 8, 12, 16, 24, 32, 48))
@@ -341,9 +345,14 @@ def series_identity_mismatch(k: int, n: int) -> tuple[str, int] | None:
     Checks, in exact integers up to degree n:
       (a) Q(x) = (1-x)^(2**k-1) * sum_{nu<=n} ((nu+1)^k - nu^k) x^nu + O(x^(n+1))
       (b) Q(x) = sum_m i_m (1-x)^(v-m) x^m with the Stirling-form i_m.
+
+    Refuses n past IDENTITY_MAX_DEGREE before any list is made.
     """
-    if n < 2**k:
+    if n < 1 or n.bit_length() <= k:  # n < 2**k, with no 2**k formed
         raise ValueError("n must be at least 2**k")
+    if n > IDENTITY_MAX_DEGREE:
+        raise ResourceLimitError(
+            f"degree {n} exceeds the identity cap {IDENTITY_MAX_DEGREE}")
     q = list(local_factor_poly(build_coprimality_graph(k))) + [0] * (n + 1)
     q = q[: n + 1]
 

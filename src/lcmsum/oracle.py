@@ -33,15 +33,15 @@ Both the brute sums and the constrained sums answer from a whole-range
 result: one search at X buckets each brute tuple by its largest entry and
 each constrained-search leaf by its largest constraint product, and prefix
 sums over the buckets then give the exact value for every x <= X.  One
-range is kept per k for the brute sums and per (k, pinned) for the
-constrained search; an x past the kept X rebuilds it at max(x, 2X), so an
-ascending sweep costs about two searches at its top x.  The pinned search
-is a subtree of the plain one, so one plain search fills both variants:
-its pinned by-product is kept when it reaches further than the kept
-pinned range, and a pinned request past both builds a pinned range alone.
-The budgets keep their meaning for a search at x itself: `brute_sums`
-checks x**k before any range, and the constrained range counts the nodes
-of the search at x per bucket and checks them on every call.
+range is kept per search and k; an x past the kept X rebuilds it at
+max(x, 2X), so an ascending sweep costs about two searches at its top x.
+The coprime variant pins the all-ones part (the tuple gcd) to 1: its
+search is the subtree of a = 1 at the first position of the plain one, so
+every constrained range tallies it in columns of its own and answers both
+variants.  The budgets keep their meaning for a search at x itself:
+`brute_sums` checks x**k before any range, and the constrained range
+counts the nodes of the search at x, and of its gcd-1 part, per bucket
+and checks the variant's count on every call.
 
 Each route also has an entry that returns its count beside its value:
 `brute_sums` (the three sums, the raw and gcd-1 tuple counts),
@@ -153,32 +153,26 @@ class _Range(NamedTuple):
     rows: list[tuple[int, ...]]
 
 
-#: the latest range of each search: ("brute", k) or ("gwise", k, pinned)
+#: the latest range of each search: ("brute", k) or ("gwise", k)
 _RANGES: dict[tuple, _Range] = {}
 
 
-def _range_for(key: tuple, x: int,
-               build: Callable[[int], dict[tuple, _Range]]) -> _Range:
+def _range_for(key: tuple, x: int, build: Callable[[int], _Range]) -> _Range:
     """The kept range of `key` if it reaches x, else a new one built at
     max(x, 2X), or at x when the doubled search exceeds its budget
-    (`build` raises ResourceLimitError).  `build` returns the range of
-    `key` and any by-product ranges of other keys; each is kept where it
-    reaches further than the range it would replace."""
+    (`build` raises ResourceLimitError)."""
     r = _RANGES.get(key)
     if r is not None and r.top >= x:
         return r
     top = max(x, 2 * r.top) if r else x
     try:
-        built = build(top)
+        r = build(top)
     except ResourceLimitError:
         if top == x:
             raise
-        built = build(x)
-    for kk, rr in built.items():
-        kept = _RANGES.get(kk)
-        if kept is None or rr.top > kept.top:
-            _RANGES[kk] = rr
-    return built[key]
+        r = build(x)
+    _RANGES[key] = r
+    return r
 
 
 #: candidate children expanded at a time by the range builds.  A chunk's
@@ -352,9 +346,9 @@ def brute_sums(k: int, x: int, budget: int = TUPLE_BUDGET) -> BruteSums:
     if x == 1:  # the one all-ones tuple, at any k (the build recurses k deep)
         return BruteSums(Fraction(1), Fraction(1), Fraction(1), 1, 1)
 
-    def build(top: int) -> dict[tuple, _Range]:
+    def build(top: int) -> _Range:
         _check_budget(k, top, budget)
-        return {("brute", k): _brute_range(k, top)}
+        return _brute_range(k, top)
 
     r = _range_for(("brute", k), x, build)
     recip, coprime, prod, tuples, coprime_tuples = r.rows[x]
@@ -617,22 +611,24 @@ def fast_recip_lcm_sum2(x: int):
 # Constrained coprime-tuple sums (the structural identity)
 # ---------------------------------------------------------------------------
 
-def _search_plan(k: int, pinned: bool):
+def _search_plan(k: int):
     """The label order of the constrained search (most-constrained first)
-    and, per position, the constraints the label enters, its graph
-    neighbours assigned earlier in the order, and whether it is the pinned
-    top label.  The order ends with the k singletons 1, 2, 4, ... in
-    coordinate order, so the last label enters constraint k - 1 alone."""
+    and, per position, the constraints the label enters and its graph
+    neighbours assigned earlier in the order.  The order starts with the
+    all-ones label, whose part is the tuple gcd, so the gcd-1 part of the
+    search is the subtree of a = 1 at position 0.  It ends with the k
+    singletons 1, 2, 4, ... in coordinate order, so the last label enters
+    constraint k - 1 alone."""
     g = build_coprimality_graph(k)
     order = sorted(range(1, g.v + 1), key=lambda j: (-j.bit_count(), j))
-    if order[-k:] != [1 << i for i in range(k)]:
-        # the range build's leaf position relies on it: see `_search_chunks`
-        raise InvariantViolation("the search must end with the singletons in order")
+    if order[0] != g.v or order[-k:] != [1 << i for i in range(k)]:
+        # the range build's gcd-1 columns and leaf position rely on it
+        raise InvariantViolation("the search must start with all-ones and end "
+                                 "with the singletons in order")
     touching = [[i for i in range(k) if j in g.constraints[i]] for j in order]
     earlier = [[l for l in order[:pos] if g.adjacency[j] >> l & 1]
                for pos, j in enumerate(order)]
-    pins = [pinned and j == g.v for j in order]
-    return order, touching, earlier, pins
+    return order, touching, earlier
 
 
 def _node_limit(node_budget: int) -> ResourceLimitError:
@@ -650,24 +646,21 @@ def gwise_sum_with_count(
 
     With fix_last_to_one the all-ones part (the tuple gcd) is pinned to 1,
     which flips the sum from the plain to the coprime variant.  Read from
-    the kept range of (k, fix_last_to_one); raises ResourceLimitError when
-    the search at x visits more than `node_budget` nodes, or when the
-    range build's tally would pass TALLY_BYTES.  The sum equals the brute
-    k-fold sums bit-exactly: that equality is the decomposition identity
-    the whole construction rests on.
+    the kept range of k, columns 0-2 for the plain variant and 3-5 for the
+    coprime one; raises ResourceLimitError when the variant's search at x
+    visits more than `node_budget` nodes, or when the range build's tally
+    would pass TALLY_BYTES.  The sum equals the brute k-fold sums
+    bit-exactly: that equality is the decomposition identity the whole
+    construction rests on.
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
     if x < 1:
         raise ValueError("x must be positive")
     pinned = bool(fix_last_to_one)
-
-    def build(top: int) -> dict[tuple, _Range]:
-        ranges = _gwise_range(k, pinned, top, node_budget)
-        return {("gwise", k, p): r for p, r in ranges.items()}
-
-    r = _range_for(("gwise", k, pinned), x, build)
-    total, leaves, nodes = r.rows[x]
+    r = _range_for(("gwise", k), x,
+                   lambda top: _gwise_range(k, top, node_budget, pinned))
+    total, leaves, nodes = r.rows[x][3 * pinned:3 * pinned + 3]
     if nodes > node_budget:
         raise _node_limit(node_budget)
     return Fraction(total, r.big), leaves
@@ -679,12 +672,14 @@ def gwise_constrained_sum(k: int, x: int, fix_last_to_one: bool = False,
     return gwise_sum_with_count(k, x, fix_last_to_one, node_budget)[0]
 
 
-def _gwise_range(k: int, pinned: bool, top: int,
-                 node_budget: int) -> dict[bool, _Range]:
+def _gwise_range(k: int, top: int, node_budget: int,
+                 pinned: bool = False) -> _Range:
     """The constrained search at `top`, each node bucketed by its largest
     partial constraint product: the search at any x <= top visits exactly
     the nodes of bucket <= x, since partial products only grow along a
-    path.  Rows: sum numerator, leaves, nodes.
+    path.  Rows: the whole search's sum numerator, leaves and nodes, then
+    the same three for its gcd-1 part, the root and the subtree of a = 1
+    at position 0 (see `_search_plan`).
 
     `_search_chunks` assigns the plan's labels one position at a time,
     depth first over chunks of int64 columns: a row's children a = 1..hi
@@ -693,44 +688,35 @@ def _gwise_range(k: int, pinned: bool, top: int,
     S_k orbit, weighted by the orbit's size (see there); each node adds its
     weight to the node count, and each leaf to the leaf count, of its
     bucket.  The build raises ResourceLimitError once the weighted node
-    count passes `node_budget`, before the next position is expanded.
-    Each leaf adds weight * (big // product of its parts) to its bucket in
-    the limb columns of a `_Tally`: the product is the tuple's lcm, which
-    divides `big`, and a bucket's leaves stand for at most top**k tuples.
-
-    The pinned top label comes first in the order, so the pinned search is
-    the root and the subtree of a = 1 at position 0, node for node.  That
-    part is counted in columns of its own, and the plain search returns it
-    as the pinned range too: {False: plain, True: pinned}; the pinned
-    search returns {True: pinned}.
+    count of the whole search, or with `pinned` of its gcd-1 part, passes
+    `node_budget`, before the next position is expanded.  Each leaf adds
+    weight * (big // product of its parts) to its bucket in the limb
+    columns of a `_Tally`: the product is the tuple's lcm, which divides
+    `big`, and a bucket's leaves stand for at most top**k tuples.
     """
     _check_int64(k, top)
     scale = top**k  # at least every lcm and every bucket's count
-    # count columns: the whole search, and the pinned part of a plain one
-    kinds = (True,) if pinned else (False, True)
-    _check_tally(len(kinds), top, scale)
-    plan = _search_plan(k, pinned)
+    _check_tally(2, top, scale)
+    plan = _search_plan(k)
     big = _lcm_upto(top)
-    nodes = np.zeros((len(kinds), top + 1), np.int64)
+    nodes = np.zeros((2, top + 1), np.int64)  # (whole search, gcd-1 part)
     nodes[:, 1] = 1  # the root
-    leaves = _Tally(len(kinds), top, scale, big)
+    leaves = _Tally(2, top, scale, big)
     visited = 1
     one = np.ones(1, np.int64)
     for bucket, rest, lcm, weight in _search_chunks(
             plan, top, 0, np.ones((k, 1), np.int64), one, {}, np.zeros(1, bool)):
-        visited += int(weight.sum())
+        counts = np.stack((weight, np.where(rest, 0, weight)))
+        visited += int(counts[int(pinned)].sum())
         if visited > node_budget:
             raise _node_limit(node_budget)
-        np.add.at(nodes[0], bucket, weight)
-        if not pinned:
-            np.add.at(nodes[1], bucket[~rest], weight[~rest])
+        for col, c in zip(nodes, counts):
+            np.add.at(col, bucket, c)
         if lcm is not None:
-            counts = np.tile(weight, (len(kinds), 1))
-            counts[1:, rest] = 0  # the pinned part's column
             leaves.add(bucket, lcm, counts)
-    sums, counts = leaves.columns()
-    return {p: _Range(top, big, _prefix_rows([sums[c], counts[c], nodes[c, 1:].tolist()]))
-            for c, p in enumerate(kinds)}
+    (total, gcd1), (tallied, gcd1_tallied) = leaves.columns()
+    return _Range(top, big, _prefix_rows([total, tallied, nodes[0, 1:].tolist(),
+                                          gcd1, gcd1_tallied, nodes[1, 1:].tolist()]))
 
 
 def _orbit_sizes(n: np.ndarray) -> np.ndarray:
@@ -752,28 +738,27 @@ def _search_chunks(plan, top: int, pos: int, prods: np.ndarray, denom: np.ndarra
     first, each chunk yielded before its subtree is expanded.  A frontier
     row has partial constraint products prods[i], the product `denom` of
     its parts, the parts that later labels must be coprime to, and `rest`
-    set outside the pinned part.  lcm is None above the leaves.  weight is
-    the number of nodes of the search a node stands for: 1 above the
-    leaves, and at the leaves the size of the leaf's S_k orbit.
+    set outside the gcd-1 part (a > 1 at position 0).  lcm is None above
+    the leaves.  weight is the number of nodes of the search a node stands
+    for: 1 above the leaves, and at the leaves the size of the leaf's S_k
+    orbit.
 
     At the leaves only one member of each S_k orbit is made.  Permuting the
     k coordinates permutes the labels (subsets of {0..k-1}) and keeps their
     containment, so it maps the coprimality graph and the constraints onto
     themselves, and the bijection between tuples and coprime assignments
     commutes with it.  A leaf's bucket (max n_i), lcm (the product of its
-    parts) and pinned flag (the all-ones label is fixed) are invariant, so
+    parts) and `rest` flag (the all-ones label is fixed) are invariant, so
     the orbit of the leaf whose constraint products are sorted,
     n_0 >= n_1 >= ... >= n_{k-1}, stands for the whole orbit with weight
     `_orbit_sizes`.  The last label of the plan is the singleton of
     coordinate k - 1, so at the leaf position n_0..n_{k-2} are final: rows
     that are not sorted get no child, and the others have their
     n_{k-1} = lim * a capped at n_{k-2}."""
-    order, touching, earlier, pins = plan
+    order, touching, earlier = plan
     j, cons = order[pos], touching[pos]
     leaf = pos == len(order) - 1
-    if pins[pos]:
-        hi = np.ones_like(denom)
-    elif leaf:
+    if leaf:
         ranked = np.all(prods[:-2] >= prods[1:-1], axis=0)  # n_0 >= .. >= n_k-2
         hi = np.where(ranked, prods[-2] // prods[-1], 0)
     else:

@@ -52,6 +52,8 @@ def invocations():
     for k, x in (("2", "1"), ("2", "6"), ("2", "30"), ("3", "1"), ("3", "5"),
                  ("3", "10")):
         yield ["gwise", "--k", k, "--x", x]
+    # the size of the benchmark's k=3 point queries
+    yield ["gwise", "--k", "3", "--x", "90"]
     yield ["gwise", "--k", "2", "--x", "6", "--budget", "56"]
     yield ["gwise", "--k", "2", "--x", "6", "--budget", "57"]
     yield ["gwise", "--k", "3", "--x", "5", "--budget", "280"]

@@ -241,6 +241,14 @@ def test_brute_x1_answers_past_the_recursion_depth(capsys):
                    "prod_over_lcm_sum=1/1\ntuples=1 coprime_tuples=1\n")
 
 
+def test_identity_past_its_cap_exits_3(capsys):
+    from lcmsum.eulerprod import IDENTITY_MAX_DEGREE
+
+    argv = ["identity", "--k", "4", "--x", str(IDENTITY_MAX_DEGREE + 1)]
+    assert main(argv) == 3
+    assert "identity cap" in capsys.readouterr().err
+
+
 def test_identity_x_zero_is_a_usage_error(capsys):
     # zero must reach the command, not fall back to the default degree
     assert main(["identity", "--k", "2", "--x", "0"]) == 2
@@ -269,7 +277,7 @@ def test_gwise_command_reads_one_range_build(capsys, monkeypatch):
                         lambda *a: builds.append(a) or build(*a))
     code, out = run_cli(capsys, "gwise", "--k", "3", "--x", "20")
     assert code == 0 and "tuples=8000 " in out
-    assert builds == [(3, False, 20, oracle.GWISE_NODE_BUDGET)]
+    assert builds == [(3, 20, oracle.GWISE_NODE_BUDGET, False)]
 
 
 @pytest.mark.parametrize("argv", [["rho", "--digits", "-1"],

@@ -1,11 +1,13 @@
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from lcmsum import eulerprod, reference
 from lcmsum.coprimality import Graph, build_coprimality_graph, local_factor_poly
-from lcmsum.errors import PrecisionError
+from lcmsum.errors import PrecisionError, ResourceLimitError
 from lcmsum.eulerprod import (
     coprime_density,
     count_density_poly,
@@ -333,6 +335,41 @@ def test_series_identity_reports_a_planted_error_at_its_index(monkeypatch):
 def test_series_identity_requires_enough_terms():
     with pytest.raises(ValueError):
         series_identity_check(3, 4)
+    with pytest.raises(ValueError):
+        series_identity_check(3, -9)
+    assert series_identity_check(3, 8)  # n = 2**k is enough
+    # a huge k is refused without forming 2**k, here a 12.5 MB int
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"2\*\*k"):
+            series_identity_check(10**8, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_series_identity_refuses_a_degree_past_its_cap_at_once():
+    # the refusal comes before any list of n ints is made, at once and in
+    # little memory
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="identity cap"):
+            series_identity_mismatch(4, eulerprod.IDENTITY_MAX_DEGREE + 1)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1, elapsed
+    assert peak < 2**20, peak
+
+
+def test_series_identity_admits_its_cap(monkeypatch):
+    monkeypatch.setattr(eulerprod, "IDENTITY_MAX_DEGREE", 40)
+    assert series_identity_check(4, 40)
+    with pytest.raises(ResourceLimitError):
+        series_identity_check(4, 41)
 
 
 def test_series_identity_hand_expansion_k2():

@@ -459,11 +459,11 @@ def test_tally_guard_never_undercounts_the_tally(k, monkeypatch):
 def test_range_answers_equal_the_direct_search(k, top, pinned):
     # every x of one range against the plain-Python search at top, value,
     # leaves and nodes; the values and leaves also equal the brute range's
-    built = oracle._gwise_range(k, pinned, top, oracle.GWISE_NODE_BUDGET)
-    assert {p: r.rows for p, r in built.items()} == reference_gwise_rows(k, pinned, top)
-    r = built[pinned]
+    r = oracle._gwise_range(k, top, oracle.GWISE_NODE_BUDGET)
+    rows = part(r.rows, pinned)
+    assert rows == part(reference_gwise_rows(k, top), pinned)
     for x in range(1, top + 1):
-        total, leaves, _ = r.rows[x]
+        total, leaves, _ = rows[x]
         b = brute_sums(k, x)
         assert leaves == (b.coprime_tuples if pinned else b.tuples), x
         assert Fraction(total, r.big) == (b.recip_coprime if pinned else b.recip), x
@@ -474,11 +474,12 @@ def test_range_answers_equal_the_direct_search(k, top, pinned):
 def test_search_at_x_is_the_range_up_to_x(k, top, pinned):
     # the search at x visits exactly the nodes of bucket <= x of the search
     # at top: the plain-Python search run at each x gives the range's row x
-    r = oracle._gwise_range(k, pinned, top, oracle.GWISE_NODE_BUDGET)[pinned]
+    r = oracle._gwise_range(k, top, oracle.GWISE_NODE_BUDGET)
+    rows = part(r.rows, pinned)
     for x in range(1, top + 1):
-        total, leaves, nodes = reference_gwise_rows(k, pinned, x)[pinned][x]
+        total, leaves, nodes = part(reference_gwise_rows(k, x), pinned)[x]
         value = Fraction(total, math.lcm(*range(1, x + 1)))
-        assert (Fraction(r.rows[x][0], r.big), *r.rows[x][1:]) == (value, leaves, nodes), x
+        assert (Fraction(rows[x][0], r.big), *rows[x][1:]) == (value, leaves, nodes), x
 
 
 @pytest.mark.parametrize("pinned", [False, True])
@@ -488,10 +489,11 @@ def test_range_node_counts_are_the_direct_search_budget(k, top, pinned,
     # the plain-Python search at x visits exactly the range's nodes up to
     # x, and the range answers pass with that many as their budget and fail
     # with one fewer
-    rows = oracle._gwise_range(k, pinned, top, oracle.GWISE_NODE_BUDGET)[pinned].rows
+    built = oracle._gwise_range(k, top, oracle.GWISE_NODE_BUDGET)
+    rows = part(built.rows, pinned)
     for x in range(1, top + 1):
         n = rows[x][2]
-        assert reference_gwise_rows(k, pinned, x)[pinned][x][2] == n, x
+        assert part(reference_gwise_rows(k, x), pinned)[x][2] == n, x
         gwise_sum_with_count(k, x, pinned, node_budget=n)
         gwise_constrained_sum(k, x, pinned, node_budget=n)
         with pytest.raises(ResourceLimitError):
@@ -500,42 +502,65 @@ def test_range_node_counts_are_the_direct_search_budget(k, top, pinned,
             gwise_constrained_sum(k, x, pinned, node_budget=n - 1)
     if not pinned:
         return
-    # the same budgets hold for pinned answers from the by-product range
-    # of a plain build, which has the pinned build's rows
+    # the same budgets hold for gcd-1 answers from the range a plain
+    # request built
     monkeypatch.setattr(oracle, "_RANGES", {})
     gwise_constrained_sum(k, top)
-    kept = oracle._RANGES[("gwise", k, True)]
-    assert kept.rows == rows
+    kept = oracle._RANGES[("gwise", k)]
+    assert kept.rows == built.rows
     for x in range(1, top + 1):
         n = rows[x][2]
         gwise_constrained_sum(k, x, True, node_budget=n)
         with pytest.raises(ResourceLimitError):
             gwise_constrained_sum(k, x, True, node_budget=n - 1)
-    assert oracle._RANGES[("gwise", k, True)] is kept
+    assert oracle._RANGES[("gwise", k)] is kept
+
+
+@pytest.mark.parametrize("k, top", [(2, 30), (3, 10)])
+def test_gcd1_first_build_aborts_on_the_gcd1_nodes(k, top, monkeypatch):
+    # a gcd-1 request with no kept range builds the whole search at x, and
+    # its abort counts the gcd-1 part's nodes only: budget n, the gcd-1
+    # nodes at x, is admitted and n - 1 refused, though the whole search
+    # has more nodes once x >= 2.  The range it leaves answers the plain x
+    # with no further build
+    builds = []
+    build = oracle._gwise_range
+    monkeypatch.setattr(oracle, "_gwise_range", lambda *a: builds.append(a) or build(*a))
+    for x in range(1, top + 1):
+        n = reference_gwise_rows(k, x)[x][5]
+        monkeypatch.setattr(oracle, "_RANGES", {})
+        with pytest.raises(ResourceLimitError):
+            gwise_constrained_sum(k, x, True, node_budget=n - 1)
+        assert oracle._RANGES == {}
+        assert gwise_constrained_sum(k, x, True, node_budget=n) == \
+            brute_recip_lcm_sum_coprime(k, x), x
+        builds.clear()
+        assert gwise_constrained_sum(k, x) == brute_recip_lcm_sum(k, x), x
+        assert builds == [], x
 
 
 def test_gwise_rebuild_falls_back_to_x_within_the_budget(monkeypatch):
     # a doubled rebuild past the node budget is redone at x itself
-    n11 = oracle._gwise_range(2, False, 11, oracle.GWISE_NODE_BUDGET)[False].rows[11][2]
+    n11 = oracle._gwise_range(2, 11, oracle.GWISE_NODE_BUDGET).rows[11][2]
     monkeypatch.setattr(oracle, "_RANGES", {})
     gwise_constrained_sum(2, 10)
     assert gwise_constrained_sum(2, 11, node_budget=n11) == brute_recip_lcm_sum(2, 11)
-    assert oracle._RANGES[("gwise", 2, False)].top == 11
+    assert oracle._RANGES[("gwise", 2)].top == 11
     with pytest.raises(ResourceLimitError):
         gwise_constrained_sum(2, 12, node_budget=n11)
-    assert oracle._RANGES[("gwise", 2, False)].top == 11
+    assert oracle._RANGES[("gwise", 2)].top == 11
 
 
 def test_bench_call_order_builds_plain_ranges_only(monkeypatch):
-    # plain sweep, gcd-1 sweep, plain point, pinned point: every pinned
-    # answer comes from a plain build's by-product range
+    # plain sweep, gcd-1 sweep, plain point, gcd-1 point: plain requests
+    # build every range, at doubling tops, and the gcd-1 answers read them
     monkeypatch.setattr(oracle, "_RANGES", {})
     calls = []
     build = oracle._gwise_range
 
-    def counted(k, pinned, top, node_budget):
-        calls.append((k, pinned, top))
-        return build(k, pinned, top, node_budget)
+    def counted(k, top, node_budget, pinned=False):
+        calls.append((k, top, pinned))
+        return build(k, top, node_budget, pinned)
 
     monkeypatch.setattr(oracle, "_gwise_range", counted)
     brute = {False: brute_recip_lcm_sum, True: brute_recip_lcm_sum_coprime}
@@ -546,24 +571,8 @@ def test_bench_call_order_builds_plain_ranges_only(monkeypatch):
                     brute[pinned](k, x), (k, x, pinned)
     for pinned in (False, True):
         assert gwise_constrained_sum(3, 12, pinned) == brute[pinned](3, 12), pinned
-    assert calls and all(not pinned for _, pinned, _ in calls)
-    assert calls[-1] == (3, False, 16)
-
-
-def test_shorter_plain_build_keeps_the_longer_pinned_range(monkeypatch):
-    monkeypatch.setattr(oracle, "_RANGES", {})
-    gwise_constrained_sum(2, 40, True)
-    kept = oracle._RANGES[("gwise", 2, True)]
-    assert kept.top == 40
-    gwise_constrained_sum(2, 10)
-    gwise_constrained_sum(2, 11)
-    assert oracle._RANGES[("gwise", 2, False)].top == 20
-    assert oracle._RANGES[("gwise", 2, True)] is kept
-    # a plain build past the kept pinned range replaces it
-    gwise_constrained_sum(2, 50)
-    assert oracle._RANGES[("gwise", 2, True)].top == 50
-    for x in (1, 40, 50):
-        assert gwise_constrained_sum(2, x, True) == brute_recip_lcm_sum_coprime(2, x)
+    assert calls == ([(2, top, False) for top in (1, 2, 4, 8, 16, 32)]
+                     + [(3, top, False) for top in (1, 2, 4, 8, 16)])
 
 
 # ---------------------------------------------------------------------------
@@ -600,10 +609,11 @@ def reference_brute_rows(k, top):
 
 
 @functools.cache
-def reference_gwise_rows(k, pinned, top):
-    # the depth-first search, one big-int add per leaf; rows of the pinned
-    # part (a = 1 at position 0) and, for a plain search, of the whole
-    order, touching, earlier, pins = oracle._search_plan(k, pinned)
+def reference_gwise_rows(k, top):
+    # the depth-first search, one big-int add per leaf; as in the range
+    # build, each row holds the whole search's sum, leaves and nodes, then
+    # those of its gcd-1 part (a = 1 at position 0)
+    order, touching, earlier = oracle._search_plan(k)
     v = len(order)
     big = math.lcm(*range(1, top + 1))
     ones, rest = ([[0] * (top + 1) for _ in range(3)] for _ in range(2))
@@ -613,7 +623,7 @@ def reference_gwise_rows(k, pinned, top):
 
     def dfs(pos, denom, m, cols):
         j = order[pos]
-        hi = 1 if pins[pos] else min(top // prods[i] for i in touching[pos])
+        hi = min(top // prods[i] for i in touching[pos])
         fixed = math.prod(values[l] for l in earlier[pos])
         for a in range(1, hi + 1):
             if math.gcd(a, fixed) != 1:
@@ -635,14 +645,13 @@ def reference_gwise_rows(k, pinned, top):
 
     dfs(0, 1, 1, ones)
 
-    def prefix_rows(cols):
-        return list(zip(*(itertools.accumulate(col) for col in cols)))
+    whole = [[p + q for p, q in zip(a, b)] for a, b in zip(ones, rest)]
+    return list(zip(*(itertools.accumulate(col) for col in whole + ones)))
 
-    out = {True: prefix_rows(ones)}
-    if not pinned:
-        out[False] = prefix_rows([[p + q for p, q in zip(a, b)]
-                                  for a, b in zip(ones, rest)])
-    return out
+
+def part(rows, pinned):
+    # the columns of the gcd-1 part, or of the whole search
+    return [row[3:] if pinned else row[:3] for row in rows]
 
 
 BRUTE_GRID = [(1, 1), (1, 256), (2, 1), (2, 2), (2, 256), (3, 1), (3, 2),
@@ -670,29 +679,35 @@ def test_brute_range_equals_the_tuple_loop(k, top, chunk):
 
 @pytest.mark.parametrize("k, pinned, top", GWISE_GRID)
 def test_gwise_range_equals_the_search_loop(k, pinned, top, chunk):
-    built = oracle._gwise_range(k, pinned, top, oracle.GWISE_NODE_BUDGET)
-    assert {p: r.rows for p, r in built.items()} == reference_gwise_rows(k, pinned, top)
-    assert all(type(n) is int for r in built.values() for row in r.rows for n in row)
+    rows = oracle._gwise_range(k, top, oracle.GWISE_NODE_BUDGET).rows
+    assert part(rows, pinned) == part(reference_gwise_rows(k, top), pinned)
+    assert all(type(n) is int for row in rows for n in row)
 
 
 @pytest.mark.parametrize("pinned", [False, True])
 @pytest.mark.parametrize("k, top", [(2, 90), (3, 30)])
 def test_gwise_range_refuses_iff_its_nodes_pass_the_budget(k, pinned, top, chunk):
-    nodes = reference_gwise_rows(k, pinned, top)[pinned][-1][2]
-    assert oracle._gwise_range(k, pinned, top, nodes)[pinned].rows[-1][2] == nodes
+    # with `pinned` the build's abort counts the gcd-1 part's nodes only
+    nodes = part(reference_gwise_rows(k, top), pinned)[-1][2]
+    built = oracle._gwise_range(k, top, nodes, pinned)
+    assert part(built.rows, pinned)[-1][2] == nodes
     with pytest.raises(ResourceLimitError):
-        oracle._gwise_range(k, pinned, top, nodes - 1)
+        oracle._gwise_range(k, top, nodes - 1, pinned)
 
 
 @pytest.mark.parametrize("pinned", [False, True])
 @pytest.mark.parametrize("k", [2, 3])
 def test_search_plan_ends_with_the_singletons_in_order(k, pinned):
     # the range build's leaf position relies on it: there n_0..n_{k-2} are
-    # final and the last label enters constraint k - 1 alone
-    order, touching, _, pins = oracle._search_plan(k, pinned)
+    # final and the last label enters constraint k - 1 alone.  Its gcd-1
+    # columns rely on the all-ones label coming first, in every constraint,
+    # so that the gcd-1 part is the subtree of a = 1 at position 0
+    order, touching, _ = oracle._search_plan(k)
     assert order[-k:] == [1 << i for i in range(k)]
     assert touching[-k:] == [[i] for i in range(k)]
-    assert not any(pins[-k:])
+    if pinned:
+        assert order[0] == 2**k - 1
+        assert touching[0] == list(range(k))
 
 
 def test_range_build_tallies_one_leaf_per_orbit(monkeypatch):
@@ -706,9 +721,9 @@ def test_range_build_tallies_one_leaf_per_orbit(monkeypatch):
         add(self, bucket, n, counts)
 
     monkeypatch.setattr(oracle._Tally, "add", counted)
-    built = oracle._gwise_range(3, False, 30, oracle.GWISE_NODE_BUDGET)
+    built = oracle._gwise_range(3, 30, oracle.GWISE_NODE_BUDGET)
     assert sum(tallied) == math.comb(32, 3) == 4960
-    assert built[False].rows[30][1] == 30**3
+    assert built.rows[30][1] == 30**3
 
 
 def test_range_builds_refuse_what_int64_cannot_hold(monkeypatch):
@@ -725,7 +740,7 @@ def test_range_builds_refuse_what_int64_cannot_hold(monkeypatch):
     with pytest.raises(ResourceLimitError):
         oracle._brute_range(2, 2**21)
     with pytest.raises(ResourceLimitError):
-        oracle._gwise_range(2, False, 2**21, 2**70)
+        oracle._gwise_range(2, 2**21, 2**70)
     # brute's product sum reaches top**(2k-1), past top**(k+1) for k >= 3
     with pytest.raises(ResourceLimitError):
         oracle._brute_range(3, 6209)
@@ -739,7 +754,7 @@ def test_range_builds_refuse_what_int64_cannot_hold(monkeypatch):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: oracle._gwise_range(3, False, 90, oracle.GWISE_NODE_BUDGET),
+    lambda: oracle._gwise_range(3, 90, oracle.GWISE_NODE_BUDGET),
     lambda: oracle._brute_range(3, 90),
 ], ids=["gwise", "brute"])
 def test_range_build_memory_stays_chunked(build):
@@ -776,9 +791,8 @@ def test_tallies_hold_no_per_key_state(monkeypatch):
     assert len(keys) == 23052 > 2 * (h + 1) * 256
     for top in (90, 256):
         states.clear()
-        built = oracle._gwise_range(2, False, top, oracle.GWISE_NODE_BUDGET)
-        assert ({p: r.rows for p, r in built.items()}
-                == reference_gwise_rows(2, False, top))
+        built = oracle._gwise_range(2, top, oracle.GWISE_NODE_BUDGET)
+        assert built.rows == reference_gwise_rows(2, top)
         assert len(states) == 1
 
 
