@@ -5,6 +5,7 @@ Pass --k4 to include the 10- to 15-dimensional bodies (about 0.1 s of DP).
 """
 
 import sys
+from fractions import Fraction
 from math import factorial
 
 import lcmsum as L
@@ -19,7 +20,7 @@ for k in ks:
         print(f"  {kind:8s} dim {p.dim:2d}  vol = {vol}")
     for name, lhs, rhs in L.volume_relations_check(k):
         print(f"  relation {name}: {'ok' if lhs == rhs else 'VIOLATED'}")
-    assert L.volume_of("T", k) == L.ExactRational(1, factorial(2**k - 1))
+    assert L.volume_of("T", k) == Fraction(1, factorial(2**k - 1))
     print()
 
 print("worksheet export for the 3-dimensional pairwise-sum body:")

@@ -44,7 +44,6 @@ from .eulerprod import (
 )
 from .exactmath import (
     BoundedReal,
-    ExactRational,
     SieveTables,
     SurdRatio,
     leading_coeff_by_differences,
@@ -63,7 +62,6 @@ from .oracle import (
     gwise_constrained_sum,
     gwise_sum_with_count,
     lcm_multiplicity,
-    lcm_multiplicity_sum,
     lcm_multiplicity_table,
     leading_constants,
     theta_exponents,
@@ -72,7 +70,6 @@ from .polytope import (
     EhrhartSamples,
     HyperbolicPolytope,
     build_polytope,
-    ehrhart_volume,
     export_ieqs,
     ieqs_rows,
     lattice_counts,

@@ -25,7 +25,7 @@ from .eulerprod import (coprime_density, count_density_poly, lcm_count_density,
                         series_identity_check)
 from .oracle import (brute_recip_lcm_sum, brute_recip_lcm_sum_coprime,
                      fast_recip_lcm_sum2, gwise_constrained_sum, lcm_multiplicity,
-                     lcm_multiplicity_sum, leading_constants)
+                     lcm_multiplicity_table, leading_constants)
 from .polytope import build_polytope, ieqs_rows, volume_of, volume_relations_check
 
 CheckOutcome = tuple[bool, str, str, str]
@@ -147,7 +147,7 @@ def alpha_battery() -> CheckOutcome:
             count = sum(math.lcm(*t) == n for t in product(divs, repeat=k))
             if count != lcm_multiplicity(k, n):
                 return False, "formula == brute count", f"k={k} n={n}", "exact"
-        if lcm_multiplicity_sum(k, 60) > brute_recip_lcm_sum(k, 60):
+        if lcm_multiplicity_table(k, 60)[1] > brute_recip_lcm_sum(k, 60):
             return False, "alpha_sum <= recip sum", f"k={k}", "exact"
     return True, "multiplicity formula vs brute, n<=200", "all equal", "exact"
 

@@ -9,14 +9,13 @@ a negative `--digits`, is rejected at parse time.
 
 Every computational subcommand prints byte-identical output for fixed
 flags.  The one documented exception is the runtime_ms field of `verify`
-report rows, which records wall time.  The LCMSUM_THREADS environment
-variable is accepted for forward compatibility; all computations run
-sequentially and are deterministic regardless of its value.
+report rows, which records wall time.  All computations run
+sequentially.
 
-Exit status: 0 success, 1 verification failures, 2 usage error (also a
-non-integer LCMSUM_THREADS or an `--out` path that cannot be written; a
-directory or a missing or read-only parent is refused before computing),
-3 resource budget exceeded (partial report emitted).
+Exit status: 0 success, 1 verification failures, 2 usage error (also an
+`--out` path that cannot be written; a directory or a missing or
+read-only parent is refused before computing), 3 resource budget
+exceeded (partial report emitted).
 """
 
 from __future__ import annotations
@@ -284,13 +283,6 @@ def _unwritable(path: str) -> str | None:
 
 
 def main(argv=None) -> int:
-    raw = os.environ.get("LCMSUM_THREADS", "1")
-    try:
-        int(raw)
-    except ValueError:
-        print(f"error: LCMSUM_THREADS must be an integer, got {raw!r}",
-              file=sys.stderr)
-        return 2
     args = build_parser().parse_args(argv)
     # refuse an --out that cannot be written before computing; the write
     # below still reports what this check cannot see (say, a read-only file)

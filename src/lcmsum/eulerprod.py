@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
 from .coprimality import (Graph, build_coprimality_graph, expand_one_minus_x,
                           local_factor_poly, stirling_ism_counts)
@@ -56,8 +56,6 @@ IDENTITY_MAX_DEGREE = (1 << 30) // 112
 
 #: Cauchy radii tried for the remainder coefficient bound, largest first
 RADIUS_LADDER = tuple(Fraction(1, d) for d in (2, 3, 4, 6, 8, 12, 16, 24, 32, 48))
-
-PolyLike = Union[Graph, Sequence[int]]
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +143,6 @@ class EulerProductResult:
     primes_used: int
     prime_cutoff: int
     factorization: ZetaFactorization
-    tail_bound: Fraction
 
 
 def _coeff_bound(coeffs: Sequence[int], b: dict[int, int],
@@ -212,7 +209,7 @@ def _euler_product_cached(
         if coeffs[0] != 1:
             raise ValueError("polynomial must have constant term 1")
         return EulerProductResult(BoundedReal.exact(1, bits), 0, 0,
-                                  ZetaFactorization(order, {}), Fraction(0))
+                                  ZetaFactorization(order, {}))
 
     fz = zeta_factorization(coeffs, order)
     b = fz.exponents
@@ -291,18 +288,12 @@ def _euler_product_cached(
             f"{float(target):.3e}", achieved=total.abs_error)
     return EulerProductResult(
         value=total, primes_used=len(primes), prime_cutoff=p_cut,
-        factorization=fz, tail_bound=t1)
+        factorization=fz)
 
 
-def _as_coeffs(g_or_coeffs: PolyLike) -> tuple[int, ...]:
-    if isinstance(g_or_coeffs, Graph):
-        return local_factor_poly(g_or_coeffs)
-    return tuple(int(c) for c in g_or_coeffs)
-
-
-def coprime_density(g_or_coeffs: PolyLike, target_error=DEFAULT_TARGET) -> BoundedReal:
+def coprime_density(g: Graph, target_error=DEFAULT_TARGET) -> BoundedReal:
     """Density constant of graph-wise coprime tuples: prod_p Q(1/p), certified."""
-    return euler_product(_as_coeffs(g_or_coeffs), target_error).value
+    return euler_product(local_factor_poly(g), target_error).value
 
 
 # ---------------------------------------------------------------------------

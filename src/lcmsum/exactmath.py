@@ -2,7 +2,7 @@
 
 Everything downstream leans on four guarantees provided here:
 
-* rationals are exact (`fractions.Fraction`, re-exported as `ExactRational`);
+* rationals are exact (`fractions.Fraction`);
 * `BoundedReal` is a two-sided dyadic enclosure: the true quantity always
   lies in [lo, hi], and every operation rounds outward, so bounds are
   worst-case rather than statistical;
@@ -37,8 +37,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PrecisionError, ResourceLimitError
-
-ExactRational = Fraction
 
 #: default working precision (fractional bits) for BoundedReal enclosures
 DEFAULT_BITS = 128

@@ -43,11 +43,14 @@ variants.  The budgets keep their meaning for a search at x itself:
 counts the nodes of the search at x, and of its gcd-1 part, per bucket
 and checks the variant's count on every call.
 
-Each route also has an entry that returns its count beside its value:
+Each route has one entry that returns its count beside its value:
 `brute_sums` (the three sums, the raw and gcd-1 tuple counts),
-`gwise_sum_with_count` (the sum and the search leaves; the CLI's `gwise`
-and `gwise_constrained_sum` read it) and `lcm_multiplicity_table`
-(alpha(k, n) for n <= x and their weighted sum).
+`gwise_sum_with_count` (the sum and the search leaves) and
+`lcm_multiplicity_table` (alpha(k, n) for n <= x and their weighted
+sum).  A budget is set on the first two only; the one-sum wrappers
+`brute_recip_lcm_sum`, `brute_recip_lcm_sum_coprime`,
+`brute_prod_over_lcm_sum` and `gwise_constrained_sum` call them with
+the default budgets.
 
 `leading_constants` assembles the top-coefficient data of the three sums
 from one Euler product (the density) per k: c = density * vol(D), the
@@ -84,6 +87,10 @@ TALLY_BYTES = 1 << 30
 
 #: constrained-tuple search refuses more than this many tree nodes
 GWISE_NODE_BUDGET = 5 * 10**7
+
+#: theta_exponents refuses a k past this: its cost grows about as k**2.1,
+#: 17-20 s at the cap on a 2-core host (notes/decisions.md)
+THETA_MAX_K = 2 * 10**5
 
 #: totient-formula sum switches from exact rationals to enclosures here
 FAST_S2_EXACT_LIMIT = 10**4
@@ -356,19 +363,19 @@ def brute_sums(k: int, x: int, budget: int = TUPLE_BUDGET) -> BruteSums:
                      Fraction(prod), tuples, coprime_tuples)
 
 
-def brute_recip_lcm_sum(k: int, x: int, budget: int = TUPLE_BUDGET) -> Fraction:
+def brute_recip_lcm_sum(k: int, x: int) -> Fraction:
     """sum over all k-tuples <= x of 1/lcm, exact."""
-    return brute_sums(k, x, budget).recip
+    return brute_sums(k, x).recip
 
 
-def brute_recip_lcm_sum_coprime(k: int, x: int, budget: int = TUPLE_BUDGET) -> Fraction:
+def brute_recip_lcm_sum_coprime(k: int, x: int) -> Fraction:
     """Same sum restricted to tuples with overall gcd 1, exact."""
-    return brute_sums(k, x, budget).recip_coprime
+    return brute_sums(k, x).recip_coprime
 
 
-def brute_prod_over_lcm_sum(k: int, x: int, budget: int = TUPLE_BUDGET) -> Fraction:
+def brute_prod_over_lcm_sum(k: int, x: int) -> Fraction:
     """sum over all k-tuples <= x of (n_1*...*n_k)/lcm; integer-valued."""
-    return brute_sums(k, x, budget).prod_over_lcm
+    return brute_sums(k, x).prod_over_lcm
 
 
 # ---------------------------------------------------------------------------
@@ -666,10 +673,9 @@ def gwise_sum_with_count(
     return Fraction(total, r.big), leaves
 
 
-def gwise_constrained_sum(k: int, x: int, fix_last_to_one: bool = False,
-                          node_budget: int = GWISE_NODE_BUDGET) -> Fraction:
+def gwise_constrained_sum(k: int, x: int, fix_last_to_one: bool = False) -> Fraction:
     """The sum of `gwise_sum_with_count`, under the same refusals."""
-    return gwise_sum_with_count(k, x, fix_last_to_one, node_budget)[0]
+    return gwise_sum_with_count(k, x, fix_last_to_one)[0]
 
 
 def _gwise_range(k: int, top: int, node_budget: int,
@@ -819,11 +825,6 @@ def lcm_multiplicity_table(k: int, x: int) -> tuple[list[int], Fraction]:
     return alphas, Fraction(num, big)
 
 
-def lcm_multiplicity_sum(k: int, x: int) -> Fraction:
-    """sum_{n<=x} (tuples with lcm n)/n, exact; a lower bound for the full sum."""
-    return lcm_multiplicity_table(k, x)[1]
-
-
 # ---------------------------------------------------------------------------
 # Leading constants and error exponents
 # ---------------------------------------------------------------------------
@@ -835,10 +836,13 @@ def theta_exponents(k: int) -> tuple[SurdRatio, SurdRatio, SurdRatio]:
     theta2 =          (2^k/(k+1)^((k+1)/2)) * 3/(2^k + 6k - 6)
 
     (k+1)^((k+1)/2) is kept exact: an integer power for odd k, an integer
-    power times sqrt(k+1) for even k.
+    power times sqrt(k+1) for even k.  Refuses k past THETA_MAX_K before
+    the power is formed.
     """
     if k < 3:
         raise ValueError("exponents are defined for k >= 3 only")
+    if k > THETA_MAX_K:
+        raise ResourceLimitError(f"k = {k} exceeds the theta cap {THETA_MAX_K}")
     root = 1 if k % 2 == 1 else k + 1
     denom_pow = (k + 1) ** ((k + 1) // 2)
     t1 = SurdRatio(Fraction(3 * 2**k, denom_pow * (2**k + 6 * k - 5)), root)

@@ -419,14 +419,10 @@ def ehrhart_data(p: HyperbolicPolytope) -> tuple[Fraction, EhrhartSamples]:
     return vol, samples
 
 
-def ehrhart_volume(p: HyperbolicPolytope) -> Fraction:
-    return ehrhart_data(p)[0]
-
-
 @lru_cache(maxsize=None)
 def volume_of(kind: str, k: int) -> Fraction:
     """Cached exact volume of a named polytope family member."""
-    return ehrhart_volume(build_polytope(kind, k))
+    return ehrhart_data(build_polytope(kind, k))[0]
 
 
 def volume_relations_check(k: int) -> tuple[tuple[str, Fraction, Fraction], ...]:

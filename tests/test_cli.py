@@ -406,17 +406,6 @@ def test_entry_point_subprocess():
     assert out.stdout == "1/3\n"
 
 
-def test_threads_env_accepted(monkeypatch, capsys):
-    monkeypatch.setenv("LCMSUM_THREADS", "4")
-    code, out = run_cli(capsys, "volume", "--kind", "D", "--k", "2")
-    assert code == 0 and out == "1/3\n"
-    monkeypatch.setenv("LCMSUM_THREADS", "junk")
-    assert main(["volume", "--kind", "D", "--k", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: LCMSUM_THREADS")
-
-
 # ---------------------------------------------------------------------------
 # verify battery (budgeted here; the full run is the acceptance suite)
 # ---------------------------------------------------------------------------

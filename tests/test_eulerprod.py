@@ -241,7 +241,7 @@ def test_plain_partial_product_within_crude_tail():
     # unaccelerated product over p <= 10^4, widened by its own tail bound,
     # must trap the accelerated value
     coeffs = reference.LOCAL_POLY[3]
-    accel = coprime_density(coeffs)
+    accel = euler_product(coeffs).value
     bits = 160
     prod = BoundedReal.exact(1, bits)
     from lcmsum.exactmath import shared_sieve
@@ -270,12 +270,11 @@ def test_precision_error_carries_achieved_bound():
 
 @pytest.mark.parametrize("call", [
     lambda: euler_product(()),
-    lambda: coprime_density(()),
     lambda: euler_product(reference.LOCAL_POLY[3], prime_cutoff=0),
     lambda: euler_product(reference.LOCAL_POLY[3], prime_cutoff=-5),
     lambda: euler_product(reference.LOCAL_POLY[3], order=0),
     lambda: euler_product(reference.LOCAL_POLY[3], order=-1),
-], ids=["empty", "empty-density", "cutoff-0", "cutoff-neg", "order-0", "order-neg"])
+], ids=["empty", "cutoff-0", "cutoff-neg", "order-0", "order-neg"])
 def test_euler_product_rejects_bad_inputs(call):
     # an empty polynomial or a non-positive order or cutoff is a usage
     # error, not an IndexError, ZeroDivisionError or PrecisionError

@@ -24,7 +24,6 @@ from lcmsum.oracle import (
     gwise_constrained_sum,
     gwise_sum_with_count,
     lcm_multiplicity,
-    lcm_multiplicity_sum,
     lcm_multiplicity_table,
     leading_constants,
     theta_exponents,
@@ -81,7 +80,7 @@ def test_brute_order_relations():
     for k, x in ((2, 20), (3, 8)):
         s = brute_recip_lcm_sum(k, x)
         u = brute_recip_lcm_sum_coprime(k, x)
-        a = lcm_multiplicity_sum(k, x)
+        a = lcm_multiplicity_table(k, x)[1]
         assert u <= s
         assert a <= s
 
@@ -102,12 +101,10 @@ def test_brute_budget_guard():
 def test_brute_budget_guard_holds_for_a_cached_pass():
     # the budget is checked before the cache, so a pass computed under the
     # default budget is still refused under a smaller one
-    brute_recip_lcm_sum(3, 10)
-    for brute in (brute_recip_lcm_sum, brute_recip_lcm_sum_coprime,
-                  brute_prod_over_lcm_sum):
-        with pytest.raises(ResourceLimitError):
-            brute(3, 10, budget=999)
-    assert brute_recip_lcm_sum(3, 10, budget=1000) == brute_recip_lcm_sum(3, 10)
+    brute_sums(3, 10)
+    with pytest.raises(ResourceLimitError):
+        brute_sums(3, 10, budget=999)
+    assert brute_sums(3, 10, budget=1000) == brute_sums(3, 10)
 
 
 def test_brute_rebuild_at_twice_the_range_only_within_the_budget(monkeypatch):
@@ -376,9 +373,9 @@ def test_gwise_equals_brute_k3():
 
 def test_gwise_guards():
     with pytest.raises(ValueError):
-        gwise_constrained_sum(4, 10)
+        gwise_sum_with_count(4, 10)
     with pytest.raises(ResourceLimitError):
-        gwise_constrained_sum(3, 40, node_budget=50)
+        gwise_sum_with_count(3, 40, node_budget=50)
 
 
 def test_gwise_range_sieves_once(monkeypatch):
@@ -495,11 +492,8 @@ def test_range_node_counts_are_the_direct_search_budget(k, top, pinned,
         n = rows[x][2]
         assert part(reference_gwise_rows(k, x), pinned)[x][2] == n, x
         gwise_sum_with_count(k, x, pinned, node_budget=n)
-        gwise_constrained_sum(k, x, pinned, node_budget=n)
         with pytest.raises(ResourceLimitError):
             gwise_sum_with_count(k, x, pinned, node_budget=n - 1)
-        with pytest.raises(ResourceLimitError):
-            gwise_constrained_sum(k, x, pinned, node_budget=n - 1)
     if not pinned:
         return
     # the same budgets hold for gcd-1 answers from the range a plain
@@ -510,9 +504,9 @@ def test_range_node_counts_are_the_direct_search_budget(k, top, pinned,
     assert kept.rows == built.rows
     for x in range(1, top + 1):
         n = rows[x][2]
-        gwise_constrained_sum(k, x, True, node_budget=n)
+        gwise_sum_with_count(k, x, True, node_budget=n)
         with pytest.raises(ResourceLimitError):
-            gwise_constrained_sum(k, x, True, node_budget=n - 1)
+            gwise_sum_with_count(k, x, True, node_budget=n - 1)
     assert oracle._RANGES[("gwise", k)] is kept
 
 
@@ -530,9 +524,9 @@ def test_gcd1_first_build_aborts_on_the_gcd1_nodes(k, top, monkeypatch):
         n = reference_gwise_rows(k, x)[x][5]
         monkeypatch.setattr(oracle, "_RANGES", {})
         with pytest.raises(ResourceLimitError):
-            gwise_constrained_sum(k, x, True, node_budget=n - 1)
+            gwise_sum_with_count(k, x, True, node_budget=n - 1)
         assert oracle._RANGES == {}
-        assert gwise_constrained_sum(k, x, True, node_budget=n) == \
+        assert gwise_sum_with_count(k, x, True, node_budget=n)[0] == \
             brute_recip_lcm_sum_coprime(k, x), x
         builds.clear()
         assert gwise_constrained_sum(k, x) == brute_recip_lcm_sum(k, x), x
@@ -544,10 +538,10 @@ def test_gwise_rebuild_falls_back_to_x_within_the_budget(monkeypatch):
     n11 = oracle._gwise_range(2, 11, oracle.GWISE_NODE_BUDGET).rows[11][2]
     monkeypatch.setattr(oracle, "_RANGES", {})
     gwise_constrained_sum(2, 10)
-    assert gwise_constrained_sum(2, 11, node_budget=n11) == brute_recip_lcm_sum(2, 11)
+    assert gwise_sum_with_count(2, 11, node_budget=n11)[0] == brute_recip_lcm_sum(2, 11)
     assert oracle._RANGES[("gwise", 2)].top == 11
     with pytest.raises(ResourceLimitError):
-        gwise_constrained_sum(2, 12, node_budget=n11)
+        gwise_sum_with_count(2, 12, node_budget=n11)
     assert oracle._RANGES[("gwise", 2)].top == 11
 
 
@@ -915,9 +909,9 @@ def test_multiplicity_table_sum_across_sub_gaps():
 
 
 def test_multiplicity_sum_examples():
-    assert lcm_multiplicity_sum(2, 2) == Fraction(5, 2)
-    assert lcm_multiplicity_sum(3, 1) == 1
-    assert lcm_multiplicity_sum(3, 4) == 1 + Fraction(7, 2) + Fraction(7, 3) \
+    assert lcm_multiplicity_table(2, 2)[1] == Fraction(5, 2)
+    assert lcm_multiplicity_table(3, 1)[1] == 1
+    assert lcm_multiplicity_table(3, 4)[1] == 1 + Fraction(7, 2) + Fraction(7, 3) \
         + Fraction(19, 4)
 
 
@@ -949,7 +943,7 @@ def test_sum_report_gwise_counts_certify_the_bijection():
 def test_sum_report_alpha_count():
     alphas, value = lcm_multiplicity_table(2, 4)
     assert alphas == [lcm_multiplicity(2, n) for n in range(1, 5)]
-    assert value == Fraction(19, 4) == lcm_multiplicity_sum(2, 4)
+    assert value == Fraction(19, 4)
     assert sum(alphas) == 1 + 3 + 3 + 5
     # tuples with lcm <= x is the same count the S-sum ranges over only
     # when every pair's lcm stays <= x; here lcm(3,4)=12 > 4, so strictly less
@@ -991,6 +985,30 @@ def test_theta_values():
     assert float(t2) == pytest.approx(16 / (25 * math.sqrt(5)) * 3 / 34)
     with pytest.raises(ValueError):
         theta_exponents(2)
+
+
+def test_theta_refuses_k_past_the_cap():
+    # refused before (k+1)**((k+1)//2) is formed: at once and in little memory
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="theta cap"):
+            theta_exponents(oracle.THETA_MAX_K + 1)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1, elapsed
+    assert peak < 2**20, peak
+
+
+def test_theta_admits_the_cap_itself(monkeypatch):
+    monkeypatch.setattr(oracle, "THETA_MAX_K", 9)
+    t1, t2, _ = theta_exponents(9)
+    assert t1.as_fraction() == Fraction(3 * 2**9, 10**5 * (2**9 + 6 * 9 - 5))
+    assert t2.as_fraction() == Fraction(3 * 2**9, 10**5 * (2**9 + 6 * 9 - 6))
+    with pytest.raises(ResourceLimitError):
+        theta_exponents(10)
 
 
 def test_constants_ordering_k2_k3():

@@ -76,3 +76,17 @@ def test_route_table_names_every_check_command_and_test():
                if not re.search(rf"^def {test}\(", sources[name], re.M)]
     assert cited
     assert missing == []
+
+
+def test_flag_table_matches_the_parser():
+    # each row of the README's flag table names subcommands and the flags
+    # they take besides --out; together the rows are exactly `cli.COMMANDS`
+    table = README.read_text().split(
+        "| subcommand | flags (besides `--out`) |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines():
+        commands, flags = row.strip("|").split("|")
+        for name in re.findall(r"`([a-z-]+)`", commands):
+            assert name not in documented, name
+            documented[name] = set(re.findall(r"`(--[a-z]+)", flags))
+    assert documented == {name: set(flags) for name, (_, flags) in COMMANDS.items()}
