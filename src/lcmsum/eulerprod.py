@@ -151,15 +151,16 @@ def _coeff_bound(coeffs: Sequence[int], b: dict[int, int],
 
     Triangle inequality per factor: |Q| <= sum |c_a| r^a, |1-x^j| within
     [1 - r^j, 1 + r^j].  Rejects radii at which the bound exceeds 2**24
-    (a tighter radius will be tried instead).
+    (a tighter radius will be tried instead).  A factor with |b_j| r^j >= 24
+    passes 2**24 alone, so it is rejected before its power is formed.
     """
     bits = CERTIFIED_BITS
     acc = BoundedReal.exact(sum(abs(c) * radius**a for a, c in enumerate(coeffs)), bits)
     for j, bj in b.items():
         rj = radius**j
+        if abs(bj) * rj >= 24:
+            return None
         if bj > 0:
-            if rj >= 1:
-                return None
             acc = acc * BoundedReal.exact(1 - rj, bits) ** (-bj)
         else:
             acc = acc * BoundedReal.exact(1 + rj, bits) ** (-bj)

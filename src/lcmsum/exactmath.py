@@ -128,9 +128,6 @@ class BoundedReal:
         """Radius of the enclosure; the true value is within +-abs_error."""
         return Fraction(self._hi - self._lo, 2 << self._bits)
 
-    def __float__(self) -> float:
-        return float(self.value)
-
     def __repr__(self) -> str:
         return f"BoundedReal({float(self.value)!r} +- {float(self.abs_error):.3e})"
 
@@ -175,15 +172,9 @@ class BoundedReal:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return BoundedReal(-self._hi, -self._lo, self._bits)
-
     def __sub__(self, other):
         a, b, bits = self._pair(other)
         return BoundedReal(a._lo - b._hi, a._hi - b._lo, bits)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __mul__(self, other):
         a, b, bits = self._pair(other)
@@ -264,9 +255,6 @@ class SurdRatio:
         if isinstance(other, (int, Fraction)):
             return self.is_rational and self.rational == other
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rational, self.root))
 
     def __repr__(self):
         if self.is_rational:

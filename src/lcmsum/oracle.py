@@ -92,6 +92,11 @@ GWISE_NODE_BUDGET = 5 * 10**7
 #: 17-20 s at the cap on a 2-core host (notes/decisions.md)
 THETA_MAX_K = 2 * 10**5
 
+#: lcm_multiplicity_table refuses x and k * x past these: 15-18 s at the
+#: caps on a 2-core host (notes/decisions.md)
+ALPHA_MAX_X = 4 * 10**5
+ALPHA_MAX_KX = 4 * 10**6
+
 #: totient-formula sum switches from exact rationals to enclosures here
 FAST_S2_EXACT_LIMIT = 10**4
 FAST_S2_MAX = 10**7
@@ -814,10 +819,13 @@ def lcm_multiplicity_table(k: int, x: int) -> tuple[list[int], Fraction]:
 
     The sum is taken over lcm(1..x) by `_gap_sum`, exact since every n
     divides lcm(1..x).  The alphas sum to the number of k-tuples with
-    lcm <= x.
+    lcm <= x.  Refuses x past ALPHA_MAX_X and k * x past ALPHA_MAX_KX.
     """
     if x < 1:
         raise ValueError("x must be positive")
+    if x > ALPHA_MAX_X or k * x > ALPHA_MAX_KX:
+        raise ResourceLimitError(f"alpha at k = {k}, x = {x} exceeds the caps "
+                                 f"x <= {ALPHA_MAX_X}, k * x <= {ALPHA_MAX_KX}")
     big = _lcm_upto(x)
     alphas = [lcm_multiplicity(k, n) for n in range(1, x + 1)]
     num = _gap_sum(lambda lo, hi: (alphas[lo - 1:hi - 1], list(range(lo, hi))),
@@ -880,10 +888,8 @@ def leading_constants(k: int, target_error=DEFAULT_TARGET) -> LeadingConstants:
     The coprime-variant constant is (2**k - 1) c because vol(D_star) =
     (2**k - 1) vol(D), the cone relation; the two volumes come from
     separate Ehrhart extractions and must satisfy it exactly, or
-    InvariantViolation is raised.
+    InvariantViolation is raised.  `build_polytope` refuses k outside 2..4.
     """
-    if not (2 <= k <= 4):
-        raise ValueError("k must be between 2 and 4")
     vol_d = volume_of("D", k)
     vol_ds = volume_of("D_star", k)
     vol_ds2 = volume_of("D_star2", k)

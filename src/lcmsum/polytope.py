@@ -433,8 +433,6 @@ def volume_relations_check(k: int) -> tuple[tuple[str, Fraction, Fraction], ...]
     constraint, so integrating it out scales by 1/dim(D).  Likewise
     vol(D_star2) = vol(D_star3) / (2**k - k - 1).
     """
-    if not (2 <= k <= 4):
-        raise ValueError("k must be between 2 and 4")
     return (
         ("vol(D) == vol(D_star)/(2**k-1)",
          volume_of("D", k), volume_of("D_star", k) / (2**k - 1)),

@@ -249,6 +249,14 @@ def test_identity_past_its_cap_exits_3(capsys):
     assert "identity cap" in capsys.readouterr().err
 
 
+def test_alpha_past_its_caps_exits_3(capsys):
+    from lcmsum.oracle import ALPHA_MAX_KX, ALPHA_MAX_X
+
+    assert main(["alpha", "--k", "2", "--x", str(ALPHA_MAX_X + 1)]) == 3
+    assert main(["alpha", "--k", str(ALPHA_MAX_KX // 2 + 1), "--x", "2"]) == 3
+    assert capsys.readouterr().err.count("exceeds the caps") == 2
+
+
 def test_identity_x_zero_is_a_usage_error(capsys):
     # zero must reach the command, not fall back to the default degree
     assert main(["identity", "--k", "2", "--x", "0"]) == 2
@@ -398,6 +406,33 @@ def test_resource_error_exit_code(capsys):
     assert main(["brute", "--k", "1", "--x", "1000000"]) == 3
 
 
+def test_out_in_an_unwritable_directory_is_refused_before_computing(
+        tmp_path, monkeypatch, capsys):
+    # os.access is patched because root passes any permission-bit check,
+    # so a chmod-based test would check nothing when run as root
+    import lcmsum.cli as cli
+
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    monkeypatch.setattr(cli, "volume_of", pytest.fail)
+    assert main(["volume", "--out", str(tmp_path / "v.txt")]) == 2
+    assert "is not writable" in capsys.readouterr().err
+    assert not (tmp_path / "v.txt").exists()
+
+
+def test_out_write_error_exits_2(tmp_path, monkeypatch, capsys):
+    # what the check before computing cannot see, such as a full disk
+    import lcmsum.cli as cli
+
+    def failing_open(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    assert main(["volume", "--out", str(tmp_path / "v.txt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot write --out" in captured.err and "No space left" in captured.err
+
+
 def test_entry_point_subprocess():
     out = subprocess.run(
         [sys.executable, "-m", "lcmsum.cli", "volume", "--kind", "D", "--k", "2"],
@@ -455,6 +490,24 @@ def test_volume_relations_row_names_the_failing_relation(monkeypatch):
     # vol(D_star3) at k = 3 is 1/4, so the skewed one is 5/4 and 5/4 / 4 = 5/16
     assert actual == ("k=2:ok; k=3:vol(D_star2) == vol(D_star3)/(2**k-k-1) "
                       "fails: 1/16 != 5/16; k=4:ok")
+
+
+def test_verify_csv_rows_are_the_json_rows(capsys):
+    # the same rows in either format; runtime_ms is wall time, so it is
+    # left out of the comparison
+    import csv
+    import io
+
+    from lcmsum.checks import FIELDS
+
+    code, out = run_cli(capsys, "verify", "--format", "json")
+    assert code == 0
+    want = [[str(r[f]) for f in FIELDS[:-1]] for r in json.loads(out)]
+    code, out = run_cli(capsys, "verify", "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == list(FIELDS)
+    assert [r[:-1] for r in rows] == want
 
 
 def test_verify_json_schema_and_order(capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from lcmsum import reference
 from lcmsum.coprimality import (
+    CoprimalityGraph,
     Graph,
     _check_local_poly,
     build_coprimality_graph,
@@ -59,6 +60,18 @@ def test_k_range_guard():
     for bad in (1, 6, 0, -3):
         with pytest.raises(ValueError):
             build_coprimality_graph(bad)
+    for closed_form in (edge_count_formula, stirling_ism_counts):
+        with pytest.raises(ValueError, match="at least 2"):
+            closed_form(1)
+
+
+def test_graph_records_refuse_bad_edges_and_vertex_counts():
+    with pytest.raises(ValueError, match="bad edge"):
+        Graph(3, frozenset({(2, 1)}))
+    with pytest.raises(ValueError, match="bad edge"):
+        Graph(3, frozenset({(1, 4)}))
+    with pytest.raises(ValueError, match="vertex count"):
+        CoprimalityGraph(v=4, edges=frozenset(), k=2)
 
 
 def test_constraint_family_shape():

@@ -85,6 +85,9 @@ def test_factorization_rejects_bad_polynomials():
         zeta_factorization((2, 0, -1))
     with pytest.raises(ValueError):
         zeta_factorization((1, 1, -1))
+    # integer coefficients give integer exponents; a rational one need not
+    with pytest.raises(ArithmeticError, match="non-integer factorization exponent b_2"):
+        zeta_factorization((1, 0, Fraction(1, 2)))
 
 
 def test_every_zeta_the_factorizations_use_encloses_mpmath(monkeypatch):
@@ -266,6 +269,37 @@ def test_precision_error_carries_achieved_bound():
         euler_product(reference.LOCAL_POLY[3], target_error=Fraction(1, 10**9),
                       prime_cutoff=64, order=3)
     assert exc.value.achieved is not None
+    # each term's share of the target is absolute, and the product of 1 +
+    # 100/p^2 (about 6.5e4) multiplies them past it
+    target = Fraction(1, 10**6)
+    with pytest.raises(PrecisionError, match="achieved bound") as exc:
+        euler_product((1, 0, 100), target)
+    assert exc.value.achieved > target
+
+
+def test_a_huge_coefficient_leaves_no_remainder_radius_at_once():
+    # b_2 = 2**40: every radius's factor (1 + r^2)^(2**40) passes 2**24 and
+    # is refused before the power is formed
+    start = time.perf_counter()
+    with pytest.raises(PrecisionError, match="no usable remainder radius"):
+        euler_product((1, 0, -(1 << 40)))
+    assert time.perf_counter() - start < 1
+
+
+def test_a_local_factor_that_is_not_positive_is_refused():
+    # 1 - 4x^2 vanishes at x = 1/2; the message prints the enclosure
+    with pytest.raises(ArithmeticError,
+                       match=r"not positive at p=2: BoundedReal\("):
+        euler_product((1, 0, -4))
+
+
+def test_a_zeta_excess_that_is_not_positive_is_refused(monkeypatch):
+    # zeta(j) > 1 always, so only a faulty zeta gets here; the target is
+    # one no other test asks for, so no cached product answers first
+    monkeypatch.setattr(eulerprod, "zeta_value",
+                        lambda j, t: BoundedReal.exact(0))
+    with pytest.raises(ArithmeticError, match="zeta excess not positive at j=2"):
+        euler_product((1, 0, -1), Fraction(1, 12345))
 
 
 @pytest.mark.parametrize("call", [
@@ -274,9 +308,15 @@ def test_precision_error_carries_achieved_bound():
     lambda: euler_product(reference.LOCAL_POLY[3], prime_cutoff=-5),
     lambda: euler_product(reference.LOCAL_POLY[3], order=0),
     lambda: euler_product(reference.LOCAL_POLY[3], order=-1),
-], ids=["empty", "cutoff-0", "cutoff-neg", "order-0", "order-neg"])
+    lambda: euler_product(reference.LOCAL_POLY[3], target_error=0),
+    lambda: euler_product((2,)),
+    lambda: count_density_poly(1),
+    lambda: lcm_count_density(5),
+], ids=["empty", "cutoff-0", "cutoff-neg", "order-0", "order-neg", "target-0",
+        "constant-2", "count-k1", "count-k5"])
 def test_euler_product_rejects_bad_inputs(call):
-    # an empty polynomial or a non-positive order or cutoff is a usage
+    # an empty polynomial, a constant other than 1, a non-positive order,
+    # cutoff or target, or a k outside the count route's range is a usage
     # error, not an IndexError, ZeroDivisionError or PrecisionError
     with pytest.raises(ValueError):
         call()

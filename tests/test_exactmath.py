@@ -109,6 +109,14 @@ def test_sieve_limit_budget():
         sieve(10**9)
 
 
+def test_sieve_and_factor_refuse_what_has_no_primes():
+    # a table up to 1 would hold no prime, and 0 has no factorization
+    with pytest.raises(ValueError, match="at least 2"):
+        sieve(1)
+    with pytest.raises(ValueError, match="n must be positive"):
+        sieve(10).factor(0)
+
+
 # ---------------------------------------------------------------------------
 # Stirling numbers
 # ---------------------------------------------------------------------------
@@ -181,6 +189,11 @@ def test_zeta_enclosure_nested_when_tightened():
 def test_zeta_unreachable_precision():
     with pytest.raises(PrecisionError):
         zeta_value(2, Fraction(1, 10**40))
+    # 32 terms meet a 2**-165 target for j = 40, but their 32 floored terms
+    # and the tail bracket at CERTIFIED_BITS leave a radius near 2**-156
+    with pytest.raises(PrecisionError, match="achieved") as info:
+        zeta_value(40, Fraction(1, 2**165))
+    assert info.value.achieved > Fraction(1, 2**165)
 
 
 def test_zeta_rejects_bad_args():
@@ -323,6 +336,10 @@ def test_floor_prefix_sums_stop_where_every_quotient_is_zero():
     marks = [1, ZETA_CHUNK, ZETA_CHUNK + 1, 3 * ZETA_CHUNK - 1]
     assert floor_prefix_sums(2, 0, 1, marks, w) == _prefix_per_term(2, 0, 1, marks, w)
     assert floor_prefix_sums(2, 128, 1, marks, 0 * w) == [0] * len(marks)
+    # a chunk whose weights are all zero is skipped, and the walk goes on
+    w[ZETA_CHUNK:2 * ZETA_CHUNK] = 0
+    marks = [ZETA_CHUNK + 7, 2 * ZETA_CHUNK, 2 * ZETA_CHUNK + 1, 3 * ZETA_CHUNK]
+    assert floor_prefix_sums(2, 128, 1, marks, w) == _prefix_per_term(2, 128, 1, marks, w)
 
 
 def test_floor_prefix_sums_refuse_lanes_past_their_bounds():
@@ -357,6 +374,12 @@ def test_floor_prefix_sums_refuse_lanes_past_their_bounds():
     w[-1] = -1
     with pytest.raises(ValueError, match="weights"):
         floor_prefix_sums(1, 128, a, [last], w)
+    # rows too few for the quotient's limbs and the remainder are refused
+    # before any is written: 2**160 / 1 needs three 62-bit limbs
+    n = np.arange(1, 3, dtype=np.uint64)
+    with pytest.raises(ValueError, match="2 rows hold no 3 limbs"):
+        exactmath._quotient_limbs(n, 1, 160, exactmath._limb_width(2, 2),
+                                  np.empty((2, 2), np.uint64))
 
 
 #: every zeta(j, 2**-e) one `density` and one `constants` benchmark pass ask
@@ -409,6 +432,9 @@ def test_leading_coeff_arity_and_spacing_errors():
     with pytest.raises(ValueError):
         leading_coeff_by_differences(
             [(0, Fraction(0)), (1, Fraction(1)), (3, Fraction(9))], 2)
+    with pytest.raises(ValueError, match="increasing"):
+        leading_coeff_by_differences(
+            [(2, Fraction(4)), (1, Fraction(1)), (0, Fraction(0))], 2)
 
 
 @pytest.mark.parametrize("start", [-9, 0, 4])
@@ -555,6 +581,20 @@ def test_bounded_real_division_by_zero_interval():
         x / z
 
 
+def test_bounded_real_refuses_an_empty_interval_and_a_non_integer_power():
+    with pytest.raises(ValueError, match="empty interval"):
+        BoundedReal(1, 0, 8)
+    x = BoundedReal.exact(2)
+    for n in (0.5, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            x ** n
+
+
+def test_bounded_real_repr_shows_midpoint_and_radius():
+    # error messages print enclosures this way
+    assert repr(BoundedReal(3, 5, 2)) == "BoundedReal(1.0 +- 2.500e-01)"
+
+
 # ---------------------------------------------------------------------------
 # exact rationals: order independence (documents the oracle contract)
 # ---------------------------------------------------------------------------
@@ -586,3 +626,15 @@ def test_surd_with_an_int_rational_part_stays_exact():
     assert s.is_rational and type(s.rational) is Fraction
     assert s.rational == Fraction(1, 2)
     assert repr(SurdRatio(1, 5)) == "1/sqrt(5)"
+
+
+def test_surd_guards_and_hash():
+    with pytest.raises(ValueError, match="root must be positive"):
+        SurdRatio(1, 0)
+    with pytest.raises(ValueError, match="irrational"):
+        SurdRatio(1, 2).as_fraction()
+    # a float is neither a SurdRatio nor an exact rational: never equal
+    assert SurdRatio(1) != 1.0 and SurdRatio(1) != "1"
+    # the dataclass hash agrees with the canonical equality
+    assert len({SurdRatio(3, 9), SurdRatio(1), SurdRatio(Fraction(1, 2), 2),
+                SurdRatio(1, 8)}) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -348,6 +349,18 @@ def test_fast_route_resource_guard():
         fast_recip_lcm_sum2(10**7 + 1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: fast_recip_lcm_sum2(0),
+    lambda: gwise_sum_with_count(2, 0),
+    lambda: lcm_multiplicity(0, 5),
+    lambda: lcm_multiplicity(2, 0),
+    lambda: leading_constants(5),
+], ids=["fast-x0", "gwise-x0", "alpha-k0", "alpha-n0", "constants-k5"])
+def test_oracle_entries_reject_arguments_outside_their_domain(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # constrained coprime-tuple sums
 # ---------------------------------------------------------------------------
@@ -376,6 +389,14 @@ def test_gwise_guards():
         gwise_sum_with_count(4, 10)
     with pytest.raises(ResourceLimitError):
         gwise_sum_with_count(3, 40, node_budget=50)
+
+
+def test_search_plan_checks_the_label_order(monkeypatch):
+    # the k = 3 graph's order ends with the singletons 2 and 4, not 1 and 2
+    real = oracle.build_coprimality_graph
+    monkeypatch.setattr(oracle, "build_coprimality_graph", lambda k: real(k + 1))
+    with pytest.raises(InvariantViolation, match="singletons in order"):
+        oracle._search_plan(2)
 
 
 def test_gwise_range_sieves_once(monkeypatch):
@@ -915,6 +936,27 @@ def test_multiplicity_sum_examples():
         + Fraction(19, 4)
 
 
+def test_multiplicity_table_refuses_past_its_caps_at_once():
+    # an x one past its cap, and a k whose k * x is one step past the
+    # other, are refused before lcm(1..x) or any alpha is formed
+    for k, x in ((2, oracle.ALPHA_MAX_X + 1), (oracle.ALPHA_MAX_KX // 2 + 1, 2)):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="exceeds the caps"):
+            lcm_multiplicity_table(k, x)
+        assert time.perf_counter() - start < 0.1, (k, x)
+
+
+def test_multiplicity_table_admits_its_caps(monkeypatch):
+    monkeypatch.setattr(oracle, "ALPHA_MAX_X", 12)
+    monkeypatch.setattr(oracle, "ALPHA_MAX_KX", 36)
+    alphas, _ = lcm_multiplicity_table(3, 12)  # both caps exactly
+    assert alphas == [brute_lcm_count(3, n) for n in range(1, 13)]
+    assert lcm_multiplicity_table(4, 9)[0][-1] == lcm_multiplicity(4, 9)
+    for k, x in ((1, 13), (4, 10)):
+        with pytest.raises(ResourceLimitError):
+            lcm_multiplicity_table(k, x)
+
+
 # ---------------------------------------------------------------------------
 # sums reported with their tuple counts
 # ---------------------------------------------------------------------------
@@ -1009,6 +1051,14 @@ def test_theta_admits_the_cap_itself(monkeypatch):
     assert t2.as_fraction() == Fraction(3 * 2**9, 10**5 * (2**9 + 6 * 9 - 6))
     with pytest.raises(ResourceLimitError):
         theta_exponents(10)
+
+
+def test_constants_record_checks_positivity_and_theta():
+    lc = leading_constants(3)
+    with pytest.raises(ValueError, match="certified positive"):
+        dataclasses.replace(lc, c3=BoundedReal.from_bracket(-1, 1))
+    with pytest.raises(ValueError, match="must coincide"):
+        dataclasses.replace(lc, theta3=lc.theta2)
 
 
 def test_constants_ordering_k2_k3():

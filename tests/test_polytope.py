@@ -92,6 +92,14 @@ def test_build_guards():
         build_polytope("Z", 3)
     with pytest.raises(ValueError):
         HyperbolicPolytope(dim=2, constraints=(frozenset({0}),))  # coord 1 unbounded
+    with pytest.raises(ValueError, match="exceeds"):
+        HyperbolicPolytope(polytope.MAX_DIM + 1, (frozenset(range(polytope.MAX_DIM + 1)),))
+    with pytest.raises(ValueError, match="empty constraint set"):
+        HyperbolicPolytope(2, (frozenset({0, 1}), frozenset()))
+    with pytest.raises(ValueError, match="out of range"):
+        HyperbolicPolytope(2, (frozenset({0, 2}),))
+    with pytest.raises(ValueError, match="between 2 and 4"):
+        volume_relations_check(5)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +193,15 @@ def test_period_detection_error_carries_both_halves(monkeypatch):
     assert len(samples.counts) + m == 7 + 3
     assert samples.interior_counts == tuple(
         lattice_counts(build_polytope("D", 3), [], interior=range(1, m + 1)))
+
+
+def test_a_volume_that_is_not_positive_is_refused(monkeypatch):
+    # a bounded full-dimensional polytope has a positive volume, so only a
+    # faulty extraction reaches this
+    monkeypatch.setattr(polytope, "leading_coeff_by_differences",
+                        lambda points, degree, steps: Fraction(0))
+    with pytest.raises(PeriodDetectionError, match="degenerate leading coefficient 0"):
+        ehrhart_data(build_polytope("D", 2))
 
 
 @pytest.mark.parametrize("kind, k, bounds", [
@@ -311,6 +328,14 @@ def test_period_bounds_are_multiples_of_fitted_periods(p):
 
 def test_lattice_counts_empty():
     assert lattice_counts(build_polytope("D", 3), []) == []
+
+
+def test_lattice_counts_guards():
+    with pytest.raises(ValueError, match="non-negative"):
+        lattice_counts(build_polytope("D", 2), [1], interior=[-1])
+    cube = HyperbolicPolytope(5, tuple(frozenset({i}) for i in range(5)))
+    with pytest.raises(ValueError, match="at most 4 constraints"):
+        lattice_counts(cube, [1])
 
 
 def period_trial_window(p, period):

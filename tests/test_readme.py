@@ -1,6 +1,7 @@
 """The README's library tour runs as printed, and each value its comments
 state holds; the decisions ledger's route table covers every check and
-command, and every test it cites exists."""
+command, and every test it cites exists; every line the coverage
+allowlist of `tests/linecov.py` exempts still exists."""
 
 import math
 import re
@@ -8,6 +9,7 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import linecov
 import lcmsum as L
 from lcmsum.checks import CHECKS
 from lcmsum.cli import COMMANDS
@@ -76,6 +78,13 @@ def test_route_table_names_every_check_command_and_test():
                if not re.search(rf"^def {test}\(", sources[name], re.M)]
     assert cited
     assert missing == []
+
+
+def test_linecov_allowlist_names_lines_that_exist():
+    for name, text, reason in linecov.ALLOWLIST:
+        lines = (linecov.PACKAGE / name).read_text().splitlines()
+        assert text in (line.strip() for line in lines), (name, text)
+        assert reason.strip(), (name, text)
 
 
 def test_flag_table_matches_the_parser():
