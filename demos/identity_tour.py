@@ -14,7 +14,7 @@ from lcmsum import (
     decompose_tuple,
     gwise_constrained_sum,
     lcm_multiplicity,
-    series_identity_check,
+    series_identity_mismatch,
 )
 
 print("decomposition identity, k = 2:")
@@ -39,4 +39,4 @@ print("\nlcm multiplicities at prime powers: alpha(k=3, .) on 2, 4, 8:",
 
 print("\npower-series identities to degree 30:")
 for k in (2, 3, 4):
-    print(f"  k={k}: {series_identity_check(k, 30)}")
+    print(f"  k={k}: {series_identity_mismatch(k, 30) is None}")

@@ -39,7 +39,7 @@ from .eulerprod import (
     count_density_poly,
     euler_product,
     lcm_count_density,
-    series_identity_check,
+    series_identity_mismatch,
     zeta_factorization,
 )
 from .exactmath import (

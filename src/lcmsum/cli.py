@@ -34,7 +34,7 @@ from .coprimality import (build_coprimality_graph, graph_dump,
                           independent_set_counts, local_factor_poly,
                           stirling_ism_counts)
 from .errors import ResourceLimitError
-from .eulerprod import euler_product, series_identity_check
+from .eulerprod import euler_product, series_identity_mismatch
 from .exactmath import BoundedReal
 from .oracle import (GWISE_NODE_BUDGET, TUPLE_BUDGET, brute_sums,
                      convergence_report, gwise_sum_with_count,
@@ -161,7 +161,7 @@ def cmd_alpha(args):
 
 
 def cmd_identity(args):
-    ok = series_identity_check(args.k, args.x)
+    ok = series_identity_mismatch(args.k, args.x) is None
     return (f"series_identity(k={args.k},N={args.x})="
             f"{'pass' if ok else 'FAIL'}\n"), 0 if ok else 1
 

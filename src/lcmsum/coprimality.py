@@ -52,13 +52,6 @@ class Graph:
             adj[j] |= 1 << i
         return tuple(adj)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
 
 @dataclass(frozen=True)
 class CoprimalityGraph(Graph):
@@ -177,7 +170,7 @@ def local_factor_poly(g: Graph) -> tuple[int, ...]:
     and are checked.
     """
     acc = expand_one_minus_x(independent_set_counts(g), g.v)
-    _check_local_poly(acc, g.edge_count)
+    _check_local_poly(acc, len(g.edges))
     return tuple(acc)
 
 
@@ -187,12 +180,12 @@ def local_factor_poly_by_edge_subsets(g: Graph) -> tuple[int, ...]:
     sum over F subseteq E of (-1)^|F| x^(number of vertices F touches);
     exponential in |E|, kept as an independent verification route.
     """
-    e = g.edge_count
+    e = len(g.edges)
     if e > MAX_EDGE_SUBSET_EDGES:
         raise ResourceLimitError(
             f"{e} edges exceed the 2**{MAX_EDGE_SUBSET_EDGES} subset budget; "
             "use local_factor_poly instead")
-    masks = [(1 << i) | (1 << j) for i, j in g.sorted_edges()]
+    masks = [(1 << i) | (1 << j) for i, j in sorted(g.edges)]
     coeffs = [0] * (g.v + 1)
     coeffs[0] = 1
     cover = [0] * (1 << e)
@@ -259,7 +252,7 @@ def is_gwise_coprime(g: Graph, a: Sequence[int]) -> bool:
 
 def graph_dump(g: CoprimalityGraph) -> str:
     lines = [f"k={g.k}", f"v={g.v}"]
-    lines.append("edges=" + ",".join(f"{i}-{j}" for i, j in g.sorted_edges()))
+    lines.append("edges=" + ",".join(f"{i}-{j}" for i, j in sorted(g.edges)))
     for i, a in enumerate(g.constraints, start=1):
         lines.append(f"A_{i}=" + ",".join(str(j) for j in sorted(a)))
     return "\n".join(lines) + "\n"

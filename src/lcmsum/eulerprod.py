@@ -360,8 +360,3 @@ def series_identity_mismatch(k: int, n: int) -> tuple[str, int] | None:
             if series[a] != q[a]:
                 return (name, a)
     return None
-
-
-def series_identity_check(k: int, n: int) -> bool:
-    """True iff both exact power-series identities hold through degree n."""
-    return series_identity_mismatch(k, n) is None

@@ -241,11 +241,6 @@ class SurdRatio:
     def is_rational(self) -> bool:
         return self.root == 1
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.rational
-
     def __float__(self) -> float:
         return float(self.rational) / math.sqrt(self.root)
 

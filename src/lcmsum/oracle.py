@@ -40,8 +40,8 @@ search is the subtree of a = 1 at the first position of the plain one, so
 every constrained range tallies it in columns of its own and answers both
 variants.  The budgets keep their meaning for a search at x itself:
 `brute_sums` checks x**k before any range, and the constrained range
-counts the nodes of the search at x, and of its gcd-1 part, per bucket
-and checks the variant's count on every call.
+counts the nodes of the whole search at x per bucket and checks that
+count on every call, for either variant.
 
 Each route has one entry that returns its count beside its value:
 `brute_sums` (the three sums, the raw and gcd-1 tuple counts),
@@ -658,23 +658,22 @@ def gwise_sum_with_count(
 
     With fix_last_to_one the all-ones part (the tuple gcd) is pinned to 1,
     which flips the sum from the plain to the coprime variant.  Read from
-    the kept range of k, columns 0-2 for the plain variant and 3-5 for the
-    coprime one; raises ResourceLimitError when the variant's search at x
-    visits more than `node_budget` nodes, or when the range build's tally
-    would pass TALLY_BYTES.  The sum equals the brute k-fold sums
-    bit-exactly: that equality is the decomposition identity the whole
-    construction rests on.
+    the kept range of k, columns 0-1 for the plain variant and 2-3 for the
+    coprime one; raises ResourceLimitError when the whole search at x
+    visits more than `node_budget` nodes, for either variant, or when the
+    range build's tally would pass TALLY_BYTES.  The sum equals the brute
+    k-fold sums bit-exactly: that equality is the decomposition identity
+    the whole construction rests on.
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
     if x < 1:
         raise ValueError("x must be positive")
-    pinned = bool(fix_last_to_one)
-    r = _range_for(("gwise", k), x,
-                   lambda top: _gwise_range(k, top, node_budget, pinned))
-    total, leaves, nodes = r.rows[x][3 * pinned:3 * pinned + 3]
-    if nodes > node_budget:
+    r = _range_for(("gwise", k), x, lambda top: _gwise_range(k, top, node_budget))
+    row = r.rows[x]
+    if row[4] > node_budget:
         raise _node_limit(node_budget)
+    total, leaves = row[2:4] if fix_last_to_one else row[:2]
     return Fraction(total, r.big), leaves
 
 
@@ -683,14 +682,13 @@ def gwise_constrained_sum(k: int, x: int, fix_last_to_one: bool = False) -> Frac
     return gwise_sum_with_count(k, x, fix_last_to_one)[0]
 
 
-def _gwise_range(k: int, top: int, node_budget: int,
-                 pinned: bool = False) -> _Range:
+def _gwise_range(k: int, top: int, node_budget: int) -> _Range:
     """The constrained search at `top`, each node bucketed by its largest
     partial constraint product: the search at any x <= top visits exactly
     the nodes of bucket <= x, since partial products only grow along a
-    path.  Rows: the whole search's sum numerator, leaves and nodes, then
-    the same three for its gcd-1 part, the root and the subtree of a = 1
-    at position 0 (see `_search_plan`).
+    path.  Rows: the whole search's sum numerator and leaves, the same two
+    for its gcd-1 part, the subtree of a = 1 at position 0 (see
+    `_search_plan`), then the whole search's nodes.
 
     `_search_chunks` assigns the plan's labels one position at a time,
     depth first over chunks of int64 columns: a row's children a = 1..hi
@@ -699,35 +697,33 @@ def _gwise_range(k: int, top: int, node_budget: int,
     S_k orbit, weighted by the orbit's size (see there); each node adds its
     weight to the node count, and each leaf to the leaf count, of its
     bucket.  The build raises ResourceLimitError once the weighted node
-    count of the whole search, or with `pinned` of its gcd-1 part, passes
-    `node_budget`, before the next position is expanded.  Each leaf adds
-    weight * (big // product of its parts) to its bucket in the limb
-    columns of a `_Tally`: the product is the tuple's lcm, which divides
-    `big`, and a bucket's leaves stand for at most top**k tuples.
+    count passes `node_budget`, before the next position is expanded.  Each
+    leaf adds weight * (big // product of its parts) to its bucket in the
+    limb columns of a `_Tally`, and again in the gcd-1 columns when it lies
+    in that part: the product is the tuple's lcm, which divides `big`, and
+    a bucket's leaves stand for at most top**k tuples.
     """
     _check_int64(k, top)
     scale = top**k  # at least every lcm and every bucket's count
     _check_tally(2, top, scale)
     plan = _search_plan(k)
     big = _lcm_upto(top)
-    nodes = np.zeros((2, top + 1), np.int64)  # (whole search, gcd-1 part)
-    nodes[:, 1] = 1  # the root
-    leaves = _Tally(2, top, scale, big)
+    nodes = np.zeros(top + 1, np.int64)
+    nodes[1] = 1  # the root
+    leaves = _Tally(2, top, scale, big)  # (whole search, gcd-1 part)
     visited = 1
     one = np.ones(1, np.int64)
     for bucket, rest, lcm, weight in _search_chunks(
             plan, top, 0, np.ones((k, 1), np.int64), one, {}, np.zeros(1, bool)):
-        counts = np.stack((weight, np.where(rest, 0, weight)))
-        visited += int(counts[int(pinned)].sum())
+        visited += int(weight.sum())
         if visited > node_budget:
             raise _node_limit(node_budget)
-        for col, c in zip(nodes, counts):
-            np.add.at(col, bucket, c)
+        np.add.at(nodes, bucket, weight)
         if lcm is not None:
-            leaves.add(bucket, lcm, counts)
+            leaves.add(bucket, lcm, np.stack((weight, np.where(rest, 0, weight))))
     (total, gcd1), (tallied, gcd1_tallied) = leaves.columns()
-    return _Range(top, big, _prefix_rows([total, tallied, nodes[0, 1:].tolist(),
-                                          gcd1, gcd1_tallied, nodes[1, 1:].tolist()]))
+    return _Range(top, big, _prefix_rows([total, tallied, gcd1, gcd1_tallied,
+                                          nodes[1:].tolist()]))
 
 
 def _orbit_sizes(n: np.ndarray) -> np.ndarray:

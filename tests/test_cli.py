@@ -275,7 +275,7 @@ def test_gwise_budget_counts_nodes(capsys):
 
 
 def test_gwise_command_reads_one_range_build(capsys, monkeypatch):
-    # both variants come from one plain build at x
+    # both variants come from one build at x
     from lcmsum import oracle
 
     builds = []
@@ -285,7 +285,7 @@ def test_gwise_command_reads_one_range_build(capsys, monkeypatch):
                         lambda *a: builds.append(a) or build(*a))
     code, out = run_cli(capsys, "gwise", "--k", "3", "--x", "20")
     assert code == 0 and "tuples=8000 " in out
-    assert builds == [(3, 20, oracle.GWISE_NODE_BUDGET, False)]
+    assert builds == [(3, 20, oracle.GWISE_NODE_BUDGET)]
 
 
 @pytest.mark.parametrize("argv", [["rho", "--digits", "-1"],

@@ -13,7 +13,6 @@ from lcmsum.eulerprod import (
     count_density_poly,
     euler_product,
     lcm_count_density,
-    series_identity_check,
     series_identity_mismatch,
     zeta_factorization,
 )
@@ -347,10 +346,9 @@ def test_count_density_local_factor_k2():
 # ---------------------------------------------------------------------------
 
 def test_series_identities_hold():
-    assert series_identity_check(2, 10)
-    assert series_identity_check(3, 30)
-    assert series_identity_check(4, 30)
+    assert series_identity_mismatch(2, 10) is None
     assert series_identity_mismatch(3, 30) is None
+    assert series_identity_mismatch(4, 30) is None
 
 
 def test_series_identity_reports_a_planted_error_at_its_index(monkeypatch):
@@ -373,15 +371,15 @@ def test_series_identity_reports_a_planted_error_at_its_index(monkeypatch):
 
 def test_series_identity_requires_enough_terms():
     with pytest.raises(ValueError):
-        series_identity_check(3, 4)
+        series_identity_mismatch(3, 4)
     with pytest.raises(ValueError):
-        series_identity_check(3, -9)
-    assert series_identity_check(3, 8)  # n = 2**k is enough
+        series_identity_mismatch(3, -9)
+    assert series_identity_mismatch(3, 8) is None  # n = 2**k is enough
     # a huge k is refused without forming 2**k, here a 12.5 MB int
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=r"2\*\*k"):
-            series_identity_check(10**8, 30)
+            series_identity_mismatch(10**8, 30)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -406,9 +404,9 @@ def test_series_identity_refuses_a_degree_past_its_cap_at_once():
 
 def test_series_identity_admits_its_cap(monkeypatch):
     monkeypatch.setattr(eulerprod, "IDENTITY_MAX_DEGREE", 40)
-    assert series_identity_check(4, 40)
+    assert series_identity_mismatch(4, 40) is None
     with pytest.raises(ResourceLimitError):
-        series_identity_check(4, 41)
+        series_identity_mismatch(4, 41)
 
 
 def test_series_identity_hand_expansion_k2():

@@ -504,59 +504,39 @@ def test_search_at_x_is_the_range_up_to_x(k, top, pinned):
 @pytest.mark.parametrize("k, top", [(2, 30), (3, 10)])
 def test_range_node_counts_are_the_direct_search_budget(k, top, pinned,
                                                         monkeypatch):
-    # the plain-Python search at x visits exactly the range's nodes up to
-    # x, and the range answers pass with that many as their budget and fail
-    # with one fewer
-    built = oracle._gwise_range(k, top, oracle.GWISE_NODE_BUDGET)
-    rows = part(built.rows, pinned)
+    # either variant at x is admitted with the plain-Python search's whole
+    # node count at x as its budget and refused with one fewer: first with
+    # no kept range, where the build at x itself aborts and keeps nothing
+    # (and the range an admitted one keeps answers the other variant with
+    # no further build), then from the range a plain request kept at top,
+    # which stays kept
+    brute = brute_recip_lcm_sum_coprime if pinned else brute_recip_lcm_sum
     for x in range(1, top + 1):
-        n = rows[x][2]
-        assert part(reference_gwise_rows(k, x), pinned)[x][2] == n, x
-        gwise_sum_with_count(k, x, pinned, node_budget=n)
+        n = reference_gwise_rows(k, x)[x][4]
+        monkeypatch.setattr(oracle, "_RANGES", {})
         with pytest.raises(ResourceLimitError):
             gwise_sum_with_count(k, x, pinned, node_budget=n - 1)
-    if not pinned:
-        return
-    # the same budgets hold for gcd-1 answers from the range a plain
-    # request built
+        assert oracle._RANGES == {}
+        assert gwise_sum_with_count(k, x, pinned, node_budget=n)[0] == brute(k, x), x
+        built = oracle._RANGES[("gwise", k)]
+        assert built.rows[x][4] == n, x
+        gwise_sum_with_count(k, x, not pinned, node_budget=n)
+        assert oracle._RANGES[("gwise", k)] is built, x
     monkeypatch.setattr(oracle, "_RANGES", {})
     gwise_constrained_sum(k, top)
     kept = oracle._RANGES[("gwise", k)]
-    assert kept.rows == built.rows
+    assert kept.rows == reference_gwise_rows(k, top)
     for x in range(1, top + 1):
-        n = rows[x][2]
-        gwise_sum_with_count(k, x, True, node_budget=n)
+        n = reference_gwise_rows(k, x)[x][4]
+        assert gwise_sum_with_count(k, x, pinned, node_budget=n)[0] == brute(k, x), x
         with pytest.raises(ResourceLimitError):
-            gwise_sum_with_count(k, x, True, node_budget=n - 1)
+            gwise_sum_with_count(k, x, pinned, node_budget=n - 1)
     assert oracle._RANGES[("gwise", k)] is kept
-
-
-@pytest.mark.parametrize("k, top", [(2, 30), (3, 10)])
-def test_gcd1_first_build_aborts_on_the_gcd1_nodes(k, top, monkeypatch):
-    # a gcd-1 request with no kept range builds the whole search at x, and
-    # its abort counts the gcd-1 part's nodes only: budget n, the gcd-1
-    # nodes at x, is admitted and n - 1 refused, though the whole search
-    # has more nodes once x >= 2.  The range it leaves answers the plain x
-    # with no further build
-    builds = []
-    build = oracle._gwise_range
-    monkeypatch.setattr(oracle, "_gwise_range", lambda *a: builds.append(a) or build(*a))
-    for x in range(1, top + 1):
-        n = reference_gwise_rows(k, x)[x][5]
-        monkeypatch.setattr(oracle, "_RANGES", {})
-        with pytest.raises(ResourceLimitError):
-            gwise_sum_with_count(k, x, True, node_budget=n - 1)
-        assert oracle._RANGES == {}
-        assert gwise_sum_with_count(k, x, True, node_budget=n)[0] == \
-            brute_recip_lcm_sum_coprime(k, x), x
-        builds.clear()
-        assert gwise_constrained_sum(k, x) == brute_recip_lcm_sum(k, x), x
-        assert builds == [], x
 
 
 def test_gwise_rebuild_falls_back_to_x_within_the_budget(monkeypatch):
     # a doubled rebuild past the node budget is redone at x itself
-    n11 = oracle._gwise_range(2, 11, oracle.GWISE_NODE_BUDGET).rows[11][2]
+    n11 = oracle._gwise_range(2, 11, oracle.GWISE_NODE_BUDGET).rows[11][4]
     monkeypatch.setattr(oracle, "_RANGES", {})
     gwise_constrained_sum(2, 10)
     assert gwise_sum_with_count(2, 11, node_budget=n11)[0] == brute_recip_lcm_sum(2, 11)
@@ -573,9 +553,9 @@ def test_bench_call_order_builds_plain_ranges_only(monkeypatch):
     calls = []
     build = oracle._gwise_range
 
-    def counted(k, top, node_budget, pinned=False):
-        calls.append((k, top, pinned))
-        return build(k, top, node_budget, pinned)
+    def counted(k, top, node_budget):
+        calls.append((k, top))
+        return build(k, top, node_budget)
 
     monkeypatch.setattr(oracle, "_gwise_range", counted)
     brute = {False: brute_recip_lcm_sum, True: brute_recip_lcm_sum_coprime}
@@ -586,8 +566,8 @@ def test_bench_call_order_builds_plain_ranges_only(monkeypatch):
                     brute[pinned](k, x), (k, x, pinned)
     for pinned in (False, True):
         assert gwise_constrained_sum(3, 12, pinned) == brute[pinned](3, 12), pinned
-    assert calls == ([(2, top, False) for top in (1, 2, 4, 8, 16, 32)]
-                     + [(3, top, False) for top in (1, 2, 4, 8, 16)])
+    assert calls == ([(2, top) for top in (1, 2, 4, 8, 16, 32)]
+                     + [(3, top) for top in (1, 2, 4, 8, 16)])
 
 
 # ---------------------------------------------------------------------------
@@ -626,47 +606,46 @@ def reference_brute_rows(k, top):
 @functools.cache
 def reference_gwise_rows(k, top):
     # the depth-first search, one big-int add per leaf; as in the range
-    # build, each row holds the whole search's sum, leaves and nodes, then
-    # those of its gcd-1 part (a = 1 at position 0)
+    # build, each row holds the whole search's sum and leaves, those of its
+    # gcd-1 part (a = 1 at position 0), then the whole search's nodes
     order, touching, earlier = oracle._search_plan(k)
     v = len(order)
     big = math.lcm(*range(1, top + 1))
-    ones, rest = ([[0] * (top + 1) for _ in range(3)] for _ in range(2))
+    cols = [[0] * (top + 1) for _ in range(5)]
     values = [1] * (v + 1)
     prods = [1] * k
-    ones[2][1] = 1  # the root
+    cols[4][1] = 1  # the root
 
-    def dfs(pos, denom, m, cols):
+    def dfs(pos, denom, m, gcd1):
         j = order[pos]
         hi = min(top // prods[i] for i in touching[pos])
         fixed = math.prod(values[l] for l in earlier[pos])
         for a in range(1, hi + 1):
             if math.gcd(a, fixed) != 1:
                 continue
-            sub = rest if pos == 0 and a > 1 else cols
+            inside = a == 1 if pos == 0 else gcd1
             values[j] = a
             for i in touching[pos]:
                 prods[i] *= a
             mm = max([m] + prods)
-            sub[2][mm] += 1
+            cols[4][mm] += 1
             if pos == v - 1:
-                sub[1][mm] += 1
-                sub[0][mm] += big // (denom * a)
+                for c in (0, 2) if inside else (0,):
+                    cols[c + 1][mm] += 1
+                    cols[c][mm] += big // (denom * a)
             else:
-                dfs(pos + 1, denom * a, mm, sub)
+                dfs(pos + 1, denom * a, mm, inside)
             for i in touching[pos]:
                 prods[i] //= a
             values[j] = 1
 
-    dfs(0, 1, 1, ones)
-
-    whole = [[p + q for p, q in zip(a, b)] for a, b in zip(ones, rest)]
-    return list(zip(*(itertools.accumulate(col) for col in whole + ones)))
+    dfs(0, 1, 1, True)
+    return list(zip(*(itertools.accumulate(col) for col in cols)))
 
 
 def part(rows, pinned):
-    # the columns of the gcd-1 part, or of the whole search
-    return [row[3:] if pinned else row[:3] for row in rows]
+    # a variant's sum and leaves, then the whole search's nodes
+    return [row[2:] if pinned else row[:2] + row[4:] for row in rows]
 
 
 BRUTE_GRID = [(1, 1), (1, 256), (2, 1), (2, 2), (2, 256), (3, 1), (3, 2),
@@ -701,13 +680,18 @@ def test_gwise_range_equals_the_search_loop(k, pinned, top, chunk):
 
 @pytest.mark.parametrize("pinned", [False, True])
 @pytest.mark.parametrize("k, top", [(2, 90), (3, 30)])
-def test_gwise_range_refuses_iff_its_nodes_pass_the_budget(k, pinned, top, chunk):
-    # with `pinned` the build's abort counts the gcd-1 part's nodes only
-    nodes = part(reference_gwise_rows(k, top), pinned)[-1][2]
-    built = oracle._gwise_range(k, top, nodes, pinned)
-    assert part(built.rows, pinned)[-1][2] == nodes
+def test_gwise_range_refuses_iff_its_nodes_pass_the_budget(k, pinned, top, chunk,
+                                                           monkeypatch):
+    # with no kept range either variant builds at top itself, and that
+    # build aborts, keeping nothing, once the whole search's nodes pass
+    # the budget, also when small chunks split its rows
+    nodes = reference_gwise_rows(k, top)[-1][4]
+    monkeypatch.setattr(oracle, "_RANGES", {})
     with pytest.raises(ResourceLimitError):
-        oracle._gwise_range(k, top, nodes - 1, pinned)
+        gwise_sum_with_count(k, top, pinned, node_budget=nodes - 1)
+    assert oracle._RANGES == {}
+    gwise_sum_with_count(k, top, pinned, node_budget=nodes)
+    assert oracle._RANGES[("gwise", k)].rows[-1][4] == nodes
 
 
 @pytest.mark.parametrize("pinned", [False, True])
@@ -961,7 +945,7 @@ def test_multiplicity_table_admits_its_caps(monkeypatch):
 # sums reported with their tuple counts
 # ---------------------------------------------------------------------------
 
-def test_sum_report_values_match_ops():
+def test_brute_sums_fields_equal_the_one_sum_wrappers():
     b = brute_sums(2, 12)
     assert b.recip == brute_recip_lcm_sum(2, 12) and b.tuples == 144
     assert b.prod_over_lcm == brute_prod_over_lcm_sum(2, 12)
@@ -971,7 +955,7 @@ def test_sum_report_values_match_ops():
         1 for a in range(1, 13) for b in range(1, 13) if math.gcd(a, b) == 1)
 
 
-def test_sum_report_gwise_counts_certify_the_bijection():
+def test_gwise_leaf_counts_certify_the_bijection():
     # the decomposition is a bijection, so the constrained search must hit
     # exactly x**k leaves, and exactly the gcd-1 count when pinned
     for k, x in ((2, 17), (3, 6)):
@@ -982,7 +966,7 @@ def test_sum_report_gwise_counts_certify_the_bijection():
         assert pinned == brute_sums(k, x).coprime_tuples
 
 
-def test_sum_report_alpha_count():
+def test_alpha_table_sums_and_counts_at_k2_x4():
     alphas, value = lcm_multiplicity_table(2, 4)
     assert alphas == [lcm_multiplicity(2, n) for n in range(1, 5)]
     assert value == Fraction(19, 4)
@@ -1017,8 +1001,8 @@ def test_constants_k3():
 
 def test_theta_values():
     t1, t2, t3 = theta_exponents(3)
-    assert t1.as_fraction() == Fraction(1, 14)
-    assert t2.as_fraction() == Fraction(3, 40)
+    assert t1 == Fraction(1, 14)
+    assert t2 == Fraction(3, 40)
     assert t3 == t1
     t1, t2, t3 = theta_exponents(4)
     # (16/25sqrt5) * 3/35 and * 3/34
@@ -1047,8 +1031,8 @@ def test_theta_refuses_k_past_the_cap():
 def test_theta_admits_the_cap_itself(monkeypatch):
     monkeypatch.setattr(oracle, "THETA_MAX_K", 9)
     t1, t2, _ = theta_exponents(9)
-    assert t1.as_fraction() == Fraction(3 * 2**9, 10**5 * (2**9 + 6 * 9 - 5))
-    assert t2.as_fraction() == Fraction(3 * 2**9, 10**5 * (2**9 + 6 * 9 - 6))
+    assert t1 == Fraction(3 * 2**9, 10**5 * (2**9 + 6 * 9 - 5))
+    assert t2 == Fraction(3 * 2**9, 10**5 * (2**9 + 6 * 9 - 6))
     with pytest.raises(ResourceLimitError):
         theta_exponents(10)
 
