@@ -5,7 +5,7 @@ any other flag with exit status 2.  All take `--out FILE` and all but
 `verify` take `--k`.  `--budget` limits tuple evaluations for `brute`,
 search nodes for `gwise` and wall seconds for `verify` (the battery of
 `lcmsum.checks`); no other subcommand takes it, and a negative budget, like
-a negative `--digits`, is rejected at parse time.
+a negative `--digits` or one past `MAX_DIGITS`, is rejected at parse time.
 
 Every computational subcommand prints byte-identical output for fixed
 flags.  The one documented exception is the runtime_ms field of `verify`
@@ -42,6 +42,11 @@ from .oracle import (GWISE_NODE_BUDGET, TUPLE_BUDGET, brute_sums,
 from .polytope import KINDS, build_polytope, export_ieqs, volume_of
 
 DEFAULT_DIGITS = 10
+
+#: `--digits` past this exits 2 before any computing.  Rendering costs
+#: about digits**1.9; `constants`, which renders eight numbers, takes about
+#: 13 s at the cap on a 2-core host (notes/decisions.md)
+MAX_DIGITS = 3 * 10**5
 
 
 def fraction_decimal(f: Fraction, digits: int) -> str:
@@ -214,13 +219,20 @@ def _non_negative(text: str) -> int:
     return n
 
 
+def _digits(text: str) -> int:
+    n = _non_negative(text)
+    if n > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_DIGITS}, got {n}")
+    return n
+
+
 def _int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",")]
 
 
 K = {"--k": dict(type=int, default=3)}
 KIND = {"--kind": dict(choices=KINDS, default="D")}
-DIGITS = {"--digits": dict(type=_non_negative, default=DEFAULT_DIGITS)}
+DIGITS = {"--digits": dict(type=_digits, default=DEFAULT_DIGITS)}
 X10 = {"--x": dict(type=int, default=10)}
 
 #: subcommand -> (handler, {flag: add_argument keywords}); all take --out

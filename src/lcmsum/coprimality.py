@@ -14,7 +14,7 @@ tuple into its 2**k - 1 coprime parts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -55,19 +55,21 @@ class Graph:
 
 @dataclass(frozen=True)
 class CoprimalityGraph(Graph):
-    """Graph on the nonzero k-bit labels, plus its hyperbolic constraint family.
+    """Graph on the nonzero k-bit labels, plus its hyperbolic constraint family."""
 
-    constraints[i] is the set of labels whose (i+1)-th bit from the right is
-    set; the product of the parts over constraints[i] reconstructs input i.
-    """
-
-    k: int = 0
-    constraints: tuple[frozenset[int], ...] = field(default=())
+    k: int
 
     def __post_init__(self):
         super().__post_init__()
         if self.v != 2**self.k - 1:
             raise ValueError("vertex count must be 2**k - 1")
+
+    @cached_property
+    def constraints(self) -> tuple[frozenset[int], ...]:
+        """constraints[i] is the set of labels whose (i+1)-th bit from the
+        right is set; the product of the parts over constraints[i]
+        reconstructs input i."""
+        return constraint_family(self.k)
 
 
 def constraint_family(k: int) -> tuple[frozenset[int], ...]:
@@ -94,7 +96,7 @@ def build_coprimality_graph(k: int) -> CoprimalityGraph:
     v = 2**k - 1
     edges = frozenset((j, l) for j in range(1, v + 1) for l in range(j + 1, v + 1)
                       if j & l not in (j, l))
-    return CoprimalityGraph(v=v, edges=edges, k=k, constraints=constraint_family(k))
+    return CoprimalityGraph(v=v, edges=edges, k=k)
 
 
 def edge_count_formula(k: int) -> int:

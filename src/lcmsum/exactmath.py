@@ -38,11 +38,11 @@ import numpy as np
 
 from .errors import PrecisionError, ResourceLimitError
 
-#: default working precision (fractional bits) for BoundedReal enclosures
-DEFAULT_BITS = 128
-
-#: working precision of zeta values and of the Euler products built on them
-CERTIFIED_BITS = DEFAULT_BITS + 32
+#: fractional bits of zeta values and of the Euler products built on them.
+#: A zeta partial sum floors at most ZETA_MAX_TERMS = 2**26 terms, each by
+#: under 2**-160, so it loses less than 2**-134 (4.6e-41): rounding decides
+#: no target that the term wall admits (zeta(2) stops near 4.4e-16)
+CERTIFIED_BITS = 160
 
 #: hard ceiling on sieve size (its tables factor up to the square of their limit)
 MAX_SIEVE_LIMIT = 10**8
@@ -94,13 +94,14 @@ class BoundedReal:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def exact(cls, x, bits: int = DEFAULT_BITS) -> "BoundedReal":
-        """Enclosure of an int or Fraction, exact when x is dyadic."""
+    def exact(cls, x, bits: int) -> "BoundedReal":
+        """Enclosure of an int or Fraction at `bits` fractional bits, exact
+        when x is dyadic with at most that many."""
         f = Fraction(x)
         return cls(_scale_floor(f, bits), _scale_ceil(f, bits), bits)
 
     @classmethod
-    def from_bracket(cls, lo, hi, bits: int = DEFAULT_BITS) -> "BoundedReal":
+    def from_bracket(cls, lo, hi, bits: int) -> "BoundedReal":
         lo, hi = Fraction(lo), Fraction(hi)
         return cls(_scale_floor(lo, bits), _scale_ceil(hi, bits), bits)
 

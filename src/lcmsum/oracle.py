@@ -19,7 +19,7 @@ product sum below X**(2k-1), and a build with either at or past 2**63 is
 refused.  They tally count * (lcm(1..X) // lcm) per bucket in exact
 int64 limb columns (`_Tally`): each chunk long-divides lcm(1..X) by its
 lcm column one limb at a time, so no tuple or leaf takes a big-integer
-step, and a tally holds kinds * limbs * X int64 at any X; a build whose
+step, and a tally holds 2 * limbs * X int64 at any X; a build whose
 tally would pass TALLY_BYTES is refused before lcm(1..X) is made.  Both
 use the symmetry of the sums in the k entries: brute visits sorted
 tuples, and the constrained search makes one leaf per S_k orbit,
@@ -204,11 +204,11 @@ def _check_int64(k: int, top: int) -> None:
             f"{top}**{e} reaches 2**63, past the int64 range enumeration")
 
 
-def _check_tally(kinds: int, top: int, scale: int) -> None:
+def _check_tally(top: int, scale: int) -> None:
     # the bytes of a `_Tally`, its limbs bounded before lcm(1..top) is made:
     # log2 lcm(1..n) = psi(n) / ln 2 < 1.4988 n (Rosser and Schoenfeld, 1962)
     limbs = -(-(14988 * top // 10000 + 1) // (63 - scale.bit_length()))
-    size = 8 * kinds * (limbs + 1) * top
+    size = 8 * 2 * (limbs + 1) * top
     if size > TALLY_BYTES:
         raise ResourceLimitError(
             f"a range build at {top} needs a {size}-byte tally, past {TALLY_BYTES}")
@@ -250,7 +250,8 @@ def _bucket_adder(bucket: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None
 
 
 class _Tally:
-    """Exact per-bucket sums: per count kind c and bucket b, the sum of
+    """Exact per-bucket sums of two count kinds (the whole search or every
+    tuple, and its gcd-1 part): per kind c and bucket b, the sum of
     count_c * (big // n) and the sum of count_c over the entries (b, n).
 
     `big` is split once into h limbs of L = 63 - bitlen(scale) bits, most
@@ -259,7 +260,7 @@ class _Tally:
     Knuth, TAOCP vol. 2, 4.3.1), and adds each quotient limb times each
     count into an int64 column cols[c, limb, b]; `columns` recombines each
     bucket's limbs as Python ints.  So no entry takes a big-int step, and
-    the tally holds kinds * h * top int64 at any number of distinct (b, n).
+    the tally holds 2 * h * top int64 at any number of distinct (b, n).
 
     It is exact when every n is at most `scale` and every bucket's total
     count of each kind is at most `scale`, which the builds' scale top**k
@@ -269,13 +270,13 @@ class _Tally:
     keeps top**(k+1) below 2**63, so top**k < 2**62 for top >= 2, and
     L >= 1."""
 
-    def __init__(self, kinds: int, top: int, scale: int, big: int) -> None:
+    def __init__(self, top: int, scale: int, big: int) -> None:
         self.bits = 63 - scale.bit_length()
         h = -(-big.bit_length() // self.bits)
         mask = (1 << self.bits) - 1
         self.limbs = [big >> (self.bits * i) & mask for i in reversed(range(h))]
-        self.cols = np.zeros((kinds, h, top), np.int64)
-        self.tallied = np.zeros((kinds, top), np.int64)
+        self.cols = np.zeros((2, h, top), np.int64)
+        self.tallied = np.zeros((2, top), np.int64)
 
     def add(self, bucket: np.ndarray, n: np.ndarray, counts: np.ndarray) -> None:
         """Add counts[c, i] entries (bucket[i], n[i]) of kind c."""
@@ -336,9 +337,9 @@ def _brute_range(k: int, top: int) -> _Range:
     below 2**63."""
     _check_int64(k, top)
     scale = top**k  # at least every lcm and every bucket's count
-    _check_tally(2, top, scale)
+    _check_tally(top, scale)
     big = _lcm_upto(top)
-    every = _Tally(2, top, scale, big)  # (all, gcd 1)
+    every = _Tally(top, scale, big)  # (all, gcd 1)
     prod_lcm = np.zeros(top, np.int64)
     one, zero = np.ones(1, np.int64), np.zeros(1, np.int64)
     root = np.array([top], np.int64)  # the first entry ranges over 1..top
@@ -705,12 +706,12 @@ def _gwise_range(k: int, top: int, node_budget: int) -> _Range:
     """
     _check_int64(k, top)
     scale = top**k  # at least every lcm and every bucket's count
-    _check_tally(2, top, scale)
+    _check_tally(top, scale)
     plan = _search_plan(k)
     big = _lcm_upto(top)
     nodes = np.zeros(top + 1, np.int64)
     nodes[1] = 1  # the root
-    leaves = _Tally(2, top, scale, big)  # (whole search, gcd-1 part)
+    leaves = _Tally(top, scale, big)  # (whole search, gcd-1 part)
     visited = 1
     one = np.ones(1, np.int64)
     for bucket, rest, lcm, weight in _search_chunks(

@@ -7,16 +7,26 @@ module looks it up by, so no package cache keeps a perturbed value.  The
 battery is cut to the check under test, so each case costs that check's
 run alone.  The route table's checks table names, per check, the cases
 here that fail it, or says "one route" where no single-route fault can.
+
+The route audit runs each side of every check that compares routes, from
+cold package caches, and collects the package functions it calls; two
+sides may share only the trusted primitives listed here, or the route
+table marks the check "one route".
 """
 
 import dataclasses
+import itertools
+import os
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from lcmsum import checks, eulerprod, polytope
+import lcmsum
+from lcmsum import (checks, coprimality, eulerprod, exactmath, oracle,
+                    polytope)
 from lcmsum.cli import main
 from lcmsum.errors import ResourceLimitError
 
@@ -128,3 +138,144 @@ def test_a_check_that_raises_gets_a_row_and_the_run_goes_on(
     assert f"[{status.upper()}] edge-count-formula" in out
     assert out.endswith(f"1 passed, {int(status == 'fail')} failed, "
                         f"{int(status == 'skip')} skipped\n")
+
+
+def graph_q(ks):
+    return [coprimality.local_factor_poly(coprimality.build_coprimality_graph(k))
+            for k in ks]
+
+
+#: per check that compares routes, the groups of sides it compares: each
+#: side makes the package calls of one route as the check makes them, and
+#: None stands for the check's own loop, which calls nothing in the
+#: package.  density-two-routes runs k = 3 only: each k calls the same
+#: functions, and k = 4 would double the audit's time.
+ROUTE_SIDES = {
+    "edge-count-formula": [(
+        lambda: [len(coprimality.build_coprimality_graph(k).edges) for k in (2, 3, 4)],
+        lambda: [coprimality.edge_count_formula(k) for k in (2, 3, 4)])],
+    "ism-vs-stirling": [(
+        lambda: [coprimality.independent_set_counts(coprimality.build_coprimality_graph(k))
+                 for k in (2, 3, 4)],
+        lambda: [coprimality.stirling_ism_counts(k) for k in (2, 3, 4)])],
+    "local-poly-triple-route": [(
+        lambda: graph_q((2, 3, 4)),
+        lambda: [coprimality.local_factor_poly_by_edge_subsets(
+            coprimality.build_coprimality_graph(k)) for k in (2, 3)],
+        lambda: [eulerprod.count_density_poly(k) for k in (2, 3, 4)])],
+    # the graph's Q against the tuple-count series (a loop of the check's
+    # own) and against the Stirling form
+    "series-identities": [(
+        lambda: graph_q((2, 3, 4)),
+        None,
+        lambda: [coprimality.expand_one_minus_x(coprimality.stirling_ism_counts(k),
+                                                2**k - 1) for k in (2, 3, 4)])],
+    "density-two-routes": [(
+        lambda: eulerprod.coprime_density(coprimality.build_coprimality_graph(3)),
+        lambda: eulerprod.lcm_count_density(3))],
+    # each range answers every x below its top
+    "decomposition-identity": [(
+        lambda: [oracle.gwise_constrained_sum(k, x, pinned)
+                 for k, x in ((2, 200), (3, 30)) for pinned in (False, True)],
+        lambda: [sum_(k, x) for k, x in ((2, 200), (3, 30))
+                 for sum_ in (oracle.brute_recip_lcm_sum,
+                              oracle.brute_recip_lcm_sum_coprime)])],
+    # the formula against a divisor-tuple count, and the alpha sum against S
+    "lcm-multiplicity": [
+        (lambda: [oracle.lcm_multiplicity(k, n) for k in (2, 3) for n in range(1, 201)],
+         None),
+        (lambda: [oracle.lcm_multiplicity_table(k, 60) for k in (2, 3)],
+         lambda: [oracle.brute_recip_lcm_sum(k, 60) for k in (2, 3)])],
+    "fast-k2-route": [(lambda: oracle.fast_recip_lcm_sum2(1000),
+                       lambda: oracle.brute_recip_lcm_sum(2, 1000))],
+}
+
+_GUARD = "a guard: it raises or returns None, so it changes no value"
+_GRAPH = ("edge-set-k3 compares the k = 3 graph with the hand-derived EDGES_K3, "
+          "and edge-count-formula every edge count with the closed form")
+_PLAIN_LOOPS = ("tests/test_oracle.py::test_brute_range_equals_the_tuple_loop and "
+                "::test_gwise_range_equals_the_search_loop compare both range "
+                "builds with plain-Python loops that do not call it")
+_TALLY = ("fast-k2-route compares the brute build, which tallies in it, with "
+          "the totient route, which does not; " + _PLAIN_LOOPS)
+
+#: package functions that two compared sides may share, each with why a
+#: fault in it still fails a comparison: it computes no value, or a route
+#: that does not call it is compared with one that does
+TRUSTED = {
+    "coprimality.Graph.__post_init__": _GUARD,
+    "coprimality.CoprimalityGraph.__post_init__": _GUARD,
+    "coprimality._check_local_poly": _GUARD,
+    "oracle._check_int64": _GUARD,
+    "oracle._check_tally": _GUARD,
+    "coprimality.build_coprimality_graph": _GRAPH,
+    "coprimality.expand_one_minus_x": (
+        "local-poly-triple-route's edge-subset route and series-identities' "
+        "tuple-count series expand nothing"),
+    "exactmath.sieve": ("tests/test_exactmath.py::test_sieve_equals_the_per_n_reference "
+                        "checks it against a per-n primality loop"),
+    "oracle._lcm_steps": ("tests/test_oracle.py::test_lcm_steps_are_the_ratios_of_lcms "
+                          "checks it against math.lcm"),
+    "oracle._lcm_upto": ("tests/test_oracle.py::test_lcm_upto_is_the_lcm_and_builds_no_"
+                         "shared_sieve checks it against math.lcm"),
+    "oracle._Tally.__init__": _TALLY,
+    "oracle._Tally.add": _TALLY,
+    "oracle._Tally.columns": _TALLY,
+    "oracle._bucket_adder": _TALLY,
+    "oracle._pieces": _TALLY,
+    "oracle._prefix_rows": _TALLY,
+    "oracle._range_for": (
+        "tests/test_oracle.py::test_sweeps_match_the_pinned_digest pins every "
+        "sum of both sweeps, recorded from per-x passes that kept no range"),
+}
+
+PACKAGE = os.path.dirname(lcmsum.__file__) + os.sep
+
+
+def package_calls(side, monkeypatch) -> set[str]:
+    """The package functions `side` calls from cold caches, as
+    "module.qualname", with nested code counted as its enclosing function."""
+    if side is None:
+        return set()
+    for module in (coprimality, eulerprod, exactmath, oracle, polytope):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    monkeypatch.setattr(oracle, "_RANGES", {})
+    seen = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(PACKAGE):
+            module = os.path.basename(code.co_filename)[:-3]
+            seen.add(f"{module}.{code.co_qualname.split('.<locals>')[0]}")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        side()
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+def test_compared_routes_share_only_trusted_primitives(monkeypatch):
+    table = LEDGER.read_text().split("\n## Route table\n", 1)[1].split("\n## ", 1)[0]
+    routes = dict(re.findall(r"^\| `([a-z0-9-]+)` \|[^|]*\| ([^|]*) \|[^|]*\|$",
+                             table, re.M))
+    assert list(routes) == [name for name, _ in checks.CHECKS]
+    # every check whose table row names two or more routes is audited
+    assert set(ROUTE_SIDES) == {name for name, cell in routes.items()
+                                if cell.startswith(("two", "three", "one route"))}
+    shared_trusted = set()
+    for name, groups in ROUTE_SIDES.items():
+        untrusted = set()
+        for sides in groups:
+            calls = [package_calls(side, monkeypatch) for side in sides]
+            for a, b in itertools.combinations(calls, 2):
+                shared_trusted |= a & b & TRUSTED.keys()
+                untrusted |= (a & b) - TRUSTED.keys()
+        assert bool(untrusted) == routes[name].startswith("one route"), \
+            (name, sorted(untrusted))
+    # no entry outlives the sharing it excuses
+    assert shared_trusted == TRUSTED.keys()

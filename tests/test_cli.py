@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from lcmsum.cli import COMMANDS, fraction_decimal, main
+from lcmsum import cli
+from lcmsum.cli import COMMANDS, build_parser, fraction_decimal, main
 from lcmsum.oracle import fast_recip_lcm_sum2
 from fractions import Fraction
 
@@ -294,6 +295,22 @@ def test_negative_digits_rejected_at_parse_time(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["rho", "constants"])
+def test_digits_past_the_cap_rejected_before_computing(command, monkeypatch, capsys):
+    # the cap itself parses; one more exits 2 before any Euler product
+    def refuse(*args):
+        raise AssertionError("computed")
+
+    monkeypatch.setattr(cli, "euler_product", refuse)
+    monkeypatch.setattr(cli, "leading_constants", refuse)
+    args = build_parser().parse_args([command, "--digits", str(cli.MAX_DIGITS)])
+    assert args.digits == cli.MAX_DIGITS
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--digits", str(cli.MAX_DIGITS + 1)])
+    assert exc.value.code == 2
+    assert f"must be at most {cli.MAX_DIGITS}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["brute", "gwise", "verify"])

@@ -74,6 +74,13 @@ def test_graph_records_refuse_bad_edges_and_vertex_counts():
         CoprimalityGraph(v=4, edges=frozenset(), k=2)
 
 
+def test_constraints_follow_from_k():
+    g = build_coprimality_graph(3)
+    assert CoprimalityGraph(v=7, edges=g.edges, k=3).constraints == constraint_family(3)
+    with pytest.raises(TypeError, match="k"):
+        CoprimalityGraph(v=7, edges=g.edges)
+
+
 def test_constraint_family_shape():
     for k in (2, 3, 4):
         fam = constraint_family(k)

@@ -16,7 +16,7 @@ from lcmsum.eulerprod import (
     series_identity_mismatch,
     zeta_factorization,
 )
-from lcmsum.exactmath import BoundedReal
+from lcmsum.exactmath import CERTIFIED_BITS, BoundedReal
 from lcmsum.oracle import leading_constants
 
 
@@ -296,7 +296,7 @@ def test_a_zeta_excess_that_is_not_positive_is_refused(monkeypatch):
     # zeta(j) > 1 always, so only a faulty zeta gets here; the target is
     # one no other test asks for, so no cached product answers first
     monkeypatch.setattr(eulerprod, "zeta_value",
-                        lambda j, t: BoundedReal.exact(0))
+                        lambda j, t: BoundedReal.exact(0, CERTIFIED_BITS))
     with pytest.raises(ArithmeticError, match="zeta excess not positive at j=2"):
         euler_product((1, 0, -1), Fraction(1, 12345))
 

@@ -535,18 +535,18 @@ def test_bounded_real_double_precision_nests(a, b, c):
 
 
 def test_bounded_real_comparisons():
-    a = BoundedReal.from_bracket(Fraction(1, 3), Fraction(1, 2))
-    b = BoundedReal.from_bracket(Fraction(2, 3), Fraction(3, 4))
+    a = BoundedReal.from_bracket(Fraction(1, 3), Fraction(1, 2), 128)
+    b = BoundedReal.from_bracket(Fraction(2, 3), Fraction(3, 4), 128)
     assert b.strictly_greater(a)
     assert not a.strictly_greater(b)
     assert not a.intersects(b)
-    c = BoundedReal.from_bracket(Fraction(0.4), Fraction(0.7))
+    c = BoundedReal.from_bracket(Fraction(0.4), Fraction(0.7), 128)
     assert a.intersects(c) and b.intersects(c)
 
 
 def test_bounded_real_exact_scaling():
     x = BoundedReal.from_bracket(Fraction(1, 7) - Fraction(1, 10**9),
-                                 Fraction(1, 7) + Fraction(1, 10**9))
+                                 Fraction(1, 7) + Fraction(1, 10**9), 128)
     y = 7 * x
     assert y.contains(1)
     assert y.abs_error <= 8 * x.abs_error
@@ -575,8 +575,8 @@ def test_bounded_real_division_matches_the_fraction_formula():
 
 
 def test_bounded_real_division_by_zero_interval():
-    x = BoundedReal.exact(1)
-    z = BoundedReal.from_bracket(-1, 1)
+    x = BoundedReal.exact(1, 128)
+    z = BoundedReal.from_bracket(-1, 1, 128)
     with pytest.raises(ZeroDivisionError):
         x / z
 
@@ -584,10 +584,20 @@ def test_bounded_real_division_by_zero_interval():
 def test_bounded_real_refuses_an_empty_interval_and_a_non_integer_power():
     with pytest.raises(ValueError, match="empty interval"):
         BoundedReal(1, 0, 8)
-    x = BoundedReal.exact(2)
+    x = BoundedReal.exact(2, 128)
     for n in (0.5, Fraction(1, 2)):
         with pytest.raises(TypeError):
             x ** n
+
+
+def test_bounded_real_constructors_take_no_default_width():
+    # every caller states its width (zeta and Euler products at
+    # CERTIFIED_BITS, the fast k=2 route at 96), so none is assumed
+    with pytest.raises(TypeError, match="bits"):
+        BoundedReal.exact(1)
+    with pytest.raises(TypeError, match="bits"):
+        BoundedReal.from_bracket(0, 1)
+    assert BoundedReal.exact(Fraction(1, 4), 2).bits == 2
 
 
 def test_bounded_real_repr_shows_midpoint_and_radius():

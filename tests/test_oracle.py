@@ -463,13 +463,13 @@ def test_tally_guard_never_undercounts_the_tally(k, monkeypatch):
     # refuses; its limbs, from log2 lcm(1..n) < 1.4988 n, are never fewer
     # than the tally's, and it passes with a tenth and one limb column more
     for top in (1, 2, 3, 10, 90, 256, 1000):
-        t = oracle._Tally(2, top, top**k, oracle._lcm_upto(top))
+        t = oracle._Tally(top, top**k, oracle._lcm_upto(top))
         size = t.cols.nbytes + t.tallied.nbytes
         monkeypatch.setattr(oracle, "TALLY_BYTES", size - 1)
         with pytest.raises(ResourceLimitError, match="tally"):
-            oracle._check_tally(2, top, top**k)
+            oracle._check_tally(top, top**k)
         monkeypatch.setattr(oracle, "TALLY_BYTES", size + size // 10 + 16 * top)
-        oracle._check_tally(2, top, top**k)
+        oracle._check_tally(top, top**k)
 
 
 @pytest.mark.parametrize("pinned", [False, True])
@@ -770,7 +770,7 @@ def test_range_build_memory_stays_chunked(build):
 
 
 def test_tallies_hold_no_per_key_state(monkeypatch):
-    # a tally holds kinds x limbs x top int64 sums and kinds x top counts,
+    # a tally holds 2 x limbs x top int64 sums and 2 x top counts,
     # set when it is made, whatever the number of distinct (bucket, lcm)
     # keys it is fed (23,052 for the brute build here), and its rows stay
     # exact
@@ -784,7 +784,7 @@ def test_tallies_hold_no_per_key_state(monkeypatch):
 
     monkeypatch.setattr(oracle._Tally, "add", tracked_add)
     assert oracle._brute_range(2, 256).rows == reference_brute_rows(2, 256)
-    h = len(oracle._Tally(2, 256, 256**2, math.lcm(*range(1, 257))).limbs)
+    h = len(oracle._Tally(256, 256**2, math.lcm(*range(1, 257))).limbs)
     assert states == {(("bits", ()), ("cols", (2, h, 256)), ("limbs", (h,)),
                        ("tallied", (2, 256)))}
     assert len(keys) == 23052 > 2 * (h + 1) * 256
@@ -829,7 +829,7 @@ def test_tally_columns_stay_in_int64_at_the_largest_scale(k, top):
     scale = top**k
     bits = 63 - scale.bit_length()
     big = scale * (1 << 5 * bits) - 1
-    t = oracle._Tally(2, 3, scale, big)
+    t = oracle._Tally(3, scale, big)
     bucket = np.array([1, 1, 2, 3, 3, 3], np.int64)
     counts = np.array([[scale - 7, 7, scale, 1, 2, scale - 3],
                        [scale, 0, scale, scale - 1, 0, 1]], np.int64)
@@ -1040,7 +1040,7 @@ def test_theta_admits_the_cap_itself(monkeypatch):
 def test_constants_record_checks_positivity_and_theta():
     lc = leading_constants(3)
     with pytest.raises(ValueError, match="certified positive"):
-        dataclasses.replace(lc, c3=BoundedReal.from_bracket(-1, 1))
+        dataclasses.replace(lc, c3=BoundedReal.from_bracket(-1, 1, lc.c.bits))
     with pytest.raises(ValueError, match="must coincide"):
         dataclasses.replace(lc, theta3=lc.theta2)
 
