@@ -188,7 +188,7 @@ def euler_product(
     target = Fraction(target_error)
     if target <= 0:
         raise ValueError("target_error must be positive")
-    coeffs = tuple(int(c) for c in coeffs)
+    coeffs = tuple(map(operator.index, coeffs))
     if not coeffs:
         raise ValueError("polynomial must not be empty")
     if order < 1:
@@ -245,19 +245,9 @@ def _euler_product_cached(
     one = BoundedReal.exact(1, bits)
     v = len(coeffs) - 1
 
-    # raw finite product of Q(1/p); every local factor must be strictly positive
-    qprod = one
-    for p in primes:
-        x = BoundedReal(
-            (1 << bits) // p, (1 << bits) // p + 1, bits)
-        acc = BoundedReal.exact(coeffs[v], bits)
-        for a in range(v - 1, -1, -1):
-            acc = acc * x + coeffs[a]
-        if acc.lo <= 0:
-            raise ArithmeticError(f"local factor not positive at p={p}: {acc!r}")
-        qprod = qprod * acc
-
-    # zeta tails past the cutoff: excess_j = zeta(j) * prod_{p<=P}(1 - p^-j)
+    # zeta tails past the cutoff: excess_j = zeta(j) * prod_{p<=P}(1 - p^-j),
+    # taken before the raw product so that a target refused at the zeta
+    # wall stops before the prime loop
     zpart = one
     nfac = max(1, len(b))
     for j, bj in sorted(b.items()):
@@ -278,6 +268,18 @@ def _euler_product_cached(
         if excess.lo <= 0:
             raise ArithmeticError(f"zeta excess not positive at j={j}")
         zpart = zpart * (excess ** (-bj))
+
+    # raw finite product of Q(1/p); every local factor must be strictly positive
+    qprod = one
+    for p in primes:
+        x = BoundedReal(
+            (1 << bits) // p, (1 << bits) // p + 1, bits)
+        acc = BoundedReal.exact(coeffs[v], bits)
+        for a in range(v - 1, -1, -1):
+            acc = acc * x + coeffs[a]
+        if acc.lo <= 0:
+            raise ArithmeticError(f"local factor not positive at p={p}: {acc!r}")
+        qprod = qprod * acc
 
     total = qprod * zpart
     # prod_{p>P} R(1/p) lies in [1 - T, exp(T)] subset [1 - T, 1 + 2T] for T <= 1/2

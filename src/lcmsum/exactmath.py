@@ -5,7 +5,9 @@ Everything downstream leans on four guarantees provided here:
 * rationals are exact (`fractions.Fraction`);
 * `BoundedReal` is a two-sided dyadic enclosure: the true quantity always
   lies in [lo, hi], and every operation rounds outward, so bounds are
-  worst-case rather than statistical;
+  worst-case rather than statistical.  A computation works at one width:
+  an operation pairs two enclosures of equal width, or one with an int or
+  Fraction taken at its width, and refuses operands of unequal widths;
 * sieve tables hold every prime up to their limit and factor any integer
   up to limit**2 by one trial-division walk over those primes;
 * zeta values come with a certified absolute error from a bracketed
@@ -79,7 +81,9 @@ class BoundedReal:
     `value` is the midpoint, `abs_error` the radius; both are exact
     rationals.  Arithmetic (+, -, *, /, integer powers) rounds endpoints
     outward, so composing operations can only widen, never lose, the
-    enclosure of the true result.
+    enclosure of the true result.  Both operands have one width: an int
+    or Fraction is taken at self's, and an enclosure of another width
+    raises ValueError.
     """
 
     __slots__ = ("_lo", "_hi", "_bits")
@@ -148,54 +152,46 @@ class BoundedReal:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _coerce(self, other, bits: int) -> "BoundedReal":
-        if isinstance(other, BoundedReal):
-            return other
-        return BoundedReal.exact(other, bits)
-
-    def rescale(self, bits: int) -> "BoundedReal":
-        if bits == self._bits:
-            return self
-        if bits > self._bits:
-            s = bits - self._bits
-            return BoundedReal(self._lo << s, self._hi << s, bits)
-        s = self._bits - bits
-        return BoundedReal(self._lo >> s, -((-self._hi) >> s), bits)
-
-    def _pair(self, other) -> tuple["BoundedReal", "BoundedReal", int]:
-        other = self._coerce(other, self._bits)
-        bits = max(self._bits, other._bits)
-        return self.rescale(bits), other.rescale(bits), bits
+    def _operand(self, other) -> "BoundedReal":
+        """other as an enclosure at self's width: an int or Fraction is
+        taken exactly there, and another width is refused."""
+        if not isinstance(other, BoundedReal):
+            return BoundedReal.exact(other, self._bits)
+        if other._bits != self._bits:
+            raise ValueError(f"operands of {self._bits} and {other._bits} "
+                             "bits: a computation works at one width")
+        return other
 
     def __add__(self, other):
-        a, b, bits = self._pair(other)
-        return BoundedReal(a._lo + b._lo, a._hi + b._hi, bits)
+        b = self._operand(other)
+        return BoundedReal(self._lo + b._lo, self._hi + b._hi, self._bits)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b, bits = self._pair(other)
-        return BoundedReal(a._lo - b._hi, a._hi - b._lo, bits)
+        b = self._operand(other)
+        return BoundedReal(self._lo - b._hi, self._hi - b._lo, self._bits)
 
     def __mul__(self, other):
-        a, b, bits = self._pair(other)
-        cands = (a._lo * b._lo, a._lo * b._hi, a._hi * b._lo, a._hi * b._hi)
+        b, bits = self._operand(other), self._bits
+        cands = (self._lo * b._lo, self._lo * b._hi,
+                 self._hi * b._lo, self._hi * b._hi)
         return BoundedReal(min(cands) >> bits, -((-max(cands)) >> bits), bits)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, b, bits = self._pair(other)
+        b, bits = self._operand(other), self._bits
         if b._lo <= 0 <= b._hi:
             raise ZeroDivisionError("divisor interval contains zero")
         # floor and ceil are monotone, so the floor of the least quotient
         # is the least floor, and likewise for the ceil of the greatest
-        nums, dens = (a._lo << bits, a._hi << bits), (b._lo, b._hi)
+        nums, dens = (self._lo << bits, self._hi << bits), (b._lo, b._hi)
         return BoundedReal(min(n // d for n in nums for d in dens),
                            max(-(-n // d) for n in nums for d in dens), bits)
 
     def __rtruediv__(self, other):
-        return self._coerce(other, self._bits).__truediv__(self)
+        return self._operand(other).__truediv__(self)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -620,37 +616,34 @@ def zeta_value(j: int, target_error) -> BoundedReal:
 
 def leading_coeff_by_differences(
     samples: Sequence[tuple[int, int | Fraction]], degree: int,
-    steps: Sequence[int] | None = None,
+    steps: Sequence[int],
 ) -> Fraction:
     """Leading coefficient of a degree-`degree` polynomial from its values.
 
-    `samples` must be at equally spaced abscissae, h apart.  `steps` is the
-    difference schedule s_1..s_degree in units of h (default all 1): the
-    operator Delta_{s_1 h} ... Delta_{s_degree h}, with Delta_m f(x) =
-    f(x + m) - f(x), takes a x**degree to degree! * prod(s_j h) * a, and
-    the result is that value divided back, in exact rationals.  The operator
-    also takes a quasi-polynomial's term c_i(x) x**i, i < degree, to zero
-    when at least i + 1 of the steps are multiples of the period of c_i, so
-    with steps of unequal size it reads the leading coefficient of a
-    quasi-polynomial whose coefficients have unequal periods.
+    `samples` must be at consecutive integer abscissae.  `steps` is the
+    difference schedule s_1..s_degree: the operator Delta_{s_1} ...
+    Delta_{s_degree}, with Delta_m f(x) = f(x + m) - f(x), takes a
+    x**degree to degree! * prod(s_j) * a, and the result is that value
+    divided back, in exact rationals.  The operator also takes a
+    quasi-polynomial's term c_i(x) x**i, i < degree, to zero when at least
+    i + 1 of the steps are multiples of the period of c_i, so with steps
+    of unequal size it reads the leading coefficient of a quasi-polynomial
+    whose coefficients have unequal periods.
 
-    It reads sum(s_j) + 1 samples; each extra sample shifts the window by h
-    and must give the same difference, a cross-check that the samples fit.
+    It reads sum(s_j) + 1 samples; each extra sample shifts the window by
+    one and must give the same difference, a cross-check that the samples
+    fit.
     """
-    steps = (1,) * degree if steps is None else tuple(steps)
+    steps = tuple(steps)
     if len(steps) != degree or any(s < 1 for s in steps):
         raise ValueError(f"need {degree} positive steps, got {steps}")
     if len(samples) < sum(steps) + 1:
         raise ValueError(
             f"need at least {sum(steps) + 1} samples for degree {degree} "
             f"at steps {steps}, got {len(samples)}")
-    xs = [s[0] for s in samples]
-    spacings = {b - a for a, b in zip(xs, xs[1:])}
-    if len(spacings) != 1:
-        raise ValueError("samples must be equally spaced")
-    h = spacings.pop()
-    if h <= 0:
-        raise ValueError("abscissae must be increasing")
+    x0 = samples[0][0]
+    if any(x != x0 + i for i, (x, _) in enumerate(samples)):
+        raise ValueError("abscissae must be consecutive integers")
     vals = [Fraction(s[1]) for s in samples]
     for s in steps:
         vals = [b - a for a, b in zip(vals, vals[s:])]
@@ -658,4 +651,4 @@ def leading_coeff_by_differences(
         raise ValueError(
             "the differences of the shifted windows disagree; samples are not "
             f"a quasi-polynomial of degree {degree} killed by steps {steps}")
-    return vals[0] / (math.factorial(degree) * math.prod(s * h for s in steps))
+    return vals[0] / (math.factorial(degree) * math.prod(steps))

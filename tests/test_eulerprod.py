@@ -3,6 +3,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lcmsum import eulerprod, reference
@@ -301,24 +302,36 @@ def test_a_zeta_excess_that_is_not_positive_is_refused(monkeypatch):
         euler_product((1, 0, -1), Fraction(1, 12345))
 
 
-@pytest.mark.parametrize("call", [
-    lambda: euler_product(()),
-    lambda: euler_product(reference.LOCAL_POLY[3], prime_cutoff=0),
-    lambda: euler_product(reference.LOCAL_POLY[3], prime_cutoff=-5),
-    lambda: euler_product(reference.LOCAL_POLY[3], order=0),
-    lambda: euler_product(reference.LOCAL_POLY[3], order=-1),
-    lambda: euler_product(reference.LOCAL_POLY[3], target_error=0),
-    lambda: euler_product((2,)),
-    lambda: count_density_poly(1),
-    lambda: lcm_count_density(5),
+@pytest.mark.parametrize("call, exc", [
+    (lambda: euler_product(()), ValueError),
+    (lambda: euler_product(reference.LOCAL_POLY[3], prime_cutoff=0), ValueError),
+    (lambda: euler_product(reference.LOCAL_POLY[3], prime_cutoff=-5), ValueError),
+    (lambda: euler_product(reference.LOCAL_POLY[3], order=0), ValueError),
+    (lambda: euler_product(reference.LOCAL_POLY[3], order=-1), ValueError),
+    (lambda: euler_product(reference.LOCAL_POLY[3], target_error=0), ValueError),
+    (lambda: euler_product((2,)), ValueError),
+    (lambda: count_density_poly(1), ValueError),
+    (lambda: lcm_count_density(5), ValueError),
+    (lambda: euler_product((1, 0, -0.5)), TypeError),
+    (lambda: euler_product((1, 0, Fraction(-3, 2))), TypeError),
 ], ids=["empty", "cutoff-0", "cutoff-neg", "order-0", "order-neg", "target-0",
-        "constant-2", "count-k1", "count-k5"])
-def test_euler_product_rejects_bad_inputs(call):
+        "constant-2", "count-k1", "count-k5", "float-coeff", "fraction-coeff"])
+def test_euler_product_rejects_bad_inputs(call, exc):
     # an empty polynomial, a constant other than 1, a non-positive order,
     # cutoff or target, or a k outside the count route's range is a usage
-    # error, not an IndexError, ZeroDivisionError or PrecisionError
-    with pytest.raises(ValueError):
+    # error, not an IndexError, ZeroDivisionError or PrecisionError; a
+    # coefficient that is not an integer is refused, not truncated (1 -
+    # 0.5x^2 would read as exact 1, and 1 - 1.5x^2 as 1 - x^2)
+    with pytest.raises(exc):
         call()
+
+
+def test_euler_product_takes_numpy_integer_coefficients():
+    coeffs = np.array(reference.LOCAL_POLY[2], dtype=np.int64)
+    got = euler_product(coeffs).value
+    want = euler_product(reference.LOCAL_POLY[2]).value
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+    assert got.contains(Fraction(6 / math.pi**2)) and got.abs_error > 0
 
 
 # ---------------------------------------------------------------------------
