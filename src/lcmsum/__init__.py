@@ -5,8 +5,8 @@ Library layout:
 * `exactmath`   exact rationals, dyadic enclosures, sieves, certified zeta
 * `coprimality` the coprimality graphs, local-factor polynomials, and the
                 tuple decomposition into coprime parts
-* `polytope`    exact volumes of the hyperbolic-constraint polytopes via
-                lattice-point counting
+* `polytope`    exact volumes of the hyperbolic-constraint polytopes: lattice
+                counts, period bounds and the difference operator on them
 * `eulerprod`   certified Euler products with zeta-factorization acceleration
 * `oracle`      exact brute-force, constrained and lcm-multiplicity sums,
                 each also with its tuple count, and the assembled leading
@@ -46,7 +46,6 @@ from .exactmath import (
     BoundedReal,
     SieveTables,
     SurdRatio,
-    leading_coeff_by_differences,
     sieve,
     stirling2,
     zeta_value,
@@ -73,6 +72,7 @@ from .polytope import (
     export_ieqs,
     ieqs_rows,
     lattice_counts,
+    leading_coeff_by_differences,
     period_bounds,
     volume_of,
     volume_relations_check,

@@ -39,6 +39,8 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if self.v < 0:
+            raise ValueError(f"v must be non-negative, got {self.v}")
         for i, j in self.edges:
             if not (1 <= i < j <= self.v):
                 raise ValueError(f"bad edge ({i},{j}) for v={self.v}")

@@ -188,6 +188,8 @@ def euler_product(
     target = Fraction(target_error)
     if target <= 0:
         raise ValueError("target_error must be positive")
+    if any(isinstance(c, bool) for c in coeffs):
+        raise TypeError(f"coefficients must be integers, not bool: {coeffs!r}")
     coeffs = tuple(map(operator.index, coeffs))
     if not coeffs:
         raise ValueError("polynomial must not be empty")

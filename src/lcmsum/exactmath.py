@@ -609,46 +609,3 @@ def zeta_value(j: int, target_error) -> BoundedReal:
             achieved=out.abs_error)
     return out
 
-
-# ---------------------------------------------------------------------------
-# Finite differences
-# ---------------------------------------------------------------------------
-
-def leading_coeff_by_differences(
-    samples: Sequence[tuple[int, int | Fraction]], degree: int,
-    steps: Sequence[int],
-) -> Fraction:
-    """Leading coefficient of a degree-`degree` polynomial from its values.
-
-    `samples` must be at consecutive integer abscissae.  `steps` is the
-    difference schedule s_1..s_degree: the operator Delta_{s_1} ...
-    Delta_{s_degree}, with Delta_m f(x) = f(x + m) - f(x), takes a
-    x**degree to degree! * prod(s_j) * a, and the result is that value
-    divided back, in exact rationals.  The operator also takes a
-    quasi-polynomial's term c_i(x) x**i, i < degree, to zero when at least
-    i + 1 of the steps are multiples of the period of c_i, so with steps
-    of unequal size it reads the leading coefficient of a quasi-polynomial
-    whose coefficients have unequal periods.
-
-    It reads sum(s_j) + 1 samples; each extra sample shifts the window by
-    one and must give the same difference, a cross-check that the samples
-    fit.
-    """
-    steps = tuple(steps)
-    if len(steps) != degree or any(s < 1 for s in steps):
-        raise ValueError(f"need {degree} positive steps, got {steps}")
-    if len(samples) < sum(steps) + 1:
-        raise ValueError(
-            f"need at least {sum(steps) + 1} samples for degree {degree} "
-            f"at steps {steps}, got {len(samples)}")
-    x0 = samples[0][0]
-    if any(x != x0 + i for i, (x, _) in enumerate(samples)):
-        raise ValueError("abscissae must be consecutive integers")
-    vals = [Fraction(s[1]) for s in samples]
-    for s in steps:
-        vals = [b - a for a, b in zip(vals, vals[s:])]
-    if any(v != vals[0] for v in vals[1:]):
-        raise ValueError(
-            "the differences of the shifted windows disagree; samples are not "
-            f"a quasi-polynomial of degree {degree} killed by steps {steps}")
-    return vals[0] / (math.factorial(degree) * math.prod(steps))

@@ -818,6 +818,8 @@ def lcm_multiplicity_table(k: int, x: int) -> tuple[list[int], Fraction]:
     divides lcm(1..x).  The alphas sum to the number of k-tuples with
     lcm <= x.  Refuses x past ALPHA_MAX_X and k * x past ALPHA_MAX_KX.
     """
+    if k < 1:
+        raise ValueError("k and n must be positive")
     if x < 1:
         raise ValueError("x must be positive")
     if x > ALPHA_MAX_X or k * x > ALPHA_MAX_KX:

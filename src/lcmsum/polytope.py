@@ -48,7 +48,6 @@ import numpy as np
 
 from .coprimality import constraint_family
 from .errors import PeriodDetectionError, ResourceLimitError
-from .exactmath import leading_coeff_by_differences
 
 #: supported polytope families
 KINDS = ("D", "D_star", "D_star2", "D_star3", "T")
@@ -75,6 +74,8 @@ class HyperbolicPolytope:
     constraints: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        if self.dim < 0:
+            raise ValueError(f"dim must be non-negative, got {self.dim}")
         if self.dim > MAX_DIM:
             raise ValueError(f"dimension {self.dim} exceeds {MAX_DIM}")
         covered: set[int] = set()
@@ -107,6 +108,8 @@ class EhrhartSamples:
             raise ValueError("period bounds must be positive")
         if any(a % b for a, b in zip(self.bounds, self.bounds[1:])):
             raise ValueError("each period bound must divide the one before")
+        if not self.counts:
+            raise ValueError("counts must hold L(0)")
         if self.counts[0] != 1:
             raise ValueError("L(0) must be 1")
         if any(b < a for a, b in zip(self.counts, self.counts[1:])):
@@ -385,6 +388,41 @@ def _sample_window(
     return list(range(last - a + 1)), list(range(1, a + 1))
 
 
+def leading_coeff_by_differences(
+    values: Sequence[int | Fraction], degree: int, steps: Sequence[int]
+) -> Fraction:
+    """Leading coefficient of a degree-`degree` quasi-polynomial from its
+    values at consecutive integers.
+
+    `steps` is the difference schedule s_1..s_degree: the operator
+    Delta_{s_1} ... Delta_{s_degree}, with Delta_m f(x) = f(x + m) - f(x),
+    takes a x**degree to degree! * prod(s_j) * a, and the result is that
+    value divided back, in exact rationals.  It takes a term c_i(x) x**i,
+    i < degree, to zero when at least i + 1 of the steps are multiples of
+    the period of c_i, so with steps of unequal size it reads a leading
+    coefficient under lower coefficients of unequal periods.
+
+    It reads sum(s_j) + 1 values; each extra value shifts the window by
+    one and must give the same difference, a cross-check that the values
+    fit.
+    """
+    steps = tuple(steps)
+    if len(steps) != degree or any(s < 1 for s in steps):
+        raise ValueError(f"need {degree} positive steps, got {steps}")
+    if len(values) < sum(steps) + 1:
+        raise ValueError(
+            f"need at least {sum(steps) + 1} samples for degree {degree} "
+            f"at steps {steps}, got {len(values)}")
+    vals = [Fraction(v) for v in values]
+    for s in steps:
+        vals = [b - a for a, b in zip(vals, vals[s:])]
+    if any(v != vals[0] for v in vals[1:]):
+        raise ValueError(
+            "the differences of the shifted windows disagree; samples are not "
+            f"a quasi-polynomial of degree {degree} killed by steps {steps}")
+    return vals[0] / (math.factorial(degree) * math.prod(steps))
+
+
 def ehrhart_data(p: HyperbolicPolytope) -> tuple[Fraction, EhrhartSamples]:
     """Exact volume plus the count samples that certified it.
 
@@ -402,12 +440,10 @@ def ehrhart_data(p: HyperbolicPolytope) -> tuple[Fraction, EhrhartSamples]:
     counts = lattice_counts(p, ns, interior=inner)
     samples = EhrhartSamples(bounds, tuple(counts[:len(ns)]),
                              tuple(counts[len(ns):]))
-    sign = (-1) ** v
-    points = ([(-n, sign * c) for n, c in
-               zip(reversed(inner), reversed(samples.interior_counts))]
-              + list(zip(ns, samples.counts)))
+    values = ([(-1) ** v * c for c in reversed(samples.interior_counts)]
+              + list(samples.counts))
     try:
-        vol = leading_coeff_by_differences(points, v, bounds)
+        vol = leading_coeff_by_differences(values, v, bounds)
     except ValueError as exc:
         raise PeriodDetectionError(
             f"period bounds {bounds} do not fit the counts: {exc}",

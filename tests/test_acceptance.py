@@ -44,28 +44,17 @@ def report(n: int, detail: str) -> None:
 
 
 def test_criterion_1_polytope_volumes_exact():
-    expected = {
-        ("D", 2): Fraction(1, 3),
-        ("D_star", 3): Fraction(11, 480),
-        ("D", 3): Fraction(11, 3360),
-        ("D_star", 4): Fraction(739, 25830604800),
-        ("D", 4): Fraction(739, 387459072000),
-        ("D_star3", 3): Fraction(1, 4),
-        ("D_star2", 3): Fraction(1, 16),
-        ("D_star2", 4): Fraction(299, 479001600),
-        ("T", 2): Fraction(1, math.factorial(3)),
-        ("T", 3): Fraction(1, math.factorial(7)),
-        ("T", 4): Fraction(1, math.factorial(15)),
-    }
-    for (kind, k), want in expected.items():
+    # the eleven published volumes, read from the one copy in `reference`
+    assert len(reference.VOLUMES) == 11
+    for (kind, k), want in reference.VOLUMES.items():
         got = volume_of(kind, k)
         assert got == want, (kind, k, str(got), str(want))
-    report(1, f"{len(expected)} exact volumes, k=2..4")
+    report(1, f"{len(reference.VOLUMES)} exact volumes, k=2..4")
 
 
 def test_criterion_2_euler_products():
     r3 = coprime_density(build_coprimality_graph(3))
-    assert abs(float(r3.value) - 0.04932167) <= 5e-8, float(r3.value)
+    assert abs(float(r3.value) - reference.RHO_K3) <= 5e-8, float(r3.value)
     assert r3.abs_error <= Fraction(5, 10**9), float(r3.abs_error)
 
     r2 = coprime_density(build_coprimality_graph(2))
@@ -82,7 +71,7 @@ def test_criterion_3_leading_constants():
     lc3 = leading_constants(3)
     lc4 = leading_constants(4)
 
-    assert abs(float(lc3.c.value) - 0.00016147) <= 5e-8, float(lc3.c.value)
+    assert abs(float(lc3.c.value) - reference.C_K3) <= 5e-8, float(lc3.c.value)
     assert abs(float(lc2.c.value) - 2 / math.pi**2) <= 1e-10
     for lc, k in ((lc2, 2), (lc3, 3), (lc4, 4)):
         assert lc.c2.value / lc.c.value == 2**k - 1, k

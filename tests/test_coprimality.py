@@ -72,6 +72,9 @@ def test_graph_records_refuse_bad_edges_and_vertex_counts():
         Graph(3, frozenset({(1, 4)}))
     with pytest.raises(ValueError, match="vertex count"):
         CoprimalityGraph(v=4, edges=frozenset(), k=2)
+    # a negative vertex count is refused when built, not by a later IndexError
+    with pytest.raises(ValueError, match="v must be non-negative"):
+        Graph(-1, frozenset())
 
 
 def test_constraints_follow_from_k():

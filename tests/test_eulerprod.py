@@ -314,14 +314,17 @@ def test_a_zeta_excess_that_is_not_positive_is_refused(monkeypatch):
     (lambda: lcm_count_density(5), ValueError),
     (lambda: euler_product((1, 0, -0.5)), TypeError),
     (lambda: euler_product((1, 0, Fraction(-3, 2))), TypeError),
+    (lambda: euler_product((True, 0, -1)), TypeError),
 ], ids=["empty", "cutoff-0", "cutoff-neg", "order-0", "order-neg", "target-0",
-        "constant-2", "count-k1", "count-k5", "float-coeff", "fraction-coeff"])
+        "constant-2", "count-k1", "count-k5", "float-coeff", "fraction-coeff",
+        "bool-coeff"])
 def test_euler_product_rejects_bad_inputs(call, exc):
     # an empty polynomial, a constant other than 1, a non-positive order,
     # cutoff or target, or a k outside the count route's range is a usage
     # error, not an IndexError, ZeroDivisionError or PrecisionError; a
     # coefficient that is not an integer is refused, not truncated (1 -
-    # 0.5x^2 would read as exact 1, and 1 - 1.5x^2 as 1 - x^2)
+    # 0.5x^2 would read as exact 1, and 1 - 1.5x^2 as 1 - x^2), and a bool
+    # is refused as zeta_value refuses it, not read as 1 or 0
     with pytest.raises(exc):
         call()
 

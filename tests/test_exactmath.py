@@ -24,7 +24,6 @@ from lcmsum.exactmath import (
     SurdRatio,
     factoring_limit,
     floor_prefix_sums,
-    leading_coeff_by_differences,
     sieve,
     stirling2,
     zeta_value,
@@ -502,76 +501,6 @@ def test_alternating_series_meets_zeta_value_at_the_density_targets(monkeypatch)
         value, bound = _crvz_zeta(j, n)
         z = original(j, target)
         assert value - bound <= z.hi and z.lo <= value + bound, (j, target, n)
-
-
-# ---------------------------------------------------------------------------
-# finite differences
-# ---------------------------------------------------------------------------
-
-def test_leading_coeff_examples():
-    sq = [(m, Fraction(m * m)) for m in range(3)]
-    assert leading_coeff_by_differences(sq, 2, (1, 1)) == 1
-    simplex = [(m, Fraction(math.comb(m + 3, 3))) for m in range(4)]
-    assert leading_coeff_by_differences(simplex, 3, (1, 1, 1)) == Fraction(1, 6)
-
-
-def test_leading_coeff_arity_and_spacing_errors():
-    sq = [(m, Fraction(m * m)) for m in range(3)]
-    # the steps have no default: the one caller passes its period bounds
-    with pytest.raises(TypeError, match="steps"):
-        leading_coeff_by_differences(sq, 2)
-    with pytest.raises(ValueError, match="at least 3 samples"):
-        leading_coeff_by_differences(sq[:2], 2, (1, 1))
-    # abscissae must be consecutive integers, increasing, with no gap
-    for xs in [(0, 1, 3), (0, 2, 4), (2, 1, 0)]:
-        with pytest.raises(ValueError, match="consecutive"):
-            leading_coeff_by_differences(
-                [(x, Fraction(x * x)) for x in xs], 2, (1, 1))
-
-@pytest.mark.parametrize("start", [-9, 0, 4])
-def test_mixed_steps_read_a_quasi_polynomial(start):
-    # f(n) = lead n^2 + c_1(n) n + c_0(n), c_1 of period 2 and c_0 of
-    # period 6: Delta_6 Delta_2 kills both lower terms
-    c0 = [Fraction(v, 7) for v in (3, -1, 4, 1, -5, 9)]
-    c1 = [Fraction(2), Fraction(-3, 2)]
-    lead = Fraction(5, 3)
-
-    def f(n):
-        return lead * n * n + c1[n % 2] * n + c0[n % 6]
-
-    pts = [(n, f(n)) for n in range(start, start + 6 + 2 + 3)]
-    assert leading_coeff_by_differences(pts, 2, steps=(6, 2)) == lead
-    assert leading_coeff_by_differences(pts[:9], 2, steps=(2, 6)) == lead
-    # too few even steps for c_1, a step that misses c_0's period 3
-    for steps in [(6, 1), (2, 2), (1, 1)]:
-        with pytest.raises(ValueError, match="disagree"):
-            leading_coeff_by_differences(pts, 2, steps=steps)
-    # the span of the steps plus one sample, and one step per degree
-    with pytest.raises(ValueError, match="at least 9 samples"):
-        leading_coeff_by_differences(pts[:8], 2, steps=(6, 2))
-    with pytest.raises(ValueError, match="positive steps"):
-        leading_coeff_by_differences(pts, 2, steps=(6,))
-    with pytest.raises(ValueError, match="positive steps"):
-        leading_coeff_by_differences(pts, 2, steps=(6, 0))
-
-
-@given(
-    coeffs=st.lists(st.integers(-50, 50), min_size=1, max_size=6),
-    lead=st.integers(1, 50),
-    steps=st.lists(st.integers(1, 4), min_size=6, max_size=6),
-    start=st.integers(-10, 10),
-)
-def test_leading_coeff_random_polynomials(coeffs, lead, steps, start):
-    poly = coeffs + [lead]
-    deg = len(poly) - 1
-    steps = steps[:deg]
-
-    def f(m):
-        return Fraction(sum(c * m**i for i, c in enumerate(poly)))
-
-    xs = range(start, start + sum(steps) + 2)
-    got = leading_coeff_by_differences([(x, f(x)) for x in xs], deg, steps)
-    assert got == lead
 
 
 # ---------------------------------------------------------------------------

@@ -928,6 +928,12 @@ def test_multiplicity_table_refuses_past_its_caps_at_once():
         with pytest.raises(ResourceLimitError, match="exceeds the caps"):
             lcm_multiplicity_table(k, x)
         assert time.perf_counter() - start < 0.1, (k, x)
+    # k = 0 is refused as lcm_multiplicity refuses it, before lcm(1..x) is
+    # formed: that alone takes about 0.1 s at x = 4 * 10**5
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="k and n must be positive"):
+        lcm_multiplicity_table(0, 4 * 10**5)
+    assert time.perf_counter() - start < 0.01
 
 
 def test_multiplicity_table_admits_its_caps(monkeypatch):

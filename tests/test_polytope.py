@@ -5,6 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lcmsum import polytope, reference
 from lcmsum.errors import PeriodDetectionError, ResourceLimitError
@@ -18,6 +19,7 @@ from lcmsum.polytope import (
     export_ieqs,
     ieqs_rows,
     lattice_counts,
+    leading_coeff_by_differences,
     period_bounds,
     volume_of,
     volume_relations_check,
@@ -98,6 +100,9 @@ def test_build_guards():
         HyperbolicPolytope(2, (frozenset({0, 1}), frozenset()))
     with pytest.raises(ValueError, match="out of range"):
         HyperbolicPolytope(2, (frozenset({0, 2}),))
+    # refused when built, not by min() of an empty family in the counts
+    with pytest.raises(ValueError, match="dim must be non-negative"):
+        HyperbolicPolytope(-1, ())
     with pytest.raises(ValueError, match="between 2 and 4"):
         volume_relations_check(5)
 
@@ -199,7 +204,7 @@ def test_a_volume_that_is_not_positive_is_refused(monkeypatch):
     # a bounded full-dimensional polytope has a positive volume, so only a
     # faulty extraction reaches this
     monkeypatch.setattr(polytope, "leading_coeff_by_differences",
-                        lambda points, degree, steps: Fraction(0))
+                        lambda values, degree, steps: Fraction(0))
     with pytest.raises(PeriodDetectionError, match="degenerate leading coefficient 0"):
         ehrhart_data(build_polytope("D", 2))
 
@@ -511,6 +516,71 @@ def test_lattice_count_state_budget():
 
 
 # ---------------------------------------------------------------------------
+# the difference operator
+# ---------------------------------------------------------------------------
+
+def test_leading_coeff_examples():
+    assert leading_coeff_by_differences([0, 1, 4], 2, (1, 1)) == 1
+    simplex = [math.comb(m + 3, 3) for m in range(4)]
+    assert leading_coeff_by_differences(simplex, 3, (1, 1, 1)) == Fraction(1, 6)
+
+
+def test_leading_coeff_arity_errors():
+    sq = [0, 1, 4]
+    # the steps have no default: the one caller passes its period bounds
+    with pytest.raises(TypeError, match="steps"):
+        leading_coeff_by_differences(sq, 2)
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        leading_coeff_by_differences(sq[:2], 2, (1, 1))
+
+
+@pytest.mark.parametrize("start", [-9, 0, 4])
+def test_mixed_steps_read_a_quasi_polynomial(start):
+    # f(n) = lead n^2 + c_1(n) n + c_0(n), c_1 of period 2 and c_0 of
+    # period 6: Delta_6 Delta_2 kills both lower terms
+    c0 = [Fraction(v, 7) for v in (3, -1, 4, 1, -5, 9)]
+    c1 = [Fraction(2), Fraction(-3, 2)]
+    lead = Fraction(5, 3)
+
+    def f(n):
+        return lead * n * n + c1[n % 2] * n + c0[n % 6]
+
+    vals = [f(n) for n in range(start, start + 6 + 2 + 3)]
+    assert leading_coeff_by_differences(vals, 2, steps=(6, 2)) == lead
+    assert leading_coeff_by_differences(vals[:9], 2, steps=(2, 6)) == lead
+    # too few even steps for c_1, a step that misses c_0's period 3
+    for steps in [(6, 1), (2, 2), (1, 1)]:
+        with pytest.raises(ValueError, match="disagree"):
+            leading_coeff_by_differences(vals, 2, steps=steps)
+    # the span of the steps plus one sample, and one step per degree
+    with pytest.raises(ValueError, match="at least 9 samples"):
+        leading_coeff_by_differences(vals[:8], 2, steps=(6, 2))
+    with pytest.raises(ValueError, match="positive steps"):
+        leading_coeff_by_differences(vals, 2, steps=(6,))
+    with pytest.raises(ValueError, match="positive steps"):
+        leading_coeff_by_differences(vals, 2, steps=(6, 0))
+
+
+@given(
+    coeffs=st.lists(st.integers(-50, 50), min_size=1, max_size=6),
+    lead=st.integers(1, 50),
+    steps=st.lists(st.integers(1, 4), min_size=6, max_size=6),
+    start=st.integers(-10, 10),
+)
+def test_leading_coeff_random_polynomials(coeffs, lead, steps, start):
+    poly = coeffs + [lead]
+    deg = len(poly) - 1
+    steps = steps[:deg]
+
+    def f(m):
+        return Fraction(sum(c * m**i for i, c in enumerate(poly)))
+
+    xs = range(start, start + sum(steps) + 2)
+    got = leading_coeff_by_differences([f(x) for x in xs], deg, steps)
+    assert got == lead
+
+
+# ---------------------------------------------------------------------------
 # volumes
 # ---------------------------------------------------------------------------
 
@@ -559,6 +629,8 @@ def test_ehrhart_samples_invariants():
         EhrhartSamples((0,), (1, 2))
     with pytest.raises(ValueError):
         EhrhartSamples((2, 3), (1, 2))  # 3 does not divide 2
+    with pytest.raises(ValueError, match="counts must hold L"):
+        EhrhartSamples((), ())
 
 
 def test_ehrhart_samples_interior_invariants():
