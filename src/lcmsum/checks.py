@@ -1,17 +1,23 @@
-"""The `verify` battery: one ordered table of checks.
+"""The `verify` battery: one ordered table of check records.
 
 Each check compares routes to one object (graph against closed form,
 gwise against brute) or a value against its published one in
 `reference`.  The count polynomial equals the graph's: one Euler product.
-A check takes no arguments and returns (ok, expected, actual, tolerance),
-the last three as display strings.  `CHECKS` fixes the order in which
+A `Check`'s sides take no arguments and each run one route, returning its
+values keyed by point; its comparator takes their results in order and
+returns (ok, expected, actual, tolerance), the last three as display
+strings, and fails a point that one side has and another lacks.  A check
+against a published value has no sides.  The route audit of
+`tests/test_checks.py` runs these sides.  `CHECKS` fixes the order in which
 `run_checks` runs them and `lcmsum verify` reports them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable
@@ -22,7 +28,7 @@ from .coprimality import (build_coprimality_graph, edge_count_formula,
                           local_factor_poly_by_edge_subsets, stirling_ism_counts)
 from .errors import ResourceLimitError
 from .eulerprod import (coprime_density, count_density_poly, lcm_count_density,
-                        series_identity_mismatch)
+                        q_by_counts, q_by_graph, q_by_stirling)
 from .oracle import (brute_recip_lcm_sum, brute_recip_lcm_sum_coprime,
                      fast_recip_lcm_sum2, gwise_constrained_sum, lcm_multiplicity,
                      lcm_multiplicity_table, leading_constants)
@@ -31,12 +37,25 @@ from .polytope import build_polytope, ieqs_rows, volume_of, volume_relations_che
 CheckOutcome = tuple[bool, str, str, str]
 
 
-def edge_counts() -> CheckOutcome:
-    ks = sorted(reference.EDGE_COUNTS)
-    published = [reference.EDGE_COUNTS[k] for k in ks]
-    built = [len(build_coprimality_graph(k).edges) for k in ks]
-    formula = [edge_count_formula(k) for k in ks]
-    return built == formula == published, str(published), str(built), "exact"
+@dataclass(frozen=True)
+class Check:
+    """A check: its sides, one tuple per comparison, and its comparator."""
+    name: str
+    sides: tuple[tuple[Callable[[], object], ...], ...]
+    compare: Callable[..., CheckOutcome]
+
+
+def _first_difference(a: dict, b: dict, agree: Callable[[object, object], bool]):
+    """The first point, in order, at which routes `a` and `b` disagree or
+    only one of them has a value; None if they agree at every point."""
+    return next((p for p in sorted(a.keys() | b.keys())
+                 if p not in a or p not in b or not agree(a[p], b[p])), None)
+
+
+def edge_counts(built, formula) -> CheckOutcome:
+    published = reference.EDGE_COUNTS
+    return (built == formula == published, str(list(published.values())),
+            str(list(built.values())), "exact")
 
 
 def edge_set_k3() -> CheckOutcome:
@@ -45,11 +64,8 @@ def edge_set_k3() -> CheckOutcome:
             str(sorted(got)), "exact")
 
 
-def ism_stirling() -> CheckOutcome:
-    ok = all(
-        independent_set_counts(build_coprimality_graph(k)) == stirling_ism_counts(k)
-        for k in (2, 3, 4)
-    )
+def ism_stirling(enumerated, stirling) -> CheckOutcome:
+    ok = enumerated == stirling
     return ok, "enumerated == stirling for k=2,3,4", str(ok), "exact"
 
 
@@ -58,21 +74,16 @@ def ism_k3() -> CheckOutcome:
     return got == reference.ISM_K3, str(reference.ISM_K3), str(got), "exact"
 
 
-def qpoly_triple() -> CheckOutcome:
-    for k in (2, 3):
-        g = build_coprimality_graph(k)
-        a = local_factor_poly(g)
-        b = local_factor_poly_by_edge_subsets(g)
-        c = count_density_poly(k)
-        if not (a == b == c == reference.LOCAL_POLY[k]):
-            return False, str(reference.LOCAL_POLY[k]), f"{a} / {b} / {c}", "exact"
-    g4 = local_factor_poly(build_coprimality_graph(4))
-    ok = g4 == count_density_poly(4) == reference.LOCAL_POLY[4]
-    return ok, str(reference.LOCAL_POLY[4]), str(g4), "exact"
+def qpoly_triple(by_sets, by_edges, by_count) -> CheckOutcome:
+    want = reference.LOCAL_POLY
+    # the edge-subset route runs at k = 2, 3 only
+    if by_sets == by_count == want and by_edges == {k: want[k] for k in (2, 3)}:
+        return True, str(want[4]), str(by_sets[4]), "exact"
+    return False, str(want), f"{by_sets} / {by_edges} / {by_count}", "exact"
 
 
-def series_identities() -> CheckOutcome:
-    ok = all(series_identity_mismatch(k, 30) is None for k in (2, 3, 4))
+def series_identities(by_graph, by_counts, by_stirling) -> CheckOutcome:
+    ok = by_graph == by_counts == by_stirling
     return ok, "identities hold to degree 30 for k=2,3,4", str(ok), "exact"
 
 
@@ -81,14 +92,6 @@ def _published_volumes(ks: tuple[int, ...], label: str) -> CheckOutcome:
            for (kind, k), want in sorted(reference.VOLUMES.items())
            if k in ks and (got := volume_of(kind, k)) != want]
     return not bad, f"published volumes, {label}", str(bad or "all match"), "exact"
-
-
-def volumes_k_le_3() -> CheckOutcome:
-    return _published_volumes((2, 3), "k<=3")
-
-
-def volumes_k4() -> CheckOutcome:
-    return _published_volumes((4,), "k=4")
 
 
 def volume_relations() -> CheckOutcome:
@@ -120,43 +123,61 @@ def rho_g3() -> CheckOutcome:
         f"{float(val.value)!r} +- {float(val.abs_error):.1e}", "5e-8 / 5e-9"
 
 
-def rho_vs_count_route() -> CheckOutcome:
-    for k in (2, 3, 4):
-        a = coprime_density(build_coprimality_graph(k))
-        b = lcm_count_density(k)
-        if not a.intersects(b):
-            return False, "two routes intersect", f"k={k}: {a!r} vs {b!r}", "combined bounds"
+def rho_vs_count_route(by_graph, by_count) -> CheckOutcome:
+    k = _first_difference(by_graph, by_count, lambda a, b: a.intersects(b))
+    if k is not None:
+        return (False, "two routes intersect",
+                f"k={k}: {by_graph.get(k)!r} vs {by_count.get(k)!r}", "combined bounds")
     return True, "two routes intersect for k=2,3,4", "all intersect", "combined bounds"
 
 
-def decomposition_battery() -> CheckOutcome:
-    routes = ((False, brute_recip_lcm_sum, "plain"),
-              (True, brute_recip_lcm_sum_coprime, "gcd1"))
-    for k, top in ((2, 200), (3, 30)):
-        for x in range(1, top + 1):
-            for pinned, brute, label in routes:
-                if gwise_constrained_sum(k, x, pinned) != brute(k, x):
-                    return False, "equal sums", f"k={k} x={x} {label}", "exact"
+def _sum_points() -> list[tuple[int, int, bool]]:
+    return [(k, x, pinned) for k, top in ((2, 200), (3, 30))
+            for x in range(1, top + 1) for pinned in (False, True)]
+
+
+def decomposition_battery(gwise, brute) -> CheckOutcome:
+    point = _first_difference(gwise, brute, operator.eq)
+    if point is not None:
+        k, x, pinned = point
+        label = "gcd1" if pinned else "plain"
+        return False, "equal sums", f"k={k} x={x} {label}", "exact"
     return True, "constrained == brute (k=2 x<=200, k=3 x<=30)", "all equal", "exact"
 
 
-def alpha_battery() -> CheckOutcome:
-    for k in (2, 3):
-        for n in range(1, 201):
-            divs = [d for d in range(1, n + 1) if n % d == 0]
-            count = sum(math.lcm(*t) == n for t in product(divs, repeat=k))
-            if count != lcm_multiplicity(k, n):
-                return False, "formula == brute count", f"k={k} n={n}", "exact"
-        if lcm_multiplicity_table(k, 60)[1] > brute_recip_lcm_sum(k, 60):
-            return False, "alpha_sum <= recip sum", f"k={k}", "exact"
+def _multiplicity_points() -> list[tuple[int, int]]:
+    return [(k, n) for k in (2, 3) for n in range(1, 201)]
+
+
+def _tuple_multiplicities() -> dict[tuple[int, int], int]:
+    """alpha(k, n) as the count of k-tuples of divisors of n with lcm n."""
+    counts = {}
+    for k, n in _multiplicity_points():
+        divs = [d for d in range(1, n + 1) if n % d == 0]
+        counts[k, n] = sum(math.lcm(*t) == n for t in product(divs, repeat=k))
+    return counts
+
+
+def alpha_battery(formula, brute, alpha_sums, recip_sums) -> CheckOutcome:
+    point = _first_difference(formula, brute, operator.eq)
+    if point is not None:
+        k, n = point
+        return False, "formula == brute count", f"k={k} n={n}", "exact"
+    k = _first_difference(alpha_sums, recip_sums, operator.le)
+    if k is not None:
+        return False, "alpha_sum <= recip sum", f"k={k}", "exact"
     return True, "multiplicity formula vs brute, n<=200", "all equal", "exact"
 
 
-def fast_route_k2() -> CheckOutcome:
+def _fast_points() -> list[int]:
     # x = 1000 first: its brute range then answers every smaller x
-    for x in [1000] + list(range(1, 101)) + [250, 500]:
-        if fast_recip_lcm_sum2(x) != brute_recip_lcm_sum(2, x):
-            return False, "fast == brute", f"x={x}", "exact"
+    return [1000, *range(1, 101), 250, 500]
+
+
+def fast_route_k2(fast, brute) -> CheckOutcome:
+    x = _first_difference(fast, brute, operator.eq)
+    if x is not None:
+        return False, "fast == brute", f"x={x}", "exact"
     return True, "totient route == brute (x<=100 dense, spot to 1000)", "all equal", "exact"
 
 
@@ -173,24 +194,50 @@ def constants_battery() -> CheckOutcome:
         str(checks), "see docs"
 
 
-CHECKS: tuple[tuple[str, Callable[[], CheckOutcome]], ...] = (
-    ("edge-count-formula", edge_counts),
-    ("edge-set-k3", edge_set_k3),
-    ("ism-vs-stirling", ism_stirling),
-    ("ism-k3-values", ism_k3),
-    ("local-poly-triple-route", qpoly_triple),
-    ("series-identities", series_identities),
-    ("volumes-k-le-3", volumes_k_le_3),
-    ("volume-relations", volume_relations),
-    ("worksheet-ieqs", ieqs_goldens),
-    ("density-k2", rho_g2),
-    ("density-k3", rho_g3),
-    ("density-two-routes", rho_vs_count_route),
-    ("decomposition-identity", decomposition_battery),
-    ("lcm-multiplicity", alpha_battery),
-    ("fast-k2-route", fast_route_k2),
-    ("volumes-k4", volumes_k4),
-    ("leading-constants", constants_battery),
+# Sides name the package functions through this module's globals, so a
+# fault planted there reaches both the run and the audit.
+CHECKS: tuple[Check, ...] = (
+    Check("edge-count-formula", ((
+        lambda: {k: len(build_coprimality_graph(k).edges) for k in (2, 3, 4)},
+        lambda: {k: edge_count_formula(k) for k in (2, 3, 4)}),), edge_counts),
+    Check("edge-set-k3", (), edge_set_k3),
+    Check("ism-vs-stirling", ((
+        lambda: {k: independent_set_counts(build_coprimality_graph(k)) for k in (2, 3, 4)},
+        lambda: {k: stirling_ism_counts(k) for k in (2, 3, 4)}),), ism_stirling),
+    Check("ism-k3-values", (), ism_k3),
+    Check("local-poly-triple-route", ((
+        lambda: {k: local_factor_poly(build_coprimality_graph(k)) for k in (2, 3, 4)},
+        lambda: {k: local_factor_poly_by_edge_subsets(build_coprimality_graph(k))
+                 for k in (2, 3)},
+        lambda: {k: count_density_poly(k) for k in (2, 3, 4)}),), qpoly_triple),
+    Check("series-identities", ((
+        lambda: {k: q_by_graph(k, 30) for k in (2, 3, 4)},
+        lambda: {k: q_by_counts(k, 30) for k in (2, 3, 4)},
+        lambda: {k: q_by_stirling(k, 30) for k in (2, 3, 4)}),), series_identities),
+    Check("volumes-k-le-3", (), lambda: _published_volumes((2, 3), "k<=3")),
+    Check("volume-relations", (), volume_relations),
+    Check("worksheet-ieqs", (), ieqs_goldens),
+    Check("density-k2", (), rho_g2),
+    Check("density-k3", (), rho_g3),
+    Check("density-two-routes", ((
+        lambda: {k: coprime_density(build_coprimality_graph(k)) for k in (2, 3, 4)},
+        lambda: {k: lcm_count_density(k) for k in (2, 3, 4)}),), rho_vs_count_route),
+    Check("decomposition-identity", ((
+        lambda: {p: gwise_constrained_sum(*p) for p in _sum_points()},
+        lambda: {(k, x, pinned): (brute_recip_lcm_sum_coprime if pinned
+                                  else brute_recip_lcm_sum)(k, x)
+                 for k, x, pinned in _sum_points()}),), decomposition_battery),
+    # the formula against a divisor-tuple count, and the alpha sum against S
+    Check("lcm-multiplicity", (
+        (lambda: {p: lcm_multiplicity(*p) for p in _multiplicity_points()},
+         _tuple_multiplicities),
+        (lambda: {k: lcm_multiplicity_table(k, 60)[1] for k in (2, 3)},
+         lambda: {k: brute_recip_lcm_sum(k, 60) for k in (2, 3)})), alpha_battery),
+    Check("fast-k2-route", ((
+        lambda: {x: fast_recip_lcm_sum2(x) for x in _fast_points()},
+        lambda: {x: brute_recip_lcm_sum(2, x) for x in _fast_points()}),), fast_route_k2),
+    Check("volumes-k4", (), lambda: _published_volumes((4,), "k=4")),
+    Check("leading-constants", (), constants_battery),
 )
 
 #: the fields of one report row, in order
@@ -198,8 +245,8 @@ FIELDS = ("check_name", "status", "expected", "actual", "tolerance", "runtime_ms
 
 
 def run_checks(budget: int | None = None) -> tuple[list[tuple], bool]:
-    """Run `CHECKS` in order; return the report rows (see `FIELDS`) and
-    whether a budget ran out.
+    """Run `CHECKS` in order, each its sides then its comparator; return the
+    report rows (see `FIELDS`) and whether a budget ran out.
 
     Once `budget` wall seconds have passed, the remaining checks are
     skipped.  A check that raises ResourceLimitError is skipped; any other
@@ -208,20 +255,21 @@ def run_checks(budget: int | None = None) -> tuple[list[tuple], bool]:
     started = time.monotonic()
     rows = []
     exceeded = False
-    for name, check in CHECKS:
+    for check in CHECKS:
         if budget is not None and time.monotonic() - started > budget:
-            rows.append((name, "skip", "", "wall budget exceeded", "", 0))
+            rows.append((check.name, "skip", "", "wall budget exceeded", "", 0))
             exceeded = True
             continue
         t0 = time.monotonic()
         try:
-            ok, expected, actual, tol = check()
+            values = [side() for group in check.sides for side in group]
+            ok, expected, actual, tol = check.compare(*values)
             status = "pass" if ok else "fail"
         except ResourceLimitError as exc:
             status, expected, actual, tol = "skip", "", f"resource limit: {exc}", ""
             exceeded = True
         except Exception as exc:  # a failing check must not kill the report
             status, expected, actual, tol = "fail", "", f"{type(exc).__name__}: {exc}", ""
-        rows.append((name, status, expected, actual, tol,
+        rows.append((check.name, status, expected, actual, tol,
                      int((time.monotonic() - t0) * 1000)))
     return rows, exceeded

@@ -335,12 +335,35 @@ def lcm_count_density(k: int, target_error=DEFAULT_TARGET) -> BoundedReal:
 # Exact series identities
 # ---------------------------------------------------------------------------
 
+def q_by_graph(k: int, n: int) -> list[int]:
+    """The coefficients of the graph's Q up to degree n."""
+    q = list(local_factor_poly(build_coprimality_graph(k))) + [0] * (n + 1)
+    return q[: n + 1]
+
+
+def q_by_counts(k: int, n: int) -> list[int]:
+    """(1-x)^(2**k-1) * sum_{nu<=n} ((nu+1)^k - nu^k) x^nu up to degree n."""
+    series = [(nu + 1) ** k - nu**k for nu in range(n + 1)]
+    # each pass subtracts the series shifted by one place: a product with
+    # (1 - x), and the truncation at degree n commutes with it
+    for _ in range(2**k - 1):
+        series = list(map(operator.sub, series, [0, *series]))
+    return series
+
+
+def q_by_stirling(k: int, n: int) -> list[int]:
+    """sum_m i_m (1-x)^(v-m) x^m with the Stirling-form i_m, up to degree
+    n >= v = 2**k - 1."""
+    v = 2**k - 1
+    return expand_one_minus_x(stirling_ism_counts(k), v) + [0] * (n - v)
+
+
 def series_identity_mismatch(k: int, n: int) -> tuple[str, int] | None:
     """First failing identity and coefficient index, or None if all hold.
 
-    Checks, in exact integers up to degree n:
-      (a) Q(x) = (1-x)^(2**k-1) * sum_{nu<=n} ((nu+1)^k - nu^k) x^nu + O(x^(n+1))
-      (b) Q(x) = sum_m i_m (1-x)^(v-m) x^m with the Stirling-form i_m.
+    Checks, in exact integers up to degree n, that the graph's Q equals
+      (a) the tuple-count series times (1-x)^(2**k-1) (`q_by_counts`) and
+      (b) the Stirling form (`q_by_stirling`).
 
     Refuses n past IDENTITY_MAX_DEGREE before any list is made.
     """
@@ -349,17 +372,9 @@ def series_identity_mismatch(k: int, n: int) -> tuple[str, int] | None:
     if n > IDENTITY_MAX_DEGREE:
         raise ResourceLimitError(
             f"degree {n} exceeds the identity cap {IDENTITY_MAX_DEGREE}")
-    q = list(local_factor_poly(build_coprimality_graph(k))) + [0] * (n + 1)
-    q = q[: n + 1]
-
-    v = 2**k - 1
-    # each pass subtracts the series shifted by one place: a product with
-    # (1 - x), and the truncation at degree n commutes with it
-    prod = [(nu + 1) ** k - nu**k for nu in range(n + 1)]
-    for _ in range(v):
-        prod = list(map(operator.sub, prod, [0, *prod]))
-    alt = expand_one_minus_x(stirling_ism_counts(k), v) + [0] * (n - v)
-    for name, series in (("count-series", prod), ("independent-set", alt)):
+    q = q_by_graph(k, n)
+    for name, series in (("count-series", q_by_counts(k, n)),
+                         ("independent-set", q_by_stirling(k, n))):
         for a in range(n + 1):
             if series[a] != q[a]:
                 return (name, a)

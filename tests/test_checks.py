@@ -8,10 +8,10 @@ battery is cut to the check under test, so each case costs that check's
 run alone.  The route table's checks table names, per check, the cases
 here that fail it, or says "one route" where no single-route fault can.
 
-The route audit runs each side of every check that compares routes, from
-cold package caches, and collects the package functions it calls; two
-sides may share only the trusted primitives listed here, or the route
-table marks the check "one route".
+The route audit runs the sides each record of `checks.CHECKS` declares,
+from cold package caches, and counts the package code each calls beyond
+its own; two sides of one comparison may share only the trusted
+primitives listed here, or the route table marks the check "one route".
 """
 
 import dataclasses
@@ -19,6 +19,7 @@ import itertools
 import os
 import re
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -94,7 +95,7 @@ def test_a_planted_fault_fails_its_check(case, check, module, function, change,
                                          monkeypatch, capsys):
     real = getattr(module, function)
     monkeypatch.setattr(module, function, lambda *a: change(real(*a), *a))
-    monkeypatch.setattr(checks, "CHECKS", tuple(c for c in checks.CHECKS if c[0] == check))
+    monkeypatch.setattr(checks, "CHECKS", tuple(c for c in checks.CHECKS if c.name == check))
     rows, exceeded = checks.run_checks()
     (row,) = rows
     assert row[:2] == (check, "fail") and not exceeded, row
@@ -110,7 +111,7 @@ def test_a_planted_fault_fails_its_check(case, check, module, function, change,
 def test_the_route_table_names_the_faults_that_fail_each_check():
     table = LEDGER.read_text().split("\n## Route table\n", 1)[1].split("\n## ", 1)[0]
     last_cells = dict(re.findall(r"^\| `([a-z0-9-]+)` \|.*\| ([^|]*) \|$", table, re.M))
-    assert list(last_cells) == [name for name, _ in checks.CHECKS]
+    assert list(last_cells) == [c.name for c in checks.CHECKS]
     for name, cell in last_cells.items():
         cited = re.findall(r"test_a_planted_fault_fails_its_check\[([a-z0-9-]+)\]", cell)
         planted = [f[0] for f in FAULTS if f[1] == name]
@@ -139,56 +140,6 @@ def test_a_check_that_raises_gets_a_row_and_the_run_goes_on(
     assert out.endswith(f"1 passed, {int(status == 'fail')} failed, "
                         f"{int(status == 'skip')} skipped\n")
 
-
-def graph_q(ks):
-    return [coprimality.local_factor_poly(coprimality.build_coprimality_graph(k))
-            for k in ks]
-
-
-#: per check that compares routes, the groups of sides it compares: each
-#: side makes the package calls of one route as the check makes them, and
-#: None stands for the check's own loop, which calls nothing in the
-#: package.  density-two-routes runs k = 3 only: each k calls the same
-#: functions, and k = 4 would double the audit's time.
-ROUTE_SIDES = {
-    "edge-count-formula": [(
-        lambda: [len(coprimality.build_coprimality_graph(k).edges) for k in (2, 3, 4)],
-        lambda: [coprimality.edge_count_formula(k) for k in (2, 3, 4)])],
-    "ism-vs-stirling": [(
-        lambda: [coprimality.independent_set_counts(coprimality.build_coprimality_graph(k))
-                 for k in (2, 3, 4)],
-        lambda: [coprimality.stirling_ism_counts(k) for k in (2, 3, 4)])],
-    "local-poly-triple-route": [(
-        lambda: graph_q((2, 3, 4)),
-        lambda: [coprimality.local_factor_poly_by_edge_subsets(
-            coprimality.build_coprimality_graph(k)) for k in (2, 3)],
-        lambda: [eulerprod.count_density_poly(k) for k in (2, 3, 4)])],
-    # the graph's Q against the tuple-count series (a loop of the check's
-    # own) and against the Stirling form
-    "series-identities": [(
-        lambda: graph_q((2, 3, 4)),
-        None,
-        lambda: [coprimality.expand_one_minus_x(coprimality.stirling_ism_counts(k),
-                                                2**k - 1) for k in (2, 3, 4)])],
-    "density-two-routes": [(
-        lambda: eulerprod.coprime_density(coprimality.build_coprimality_graph(3)),
-        lambda: eulerprod.lcm_count_density(3))],
-    # each range answers every x below its top
-    "decomposition-identity": [(
-        lambda: [oracle.gwise_constrained_sum(k, x, pinned)
-                 for k, x in ((2, 200), (3, 30)) for pinned in (False, True)],
-        lambda: [sum_(k, x) for k, x in ((2, 200), (3, 30))
-                 for sum_ in (oracle.brute_recip_lcm_sum,
-                              oracle.brute_recip_lcm_sum_coprime)])],
-    # the formula against a divisor-tuple count, and the alpha sum against S
-    "lcm-multiplicity": [
-        (lambda: [oracle.lcm_multiplicity(k, n) for k in (2, 3) for n in range(1, 201)],
-         None),
-        (lambda: [oracle.lcm_multiplicity_table(k, 60) for k in (2, 3)],
-         lambda: [oracle.brute_recip_lcm_sum(k, 60) for k in (2, 3)])],
-    "fast-k2-route": [(lambda: oracle.fast_recip_lcm_sum2(1000),
-                       lambda: oracle.brute_recip_lcm_sum(2, 1000))],
-}
 
 _GUARD = "a guard: it raises or returns None, so it changes no value"
 _GRAPH = ("edge-set-k3 compares the k = 3 graph with the hand-derived EDGES_K3, "
@@ -231,24 +182,32 @@ TRUSTED = {
 
 PACKAGE = os.path.dirname(lcmsum.__file__) + os.sep
 
+#: the point lists both sides of a comparison iterate; they compute no value
+POINT_LISTS = (checks._sum_points, checks._multiplicity_points, checks._fast_points)
+
+
+def own_code(code):
+    """`code` and the code objects nested in it, such as comprehensions."""
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from own_code(const)
+
 
 def package_calls(side, monkeypatch) -> set[str]:
     """The package functions `side` calls from cold caches, as
-    "module.qualname", with nested code counted as its enclosing function."""
-    if side is None:
-        return set()
+    "module.qualname", with nested code counted as its enclosing function;
+    the side's own code and the point lists are not counted."""
     for module in (coprimality, eulerprod, exactmath, oracle, polytope):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
     monkeypatch.setattr(oracle, "_RANGES", {})
-    seen = set()
+    codes = set()
 
     def profile(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and code.co_filename.startswith(PACKAGE):
-            module = os.path.basename(code.co_filename)[:-3]
-            seen.add(f"{module}.{code.co_qualname.split('.<locals>')[0]}")
+        if event == "call":
+            codes.add(frame.f_code)
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -256,22 +215,31 @@ def package_calls(side, monkeypatch) -> set[str]:
         side()
     finally:
         sys.setprofile(previous)
-    return seen
+    uncounted = {code for fn in (side, *POINT_LISTS) for code in own_code(fn.__code__)}
+    return {f"{os.path.basename(code.co_filename)[:-3]}."
+            f"{code.co_qualname.split('.<locals>')[0]}"
+            for code in codes - uncounted if code.co_filename.startswith(PACKAGE)}
+
+
+def audited_calls(name, monkeypatch) -> list[list[set[str]]]:
+    """Per comparison of check `name` in `checks.CHECKS`, each side's calls."""
+    (check,) = [c for c in checks.CHECKS if c.name == name]
+    return [[package_calls(side, monkeypatch) for side in group] for group in check.sides]
 
 
 def test_compared_routes_share_only_trusted_primitives(monkeypatch):
     table = LEDGER.read_text().split("\n## Route table\n", 1)[1].split("\n## ", 1)[0]
     routes = dict(re.findall(r"^\| `([a-z0-9-]+)` \|[^|]*\| ([^|]*) \|[^|]*\|$",
                              table, re.M))
-    assert list(routes) == [name for name, _ in checks.CHECKS]
-    # every check whose table row names two or more routes is audited
-    assert set(ROUTE_SIDES) == {name for name, cell in routes.items()
-                                if cell.startswith(("two", "three", "one route"))}
+    assert list(routes) == [c.name for c in checks.CHECKS]
+    # a check has sides exactly when its table row names two or more routes
+    audited = [c.name for c in checks.CHECKS if c.sides]
+    assert audited == [name for name, cell in routes.items()
+                       if cell.startswith(("two", "three", "one route"))]
     shared_trusted = set()
-    for name, groups in ROUTE_SIDES.items():
+    for name in audited:
         untrusted = set()
-        for sides in groups:
-            calls = [package_calls(side, monkeypatch) for side in sides]
+        for calls in audited_calls(name, monkeypatch):
             for a, b in itertools.combinations(calls, 2):
                 shared_trusted |= a & b & TRUSTED.keys()
                 untrusted |= (a & b) - TRUSTED.keys()
@@ -279,3 +247,17 @@ def test_compared_routes_share_only_trusted_primitives(monkeypatch):
             (name, sorted(untrusted))
     # no entry outlives the sharing it excuses
     assert shared_trusted == TRUSTED.keys()
+
+
+def test_the_audit_runs_the_sides_the_check_runs(monkeypatch):
+    (check,) = [c for c in checks.CHECKS if c.name == "fast-k2-route"]
+    ((fast, _),) = check.sides
+    (before,) = audited_calls("fast-k2-route", monkeypatch)
+    # the new side also calls code of `checks` that is not its own
+    swapped = dataclasses.replace(check, sides=((fast, lambda: {
+        200: oracle.gwise_constrained_sum(2, 200, False), 0: checks.ism_stirling({}, {})}),))
+    monkeypatch.setattr(checks, "CHECKS", (swapped,))
+    (after,) = audited_calls("fast-k2-route", monkeypatch)
+    assert after[0] == before[0]
+    assert {"oracle.gwise_constrained_sum", "checks.ism_stirling"} <= after[1] - before[1]
+    assert "oracle.brute_recip_lcm_sum" in before[1] - after[1]

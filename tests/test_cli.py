@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -328,7 +329,7 @@ def test_verify_suite_all_runs_the_whole_table(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "all", "--budget", "0",
                         "--format", "json")
     assert code == 3
-    assert [r["check_name"] for r in json.loads(out)] == [n for n, _ in CHECKS]
+    assert [r["check_name"] for r in json.loads(out)] == [c.name for c in CHECKS]
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "cheap"])
     assert exc.value.code == 2
@@ -477,15 +478,24 @@ def test_verify_battery_globals_resolve():
     # them would otherwise surface only in full runs
     import builtins
     import dis
+    import types
 
     from lcmsum.checks import CHECKS
 
-    for name, thunk in CHECKS:
-        for ins in dis.get_instructions(thunk):
+    def globals_named(code):
+        # comprehensions are code objects of their own
+        for ins in dis.get_instructions(code):
             if ins.opname == "LOAD_GLOBAL":
-                g = ins.argval
-                assert g in thunk.__globals__ or hasattr(builtins, g), \
-                    f"check {name!r} references undefined global {g!r}"
+                yield ins.argval
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                yield from globals_named(const)
+
+    for check in CHECKS:
+        for fn in (check.compare, *(side for group in check.sides for side in group)):
+            for g in globals_named(fn.__code__):
+                assert g in fn.__globals__ or hasattr(builtins, g), \
+                    f"check {check.name!r} references undefined global {g!r}"
 
 
 def test_volume_relations_row_passes_with_its_pinned_text():
@@ -510,8 +520,9 @@ def test_volume_relations_row_names_the_failing_relation(monkeypatch):
 
 
 def test_verify_csv_rows_are_the_json_rows(capsys):
-    # the same rows in either format; runtime_ms is wall time, so it is
-    # left out of the comparison
+    # the same rows in either format, and the rows of `lcmsum verify
+    # --format json` recorded in tests/golden/verify_rows.json; runtime_ms
+    # is wall time, so it is left out of both comparisons
     import csv
     import io
 
@@ -519,12 +530,14 @@ def test_verify_csv_rows_are_the_json_rows(capsys):
 
     code, out = run_cli(capsys, "verify", "--format", "json")
     assert code == 0
-    want = [[str(r[f]) for f in FIELDS[:-1]] for r in json.loads(out)]
+    rows = [{f: r[f] for f in FIELDS[:-1]} for r in json.loads(out)]
+    golden = Path(__file__).parent / "golden" / "verify_rows.json"
+    assert rows == json.loads(golden.read_text())
     code, out = run_cli(capsys, "verify", "--format", "csv")
     assert code == 0
-    header, *rows = csv.reader(io.StringIO(out))
+    header, *csv_rows = csv.reader(io.StringIO(out))
     assert header == list(FIELDS)
-    assert [r[:-1] for r in rows] == want
+    assert [r[:-1] for r in csv_rows] == [[str(v) for v in r.values()] for r in rows]
 
 
 def test_verify_json_schema_and_order(capsys):
